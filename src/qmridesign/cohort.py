@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ivim import AcquisitionProtocol, IvimParams, ScannerConfig, simulate_acquisition
+from .ivim import AcquisitionProtocol, IvimParams, ScannerConfig
 
 __all__ = [
     "TissueClass",
@@ -192,22 +192,42 @@ def sample_cohort(
     return Cohort(labels=tuple(labels), params=params)
 
 
+def _check_params(params: np.ndarray) -> None:
+    """Reject rows that IvimParams would reject, all rows at once."""
+    s0, f, d, dstar = params.T
+    bad = ~((s0 > 0) & (f >= 0.0) & (f <= 1.0) & (d > 0) & (dstar > 0) & (dstar >= d))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"invalid IVIM parameters for subject {i}: (s0, f, d, d_star) = "
+            f"{tuple(params[i].tolist())}; need s0 > 0, 0 <= f <= 1, d > 0, "
+            "d_star > 0 and d_star >= d"
+        )
+
+
 def simulate_dataset(
     cohort: Cohort,
     protocol: AcquisitionProtocol,
     scanner: ScannerConfig,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Simulate one noisy acquisition per subject, preserving ground truth."""
+    """Simulate one noisy acquisition per subject, preserving ground truth.
+
+    Equals calling ``simulate_acquisition`` subject by subject from the
+    same generator, bit for bit: row i of the noise array holds subject
+    i's real-channel then imaginary-channel draws, the order of that loop.
+    """
+    _check_params(cohort.params)
     te = protocol.echo_time(scanner)
-    n = len(cohort)
-    signals = np.empty((n, len(protocol.b_values)))
-    for i, (_, params) in enumerate(cohort):
-        signals[i] = simulate_acquisition(params, protocol, scanner, rng)
+    b = protocol.b_array
+    s0, f, d, dstar = (col[:, None] for col in cohort.params.T)
+    decay = np.exp(-te / scanner.t2)
+    clean = s0 * decay * (f * np.exp(-b * dstar) + (1.0 - f) * np.exp(-b * d))
+    noise = rng.normal(0.0, scanner.noise_sigma, size=(len(cohort), 2, len(b)))
     return Dataset(
         labels=cohort.labels,
         params=cohort.params.copy(),
-        signals=signals,
-        b_values=protocol.b_array,
+        signals=np.hypot(clean + noise[:, 0], noise[:, 1]),
+        b_values=b,
         te=te,
     )

@@ -44,6 +44,9 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# grid columns per D* scan block: bounds the (n, block, n_acquisitions) temporary
+_GRID_BLOCK = 10
+
 
 class HighBDeficientError(ValueError):
     """Fewer than two distinct qualifying b-values in the high-b segment."""
@@ -169,9 +172,9 @@ def estimate_s0_f(signals, b_values, intercept):
 
 
 def _dstar_sse(residual: np.ndarray, amplitude: np.ndarray, b_values: np.ndarray, dstar: np.ndarray):
-    """Sum-of-squares misfit of the perfusion term for candidate d_star values."""
-    model = amplitude[:, None] * np.exp(-b_values[None, :] * dstar[:, None])
-    return ((residual - model) ** 2).sum(axis=1)
+    """Sum-of-squares misfit of the perfusion term for (n, k) candidate d_star values."""
+    model = amplitude[:, None, None] * np.exp(-b_values[None, None, :] * dstar[:, :, None])
+    return ((residual[:, None, :] - model) ** 2).sum(axis=2)
 
 
 def fit_dstar(
@@ -206,8 +209,8 @@ def fit_dstar(
     steps = np.linspace(0.0, 1.0, bounds.grid_points)
     grid = np.exp(lo[:, None] + (hi - lo)[:, None] * steps[None, :])
     sse = np.empty((n, bounds.grid_points))
-    for j in range(bounds.grid_points):
-        sse[:, j] = _dstar_sse(residual, amplitude, b_values, grid[:, j])
+    for j in range(0, bounds.grid_points, _GRID_BLOCK):
+        sse[:, j : j + _GRID_BLOCK] = _dstar_sse(residual, amplitude, b_values, grid[:, j : j + _GRID_BLOCK])
     best = sse.argmin(axis=1)
     left = grid[np.arange(n), np.maximum(best - 1, 0)]
     right = grid[np.arange(n), np.minimum(best + 1, bounds.grid_points - 1)]
@@ -215,8 +218,7 @@ def fit_dstar(
     a, b = left.copy(), right.copy()
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = _dstar_sse(residual, amplitude, b_values, x1)
-    f2 = _dstar_sse(residual, amplitude, b_values, x2)
+    f1, f2 = _dstar_sse(residual, amplitude, b_values, np.column_stack([x1, x2])).T
     for _ in range(200):
         # freeze converged rows so results do not depend on batch company
         active = (b - a) > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
@@ -228,8 +230,9 @@ def fit_dstar(
         b = np.where(shrink_right, x2, b)
         x1 = np.where(active, b - _GOLDEN * (b - a), x1)
         x2 = np.where(active, a + _GOLDEN * (b - a), x2)
-        f1 = np.where(active, _dstar_sse(residual, amplitude, b_values, x1), f1)
-        f2 = np.where(active, _dstar_sse(residual, amplitude, b_values, x2), f2)
+        sse1, sse2 = _dstar_sse(residual, amplitude, b_values, np.column_stack([x1, x2])).T
+        f1 = np.where(active, sse1, f1)
+        f2 = np.where(active, sse2, f2)
 
     dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
     inactive = f <= 0.0

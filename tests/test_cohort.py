@@ -6,13 +6,15 @@ import pytest
 from qmridesign import (
     AcquisitionProtocol,
     CohortSpec,
+    IvimParams,
     ScannerConfig,
     TissueClass,
     TissueDistribution,
     sample_cohort,
+    simulate_acquisition,
     simulate_dataset,
 )
-from qmridesign.cohort import MissingDistributionError
+from qmridesign.cohort import Cohort, MissingDistributionError
 from qmridesign.config import default_tissue_path, load_tissue_distributions
 
 
@@ -106,3 +108,49 @@ def test_same_seed_same_dataset(default_distributions):
     a, b = build(11), build(11)
     np.testing.assert_array_equal(a.signals, b.signals)
     np.testing.assert_array_equal(a.params, b.params)
+
+
+@pytest.mark.parametrize("snr", [5.0, 25.0])
+@pytest.mark.parametrize(
+    "b_values",
+    [AcquisitionProtocol.adhoc().b_values, (0, 0, 7, 7, 7, 7, 52, 52, 52, 478)],
+    ids=["adhoc", "crlb_mc"],
+)
+def test_simulate_dataset_equals_per_subject_loop(default_distributions, b_values, snr):
+    """The vectorized simulation reproduces the per-subject loop bit for bit."""
+    protocol = AcquisitionProtocol(b_values)
+    scanner = ScannerConfig(snr=snr)
+    rng = np.random.default_rng(21)
+    sampled = sample_cohort(default_distributions, CohortSpec(), rng)
+    params = sampled.params.copy()
+    params[:, 0] = rng.uniform(0.5, 1.5, len(params))  # s0 != 1 exposes reassociation
+    cohort = Cohort(labels=sampled.labels, params=params)
+
+    ds = simulate_dataset(cohort, protocol, scanner, np.random.default_rng(22))
+
+    rng = np.random.default_rng(22)
+    expected = np.array(
+        [simulate_acquisition(IvimParams(*row), protocol, scanner, rng) for row in cohort.params]
+    )
+    np.testing.assert_array_equal(ds.signals, expected)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        (0.0, 0.2, 1e-3, 2e-2),    # s0 <= 0
+        (1.0, -0.1, 1e-3, 2e-2),   # f < 0
+        (1.0, 1.2, 1e-3, 2e-2),    # f > 1
+        (1.0, 0.2, 0.0, 2e-2),     # d <= 0
+        (1.0, 0.2, -1e-3, -5e-4),  # d_star <= 0
+        (1.0, 0.2, 1e-3, 5e-4),    # d_star < d
+    ],
+)
+def test_simulate_dataset_rejects_invalid_params(bad_row):
+    good = (1.0, 0.2, 1e-3, 2e-2)
+    cohort = Cohort(
+        labels=(TissueClass.ACTIVE, TissueClass.ACTIVE),
+        params=np.array([good, bad_row]),
+    )
+    with pytest.raises(ValueError, match="subject 1"):
+        simulate_dataset(cohort, AcquisitionProtocol.adhoc(), ScannerConfig(), np.random.default_rng(0))

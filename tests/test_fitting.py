@@ -30,6 +30,53 @@ def noiseless_signals(params: IvimParams, protocol=ADHOC, scanner=SCANNER) -> np
     return ivim_signal(params, protocol.b_array, te, scanner.t2)
 
 
+def noisy_batch(n: int, seed: int) -> np.ndarray:
+    """Noisy adhoc-protocol signals for n random subjects in the physio range."""
+    rng = np.random.default_rng(seed)
+    b = ADHOC.b_array
+    te = ADHOC.echo_time(SCANNER)
+    signals = np.empty((n, 10))
+    for i in range(n):
+        params = IvimParams(1.0, rng.uniform(0.02, 0.4), rng.uniform(2e-4, 1.2e-3),
+                            rng.uniform(1e-2, 5e-2))
+        signals[i] = np.abs(ivim_signal(params, b, te, SCANNER.t2) + rng.normal(0, 0.04, 10))
+    return signals
+
+
+def _dstar_per_column(signals, b, s0, f, d, bounds=DEFAULT_BOUNDS):
+    """fit_dstar written with a column-by-column grid scan and golden section."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def sse(x):
+        model = (s0 * f)[:, None] * np.exp(-b[None, :] * x[:, None])
+        return ((residual - model) ** 2).sum(axis=1)
+
+    n = len(signals)
+    residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b[None, :] * d[:, None])
+    lo, hi = np.log(d), np.log(np.full(n, bounds.dstar_max))
+    steps = np.linspace(0.0, 1.0, bounds.grid_points)
+    grid = np.exp(lo[:, None] + (hi - lo)[:, None] * steps[None, :])
+    scan = np.column_stack([sse(grid[:, j]) for j in range(bounds.grid_points)])
+    best = scan.argmin(axis=1)
+    a = grid[np.arange(n), np.maximum(best - 1, 0)]
+    c = grid[np.arange(n), np.minimum(best + 1, bounds.grid_points - 1)]
+    x1, x2 = c - golden * (c - a), a + golden * (c - a)
+    f1, f2 = sse(x1), sse(x2)
+    for _ in range(200):
+        active = (c - a) > bounds.refine_rel_tol * np.maximum(0.5 * (a + c), bounds.d_min)
+        if not active.any():
+            break
+        shrink_left = active & (f1 > f2)
+        shrink_right = active & ~shrink_left
+        a = np.where(shrink_left, x1, a)
+        c = np.where(shrink_right, x2, c)
+        x1 = np.where(active, c - golden * (c - a), x1)
+        x2 = np.where(active, a + golden * (c - a), x2)
+        f1 = np.where(active, sse(x1), f1)
+        f2 = np.where(active, sse(x2), f2)
+    return np.where(f <= 0.0, d, np.clip(0.5 * (a + c), d, bounds.dstar_max))
+
+
 class TestFitHighB:
     def test_exact_monoexponential(self):
         b = np.array([0.0, 50.0, 200.0, 400.0, 800.0])
@@ -139,6 +186,19 @@ class TestFitDstar:
             brute = grid[np.argmin(sse)]
             assert dstar == pytest.approx(brute, rel=1e-4)
 
+    @pytest.mark.parametrize("grid_points", [200, 37])
+    def test_blocked_scan_equals_per_column_scan(self, grid_points):
+        """The blocked grid scan equals a column-by-column reference bit for bit."""
+        bounds = FitBounds(grid_points=grid_points)  # 37: the last block is ragged
+        rng = np.random.default_rng(18)
+        n = 64
+        signals = noisy_batch(n, 19)
+        s0 = rng.uniform(0.6, 1.0, n)
+        f = rng.uniform(-0.05, 0.4, n)  # some f <= 0 rows take the inactive branch
+        d = rng.uniform(2e-4, 1.5e-3, n)
+        dstar, _ = fit_dstar(signals, ADHOC.b_array, s0, f, d, bounds)
+        np.testing.assert_array_equal(dstar, _dstar_per_column(signals, ADHOC.b_array, s0, f, d, bounds))
+
 
 class TestSegmentedFit:
     def test_noiseless_roundtrip_reference_class(self):
@@ -207,21 +267,17 @@ class TestSegmentedFit:
                 ref.high_b_deficient, ref.f_clamped, ref.dstar_at_bound)
 
     def test_batch_equals_single(self):
-        rng = np.random.default_rng(13)
         b = ADHOC.b_array
-        te = ADHOC.echo_time(SCANNER)
-        signals = np.empty((20, 10))
-        for i in range(20):
-            params = IvimParams(1.0, rng.uniform(0.02, 0.4), rng.uniform(2e-4, 1.2e-3),
-                                rng.uniform(1e-2, 5e-2))
-            signals[i] = np.abs(ivim_signal(params, b, te, SCANNER.t2) + rng.normal(0, 0.04, 10))
-        features, flags = segmented_fit_batch(signals, b)
-        for i in range(20):
-            res = segmented_fit(signals[i], b)
-            np.testing.assert_array_equal(features[i], res.feature_vector())
-            assert flags[i, 0] == res.high_b_deficient
-            assert flags[i, 1] == res.f_clamped
-            assert flags[i, 2] == res.dstar_at_bound
+        # 500 rows: a large (n, block, n_acquisitions) tensor in the D* scan
+        for n, seed in ((20, 13), (500, 20)):
+            signals = noisy_batch(n, seed)
+            features, flags = segmented_fit_batch(signals, b)
+            for i in range(n):
+                res = segmented_fit(signals[i], b)
+                np.testing.assert_array_equal(features[i], res.feature_vector())
+                assert flags[i, 0] == res.high_b_deficient
+                assert flags[i, 1] == res.f_clamped
+                assert flags[i, 2] == res.dstar_at_bound
 
     def test_bounds_always_respected_and_flags_bidirectional(self):
         rng = np.random.default_rng(14)
