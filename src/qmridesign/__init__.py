@@ -14,7 +14,7 @@ from .classify import (
     SimulationEnv,
     Task,
     cross_val_accuracy,
-    knn_predict,
+    knn_predict_batch,
     parameter_auc,
     task_objective,
 )
@@ -28,7 +28,7 @@ from .cohort import (
     simulate_dataset,
 )
 from .crlb import CrlbConfig, crlb_objective, fisher_matrix, optimize_crlb, signal_jacobian
-from .fitting import FitBounds, FitResult, segmented_fit, segmented_fit_batch
+from .fitting import FitBounds, segmented_fit_batch
 from .ivim import (
     ADHOC_B_VALUES,
     AcquisitionProtocol,
@@ -37,7 +37,6 @@ from .ivim import (
     add_rician_noise,
     ivim_signal,
     min_te,
-    simulate_acquisition,
 )
 from .ppo import PpoAgent, PpoConfig, rollout_greedy, train
 from .protocol_env import ProtocolEnv
@@ -54,7 +53,6 @@ __all__ = [
     "Dataset",
     "EvalConfig",
     "FitBounds",
-    "FitResult",
     "IvimParams",
     "PpoAgent",
     "PpoConfig",
@@ -70,16 +68,14 @@ __all__ = [
     "derive_rng",
     "fisher_matrix",
     "ivim_signal",
-    "knn_predict",
+    "knn_predict_batch",
     "min_te",
     "optimize_crlb",
     "parameter_auc",
     "rollout_greedy",
     "sample_cohort",
-    "segmented_fit",
     "segmented_fit_batch",
     "signal_jacobian",
-    "simulate_acquisition",
     "simulate_dataset",
     "task_objective",
     "train",

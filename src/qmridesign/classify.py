@@ -14,7 +14,7 @@ single nearest neighbor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
@@ -29,7 +29,6 @@ __all__ = [
     "EvalConfig",
     "SimulationEnv",
     "InsufficientSubjectsError",
-    "knn_predict",
     "knn_predict_batch",
     "stratified_fold_assignments",
     "cross_val_accuracy",
@@ -110,12 +109,7 @@ class SimulationEnv:
     fit_bounds: FitBounds = DEFAULT_BOUNDS
 
     def with_snr(self, snr: float) -> "SimulationEnv":
-        return SimulationEnv(
-            distributions=self.distributions,
-            cohort_spec=self.cohort_spec,
-            scanner=self.scanner.with_snr(snr),
-            fit_bounds=self.fit_bounds,
-        )
+        return replace(self, scanner=self.scanner.with_snr(snr))
 
 
 def _zscore_stats(features: np.ndarray):
@@ -159,15 +153,6 @@ def knn_predict_batch(
         tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
         predictions[start : start + len(q)] = np.where(tied, top[:, 0], winner)
     return predictions
-
-
-def knn_predict(train_features, train_labels, query_feature, k: int) -> int:
-    """Predicted label for a single query point."""
-    train_labels = np.asarray(train_labels, dtype=int)
-    n_classes = int(train_labels.max()) + 1 if len(train_labels) else 0
-    return int(
-        knn_predict_batch(train_features, train_labels, np.atleast_2d(query_feature), k, n_classes)[0]
-    )
 
 
 def stratified_fold_assignments(

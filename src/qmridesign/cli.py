@@ -15,6 +15,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .crlb import optimize_crlb
 from .experiments import AUC_PARAMS, auc_matrix, evaluate_accuracy, protocol_id
 from .ivim import AcquisitionProtocol, PROTOCOL_LENGTH
 from .plotting import plot_accuracy_vs_snr
-from .ppo import PpoConfig, load_checkpoint, rollout_greedy, save_checkpoint, train
+from .ppo import load_checkpoint, rollout_greedy, save_checkpoint, train
 from .protocol_env import ProtocolEnv
 from .reports import (
     ReportRow,
@@ -266,7 +267,7 @@ def cmd_optimize(args) -> int:
     if optimizer == "crlb":
         crlb_config = config.crlb
         if args.budget is not None:
-            crlb_config = crlb_config.__class__(**{**crlb_config.__dict__, "iterations": args.budget})
+            crlb_config = replace(crlb_config, iterations=args.budget)
         rng = derive_rng(config.seed, "optimize-crlb")
         protocol, cost, _ = optimize_crlb(
             config.task.classes, config.distributions(), config.scanner, crlb_config, rng
@@ -281,7 +282,7 @@ def cmd_optimize(args) -> int:
 
     ppo_config = config.ppo
     if args.budget is not None:
-        ppo_config = PpoConfig(**{**ppo_config.__dict__, "total_steps": args.budget})
+        ppo_config = replace(ppo_config, total_steps=args.budget)
     env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
     rng = derive_rng(config.seed, "optimize-rl")
     result = train(env, ppo_config, rng)
@@ -295,7 +296,7 @@ def cmd_optimize(args) -> int:
     )
     write_curve(out / "curve.csv", result.curve)
     save_checkpoint(out / "checkpoint.npz", result.agent, ppo_config.total_steps,
-                    extra={"config_hash": digest, "seed": config.seed}, rng=rng)
+                    extra={"config_hash": digest, "seed": config.seed})
     print(
         f"rl protocol {list(protocol.b_values)} best_reward={result.best_reward:.3f} "
         f"({result.episodes} episodes); wrote {artifact}"

@@ -2,19 +2,20 @@
 
 Each tissue class carries independent Gaussian priors over (f, d, d_star),
 truncated by rejection sampling to the physically valid region. A cohort is
-a list of labeled parameter tuples; a dataset adds the simulated signal
-matrix and, after fitting, the per-subject feature vectors.
+an (n, 4) array of parameter rows with one label per row; a dataset adds
+the simulated signal matrix and, after fitting, the per-subject feature
+vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ivim import AcquisitionProtocol, IvimParams, ScannerConfig
+from .ivim import AcquisitionProtocol, ScannerConfig, add_rician_noise, check_params, ivim_signal
 
 __all__ = [
     "TissueClass",
@@ -107,10 +108,6 @@ class Cohort:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __iter__(self) -> Iterator:
-        for label, row in zip(self.labels, self.params):
-            yield label, IvimParams(*row)
-
 
 @dataclass
 class Dataset:
@@ -172,8 +169,8 @@ def sample_cohort(
     """Draw the requested number of subjects per class.
 
     f is truncated to [F_LOW, F_HIGH]; d and d_star are redrawn until
-    positive, and d_star additionally until d_star >= d so every tuple is a
-    valid IvimParams. s0 is fixed at 1.0 (not class-discriminative; fitted
+    positive, and d_star additionally until d_star >= d so every row passes
+    ``check_params``. s0 is fixed at 1.0 (not class-discriminative; fitted
     s0 still varies through TE and noise).
     """
     labels: list[TissueClass] = []
@@ -192,19 +189,6 @@ def sample_cohort(
     return Cohort(labels=tuple(labels), params=params)
 
 
-def _check_params(params: np.ndarray) -> None:
-    """Reject rows that IvimParams would reject, all rows at once."""
-    s0, f, d, dstar = params.T
-    bad = ~((s0 > 0) & (f >= 0.0) & (f <= 1.0) & (d > 0) & (dstar > 0) & (dstar >= d))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"invalid IVIM parameters for subject {i}: (s0, f, d, d_star) = "
-            f"{tuple(params[i].tolist())}; need s0 > 0, 0 <= f <= 1, d > 0, "
-            "d_star > 0 and d_star >= d"
-        )
-
-
 def simulate_dataset(
     cohort: Cohort,
     protocol: AcquisitionProtocol,
@@ -213,21 +197,20 @@ def simulate_dataset(
 ) -> Dataset:
     """Simulate one noisy acquisition per subject, preserving ground truth.
 
-    Equals calling ``simulate_acquisition`` subject by subject from the
-    same generator, bit for bit: row i of the noise array holds subject
-    i's real-channel then imaginary-channel draws, the order of that loop.
+    The noise sigma is 1/snr in units of the reference b=0 amplitude (the
+    pre-T2-decay s0 = 1 level), so longer echo times reduce the effective
+    SNR of every measurement. Subject i's noise draws follow those of
+    subjects 0..i-1, so a subject's signal does not depend on the cohort
+    members after it.
     """
-    _check_params(cohort.params)
+    check_params(cohort.params)
     te = protocol.echo_time(scanner)
     b = protocol.b_array
-    s0, f, d, dstar = (col[:, None] for col in cohort.params.T)
-    decay = np.exp(-te / scanner.t2)
-    clean = s0 * decay * (f * np.exp(-b * dstar) + (1.0 - f) * np.exp(-b * d))
-    noise = rng.normal(0.0, scanner.noise_sigma, size=(len(cohort), 2, len(b)))
+    clean = ivim_signal(cohort.params, b, te, scanner.t2)
     return Dataset(
         labels=cohort.labels,
         params=cohort.params.copy(),
-        signals=np.hypot(clean + noise[:, 0], noise[:, 1]),
+        signals=add_rician_noise(clean, scanner.noise_sigma, rng),
         b_values=b,
         te=te,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -95,56 +95,14 @@ class ExperimentConfig:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
             "seed": self.seed,
-            "scanner": {
-                "gradient_strength": self.scanner.gradient_strength,
-                "gyromagnetic_ratio": self.scanner.gyromagnetic_ratio,
-                "te_overhead": self.scanner.te_overhead,
-                "t2": self.scanner.t2,
-                "snr": self.scanner.snr,
-            },
+            "scanner": asdict(self.scanner),
             "tissue_file": str(self.tissue_file),
             "cohort": {label.value: n for label, n in self.cohort.counts.items()},
             "task": self.task.token,
-            "eval": {
-                "k_neighbors": self.eval.k_neighbors,
-                "n_folds": self.eval.n_folds,
-                "n_repeats_report": self.eval.n_repeats_report,
-                "n_repeats_reward": self.eval.n_repeats_reward,
-                "validation_snr": self.eval.validation_snr,
-            },
-            "fit_bounds": {
-                "d_min": self.fit_bounds.d_min,
-                "d_max": self.fit_bounds.d_max,
-                "dstar_max": self.fit_bounds.dstar_max,
-                "high_b_threshold": self.fit_bounds.high_b_threshold,
-                "grid_points": self.fit_bounds.grid_points,
-                "refine_rel_tol": self.fit_bounds.refine_rel_tol,
-            },
-            "crlb": {
-                "n_tissue_samples": self.crlb.n_tissue_samples,
-                "scored_params": list(self.crlb.scored_params),
-                "iterations": self.crlb.iterations,
-                "t_initial": self.crlb.t_initial,
-                "t_final_fraction": self.crlb.t_final_fraction,
-                "perturb_width": self.crlb.perturb_width,
-                "duplicate_move_prob": self.crlb.duplicate_move_prob,
-                "ridge_rel": self.crlb.ridge_rel,
-            },
-            "ppo": {
-                "total_steps": self.ppo.total_steps,
-                "rollout_steps": self.ppo.rollout_steps,
-                "minibatch_size": self.ppo.minibatch_size,
-                "n_epochs": self.ppo.n_epochs,
-                "gamma": self.ppo.gamma,
-                "gae_lambda": self.ppo.gae_lambda,
-                "clip_range": self.ppo.clip_range,
-                "ent_coef": self.ppo.ent_coef,
-                "vf_coef": self.ppo.vf_coef,
-                "max_grad_norm": self.ppo.max_grad_norm,
-                "learning_rate": self.ppo.learning_rate,
-                "hidden_size": self.ppo.hidden_size,
-                "adam_eps": self.ppo.adam_eps,
-            },
+            "eval": asdict(self.eval),
+            "fit_bounds": asdict(self.fit_bounds),
+            "crlb": asdict(self.crlb),
+            "ppo": asdict(self.ppo),
             "optimizer": self.optimizer,
             "snr_list": list(self.snr_list),
             "out_dir": str(self.out_dir),
@@ -202,6 +160,18 @@ def load_experiment_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+#: per-class values a tissue file stores, in TissueDistribution field order
+_TISSUE_FIELDS = tuple(f.name for f in fields(TissueDistribution) if f.name != "class_label")
+
+
+def _tissue_records(distributions: Mapping[TissueClass, TissueDistribution]) -> dict:
+    """{class token: {field: value}}, the tissue file's "classes" block."""
+    return {
+        label.value: {name: getattr(dist, name) for name in _TISSUE_FIELDS}
+        for label, dist in distributions.items()
+    }
+
+
 def load_tissue_distributions(path) -> dict:
     """Read a tissue-distribution file into {TissueClass: TissueDistribution}."""
     raw = json.loads(Path(path).read_text())
@@ -210,36 +180,16 @@ def load_tissue_distributions(path) -> dict:
         raise ValueError(
             f"tissue file schema version {version} not supported (expected {TISSUE_SCHEMA_VERSION})"
         )
-    distributions = {}
-    for label, block in raw["classes"].items():
-        tissue_class = TissueClass(label)
-        distributions[tissue_class] = TissueDistribution(
-            class_label=tissue_class,
-            mean_f=block["mean_f"],
-            std_f=block["std_f"],
-            mean_d=block["mean_d"],
-            std_d=block["std_d"],
-            mean_dstar=block["mean_dstar"],
-            std_dstar=block["std_dstar"],
+    return {
+        TissueClass(label): TissueDistribution(
+            TissueClass(label), **{name: block[name] for name in _TISSUE_FIELDS}
         )
-    return distributions
+        for label, block in raw["classes"].items()
+    }
 
 
 def save_tissue_distributions(path, distributions: Mapping[TissueClass, TissueDistribution]) -> None:
-    payload = {
-        "schema_version": TISSUE_SCHEMA_VERSION,
-        "classes": {
-            label.value: {
-                "mean_f": dist.mean_f,
-                "std_f": dist.std_f,
-                "mean_d": dist.mean_d,
-                "std_d": dist.std_d,
-                "mean_dstar": dist.mean_dstar,
-                "std_dstar": dist.std_dstar,
-            }
-            for label, dist in distributions.items()
-        },
-    }
+    payload = {"schema_version": TISSUE_SCHEMA_VERSION, "classes": _tissue_records(distributions)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -253,17 +203,7 @@ def config_hash(config: ExperimentConfig) -> str:
     """
     payload = config.to_dict()
     payload["out_dir"] = ""
-    payload["tissue_values"] = {
-        label.value: {
-            "mean_f": dist.mean_f,
-            "std_f": dist.std_f,
-            "mean_d": dist.mean_d,
-            "std_d": dist.std_d,
-            "mean_dstar": dist.mean_dstar,
-            "std_dstar": dist.std_dstar,
-        }
-        for label, dist in sorted(config.distributions().items(), key=lambda kv: kv[0].value)
-    }
+    payload["tissue_values"] = _tissue_records(config.distributions())
     payload["tissue_file"] = ""  # content, not location, defines the experiment
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

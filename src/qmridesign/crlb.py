@@ -8,6 +8,10 @@ unbiased estimator, so summing the normalized diagonal terms
 CRLB(theta)/theta^2 over the parameters of interest scores how precisely a
 protocol can measure them, independent of any downstream task.
 
+Tissue samples travel as an (m, 4) array of (s0, f, d, d_star) rows: the
+jacobian is (m, n_b, 4) and the Fisher matrices (m, 4, 4), so the cost of
+a protocol over all samples is a handful of array operations.
+
 The optimizer anneals the ten b-values over the integer grid [0, 1000]
 (first slot pinned to b = 0) against that score averaged over a fixed set
 of tissue samples. A fixed sample set keeps the objective deterministic
@@ -23,14 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cohort import CohortSpec, TissueClass, TissueDistribution, sample_cohort
-from .ivim import (
-    ADHOC_B_VALUES,
-    B_VALUE_MAX,
-    AcquisitionProtocol,
-    IvimParams,
-    ScannerConfig,
-    min_te,
-)
+from .ivim import ADHOC_B_VALUES, B_VALUE_MAX, AcquisitionProtocol, ScannerConfig, check_params, min_te
 
 __all__ = [
     "PARAM_ORDER",
@@ -39,6 +36,7 @@ __all__ = [
     "fisher_matrix",
     "crlb_objective",
     "anneal_b_values",
+    "draw_tissue_samples",
     "optimize_crlb",
 ]
 
@@ -76,37 +74,13 @@ class CrlbConfig:
         return np.array([PARAM_ORDER.index(p) for p in self.scored_params], dtype=int)
 
 
-def signal_jacobian(params: IvimParams, b, te: float, t2: float) -> np.ndarray:
-    """Analytic partials (dS/ds0, dS/df, dS/dd, dS/dd_star).
-
-    ``b`` may be scalar or an array; the result has shape b.shape + (4,).
-    """
-    b = np.asarray(b, dtype=float)
-    decay = np.exp(-te / t2)
-    e_star = np.exp(-b * params.d_star)
-    e_tissue = np.exp(-b * params.d)
-    d_s0 = decay * (params.f * e_star + (1.0 - params.f) * e_tissue)
-    d_f = params.s0 * decay * (e_star - e_tissue)
-    d_d = -b * params.s0 * decay * (1.0 - params.f) * e_tissue
-    d_dstar = -b * params.s0 * decay * params.f * e_star
-    return np.stack([d_s0, d_f, d_d, d_dstar], axis=-1)
-
-
-def fisher_matrix(
-    params: IvimParams, protocol: AcquisitionProtocol, scanner: ScannerConfig
-) -> np.ndarray:
-    """4x4 Fisher information of ``protocol`` at ``params`` under Gaussian noise."""
-    te = protocol.echo_time(scanner)
-    jac = signal_jacobian(params, protocol.b_array, te, scanner.t2)  # (n_b, 4)
-    return jac.T @ jac / scanner.noise_sigma**2
-
-
-def _batch_jacobian(b_values: np.ndarray, te: float, t2: float, sample_params: np.ndarray):
-    """Signal jacobians for every (sample, acquisition) pair: (m, n_b, 4)."""
-    s0 = sample_params[:, 0][:, None]
-    f = sample_params[:, 1][:, None]
-    d = sample_params[:, 2][:, None]
-    dstar = sample_params[:, 3][:, None]
+def signal_jacobian(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
+    """Analytic partials (dS/ds0, dS/df, dS/dd, dS/dd_star) for every
+    (sample, acquisition) pair of an (m, 4) parameter array: (m, n_b, 4)."""
+    s0 = params[:, 0][:, None]
+    f = params[:, 1][:, None]
+    d = params[:, 2][:, None]
+    dstar = params[:, 3][:, None]
     b = b_values[None, :]
     decay = np.exp(-te / t2)
     e_star = np.exp(-b * dstar)
@@ -122,6 +96,14 @@ def _batch_jacobian(b_values: np.ndarray, te: float, t2: float, sample_params: n
     )
 
 
+def fisher_matrix(
+    b_values: np.ndarray, te: float, scanner: ScannerConfig, params: np.ndarray
+) -> np.ndarray:
+    """Gaussian-noise Fisher information per row of an (m, 4) parameter array: (m, 4, 4)."""
+    jac = signal_jacobian(b_values, te, scanner.t2, params)
+    return np.einsum("mbi,mbj->mij", jac, jac) / scanner.noise_sigma**2
+
+
 def _crlb_cost_for_samples(
     b_values: np.ndarray,
     te: float,
@@ -131,8 +113,7 @@ def _crlb_cost_for_samples(
 ) -> float:
     """Mean normalized-CRLB cost over a (m, 4) array of tissue samples."""
     scored = config.scored_indices
-    jac = _batch_jacobian(b_values, te, scanner.t2, sample_params)
-    fisher = np.einsum("mbi,mbj->mij", jac, jac) / scanner.noise_sigma**2
+    fisher = fisher_matrix(b_values, te, scanner, sample_params)
     eigvals = np.linalg.eigvalsh(fisher)  # ascending per sample
     singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (
         eigvals[:, -1] <= 0.0
@@ -151,23 +132,30 @@ def _crlb_cost_for_samples(
     return float(costs.mean())
 
 
+def _checked_samples(tissue_samples) -> np.ndarray:
+    """The (m, 4) sample array, rejected if empty or holding an invalid row."""
+    samples = np.asarray(tissue_samples, dtype=float)
+    if len(samples) == 0:
+        raise ValueError("need at least one tissue sample")
+    check_params(samples)
+    return samples
+
+
 def crlb_objective(
     protocol: AcquisitionProtocol,
-    tissue_samples: Sequence[IvimParams],
+    tissue_samples: np.ndarray,
     scanner: ScannerConfig,
     config: CrlbConfig = CrlbConfig(),
 ) -> float:
-    """Scalar design cost: mean over samples of sum CRLB(theta)/theta^2.
+    """Scalar design cost: mean over the (m, 4) sample rows of sum CRLB(theta)/theta^2.
 
     Singular or indefinite information matrices contribute the large
     finite penalty instead of raising, so optimizers always receive a
     defined cost.
     """
-    if len(tissue_samples) == 0:
-        raise ValueError("need at least one tissue sample")
-    sample_params = np.array([p.as_array() for p in tissue_samples])
+    samples = _checked_samples(tissue_samples)
     te = protocol.echo_time(scanner)
-    return _crlb_cost_for_samples(protocol.b_array, te, sample_params, scanner, config)
+    return _crlb_cost_for_samples(protocol.b_array, te, samples, scanner, config)
 
 
 def anneal_b_values(
@@ -236,14 +224,13 @@ def draw_tissue_samples(
     distributions: Mapping[TissueClass, TissueDistribution],
     n_samples: int,
     rng: np.random.Generator,
-):
-    """Fixed tissue-sample set spread as evenly as possible across classes."""
+) -> np.ndarray:
+    """Fixed (n_samples, 4) tissue-sample array spread as evenly as possible across classes."""
     base = n_samples // len(classes)
     counts = {c: base for c in classes}
     for c in list(classes)[: n_samples - base * len(classes)]:
         counts[c] += 1
-    cohort = sample_cohort(distributions, CohortSpec(counts), rng)
-    return [IvimParams(*row) for row in cohort.params]
+    return sample_cohort(distributions, CohortSpec(counts), rng).params
 
 
 def optimize_crlb(
@@ -252,7 +239,7 @@ def optimize_crlb(
     scanner: ScannerConfig,
     config: CrlbConfig,
     rng: np.random.Generator,
-    tissue_samples: Sequence[IvimParams] | None = None,
+    tissue_samples: np.ndarray | None = None,
 ):
     """Anneal a protocol minimizing the normalized-CRLB cost.
 
@@ -262,7 +249,7 @@ def optimize_crlb(
     """
     if tissue_samples is None:
         tissue_samples = draw_tissue_samples(classes, distributions, config.n_tissue_samples, rng)
-    sample_params = np.array([p.as_array() for p in tissue_samples])
+    sample_params = _checked_samples(tissue_samples)
 
     def cost_fn(b_sorted: np.ndarray) -> float:
         te = min_te(float(b_sorted[-1]), scanner)

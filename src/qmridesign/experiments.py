@@ -35,7 +35,6 @@ __all__ = [
 
 #: fitted parameters scored in the validation matrix (feature columns 1..3)
 AUC_PARAMS = ("f", "d", "d_star")
-_AUC_COLUMNS = {"f": 1, "d": 2, "d_star": 3}
 
 BINARY_TASKS = (Task.ACTIVE_VS_CHRONIC, Task.ACTIVE_VS_HEALTHY, Task.CHRONIC_VS_HEALTHY)
 
@@ -44,6 +43,17 @@ def protocol_id(protocol: AcquisitionProtocol) -> str:
     """Short stable identifier derived from the b-values."""
     text = ";".join(repr(float(b)) for b in protocol.b_values)
     return f"p{zlib.crc32(text.encode('utf-8')):08x}"
+
+
+def _repeats(protocol, task, env, eval_config, master_seed, n_repeats, command):
+    """Yield (rng, fitted dataset, label codes) for each independent repeat."""
+    repeats = eval_config.n_repeats_report if n_repeats is None else n_repeats
+    pid = protocol_id(protocol)
+    snr_key = repr(float(env.scanner.snr))
+    for r in range(repeats):
+        rng = derive_rng(master_seed, command, task.token, pid, snr_key, r)
+        dataset = simulate_fitted_dataset(protocol, task, env, rng)
+        yield rng, dataset, dataset.label_codes(task.classes)
 
 
 def evaluate_accuracy(
@@ -55,17 +65,12 @@ def evaluate_accuracy(
     n_repeats: int | None = None,
 ):
     """Mean and std of cross-validated accuracy over independent repeats."""
-    repeats = eval_config.n_repeats_report if n_repeats is None else n_repeats
-    pid = protocol_id(protocol)
-    snr_key = repr(float(env.scanner.snr))
-    accuracies = np.empty(repeats)
-    for r in range(repeats):
-        rng = derive_rng(master_seed, "evaluate", task.token, pid, snr_key, r)
-        dataset = simulate_fitted_dataset(protocol, task, env, rng)
-        labels = dataset.label_codes(task.classes)
-        accuracies[r], _ = cross_val_accuracy(
-            dataset.features, labels, eval_config, rng, n_repeats=1
+    accuracies = np.array([
+        cross_val_accuracy(dataset.features, labels, eval_config, rng, n_repeats=1)[0]
+        for rng, dataset, labels in _repeats(
+            protocol, task, env, eval_config, master_seed, n_repeats, "evaluate"
         )
+    ])
     return float(accuracies.mean()), float(accuracies.std())
 
 
@@ -81,20 +86,15 @@ def auc_matrix(
     Returns {task_token: {param: (mean_auc, std_auc)}} over independent
     repeats, scoring the fitted f, d and d_star features.
     """
-    repeats = eval_config.n_repeats_report if n_repeats is None else n_repeats
-    pid = protocol_id(protocol)
-    snr_key = repr(float(env.scanner.snr))
     matrix: dict = {}
     for task in BINARY_TASKS:
-        per_param = {param: np.empty(repeats) for param in AUC_PARAMS}
-        for r in range(repeats):
-            rng = derive_rng(master_seed, "validate", task.token, pid, snr_key, r)
-            dataset = simulate_fitted_dataset(protocol, task, env, rng)
-            labels = dataset.label_codes(task.classes)
-            for param, column in _AUC_COLUMNS.items():
-                values = dataset.features[:, column]
-                per_param[param][r] = parameter_auc(values[labels == 0], values[labels == 1])
+        aucs = np.array([
+            [parameter_auc(values[labels == 0], values[labels == 1]) for values in dataset.features[:, 1:].T]
+            for _, dataset, labels in _repeats(
+                protocol, task, env, eval_config, master_seed, n_repeats, "validate"
+            )
+        ])
         matrix[task.token] = {
-            param: (float(v.mean()), float(v.std())) for param, v in per_param.items()
+            param: (float(aucs[:, i].mean()), float(aucs[:, i].std())) for i, param in enumerate(AUC_PARAMS)
         }
     return matrix

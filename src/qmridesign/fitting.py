@@ -19,8 +19,8 @@ bound is returned. Either tier sets the ``high_b_deficient`` flag, so
 degenerate protocols always yield defined, poor feature vectors instead
 of errors.
 
-All estimators operate on (n_subjects, n_acquisitions) matrices; the
-scalar API is the n = 1 case.
+Every estimator takes an (n_subjects, n_acquisitions) signal matrix and
+returns per-row arrays; a single subject is an n = 1 matrix.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ import numpy as np
 
 __all__ = [
     "FitBounds",
-    "FitResult",
-    "HighBDeficientError",
     "NoB0Error",
-    "fit_high_b",
-    "estimate_s0_f",
     "fit_dstar",
-    "segmented_fit",
     "segmented_fit_batch",
     "fit_dataset",
 ]
@@ -46,10 +41,6 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 # grid columns per D* scan block: bounds the (n, block, n_acquisitions) temporary
 _GRID_BLOCK = 10
-
-
-class HighBDeficientError(ValueError):
-    """Fewer than two distinct qualifying b-values in the high-b segment."""
 
 
 class NoB0Error(ValueError):
@@ -75,22 +66,6 @@ class FitBounds:
 
 
 DEFAULT_BOUNDS = FitBounds()
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Estimates plus flags recording every clamp or fallback that fired."""
-
-    s0_est: float
-    f_est: float
-    d_est: float
-    dstar_est: float
-    high_b_deficient: bool = False
-    f_clamped: bool = False
-    dstar_at_bound: bool = False
-
-    def feature_vector(self) -> np.ndarray:
-        return np.array([self.s0_est, self.f_est, self.d_est, self.dstar_est])
 
 
 def _loglinear_batch(signals: np.ndarray, b_values: np.ndarray, column_mask: np.ndarray):
@@ -120,57 +95,6 @@ def _loglinear_batch(signals: np.ndarray, b_values: np.ndarray, column_mask: np.
     return slope, intercept, ok
 
 
-def fit_high_b(
-    signals,
-    b_values,
-    threshold: float = DEFAULT_BOUNDS.high_b_threshold,
-    bounds: FitBounds = DEFAULT_BOUNDS,
-):
-    """Mono-exponential log-linear fit over the b >= threshold segment.
-
-    Returns (d_est, intercept) with d_est = -slope clamped to
-    [bounds.d_min, bounds.d_max] and intercept the fitted ln(signal) at
-    b = 0. Raises HighBDeficientError when fewer than two measurements
-    with distinct b-values (and positive signal) qualify.
-    """
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    b_values = np.asarray(b_values, dtype=float)
-    mask = b_values >= threshold
-    slope, intercept, ok = _loglinear_batch(signals, b_values, mask)
-    if not ok.all():
-        raise HighBDeficientError(
-            f"need >= 2 measurements with distinct b >= {threshold:g} and positive "
-            f"signal; qualifying b-values: {sorted(np.unique(b_values[mask]))}"
-        )
-    d_est = np.clip(-slope, bounds.d_min, bounds.d_max)
-    if d_est.shape == (1,):
-        return float(d_est[0]), float(intercept[0])
-    return d_est, intercept
-
-
-def estimate_s0_f(signals, b_values, intercept):
-    """s0 from the mean of b = 0 measurements; f from the high-b intercept.
-
-    f = 1 - exp(intercept)/s0, clamped to [0, 1]. Returns
-    (s0_est, f_est, f_clamped). Raises NoB0Error if no b = 0 measurement
-    exists (prevented upstream by the protocol invariant).
-    """
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    b_values = np.asarray(b_values, dtype=float)
-    b0 = b_values == 0.0
-    if not b0.any():
-        raise NoB0Error("acquisition has no b = 0 measurement")
-    s0_est = signals[:, b0].mean(axis=1)
-    intercept = np.atleast_1d(np.asarray(intercept, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_raw = np.where(s0_est > 0.0, 1.0 - np.exp(intercept) / s0_est, 0.0)
-    f_est = np.clip(f_raw, 0.0, 1.0)
-    f_clamped = f_raw != f_est
-    if s0_est.shape == (1,):
-        return float(s0_est[0]), float(f_est[0]), bool(f_clamped[0])
-    return s0_est, f_est, f_clamped
-
-
 def _dstar_sse(residual: np.ndarray, amplitude: np.ndarray, b_values: np.ndarray, dstar: np.ndarray):
     """Sum-of-squares misfit of the perfusion term for (n, k) candidate d_star values."""
     model = amplitude[:, None, None] * np.exp(-b_values[None, None, :] * dstar[:, :, None])
@@ -178,25 +102,21 @@ def _dstar_sse(residual: np.ndarray, amplitude: np.ndarray, b_values: np.ndarray
 
 
 def fit_dstar(
-    signals,
-    b_values,
-    s0_est,
-    f_est,
-    d_est,
+    signals: np.ndarray,
+    b_values: np.ndarray,
+    s0: np.ndarray,
+    f: np.ndarray,
+    d: np.ndarray,
     bounds: FitBounds = DEFAULT_BOUNDS,
 ):
     """Pseudo-diffusivity from the residual after removing the tissue term.
 
     Minimizes sum_b [S_b - s0*((1-f) e^(-b d) + f e^(-b dstar))]^2 over
-    dstar in [d_est, bounds.dstar_max] by a log-spaced grid scan plus
-    golden-section refinement. Subjects with f_est <= 0 return d_est with
-    the boundary flag set. Returns (dstar_est, at_bound).
+    dstar in [d, bounds.dstar_max] for each row of the (n, n_b) signal
+    matrix, given (n,) arrays s0, f and d, by a log-spaced grid scan plus
+    golden-section refinement. Rows with f <= 0 return d with the
+    boundary flag set. Returns (n,) arrays (dstar_est, at_bound).
     """
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    b_values = np.asarray(b_values, dtype=float)
-    s0 = np.atleast_1d(np.asarray(s0_est, dtype=float))
-    f = np.atleast_1d(np.asarray(f_est, dtype=float))
-    d = np.atleast_1d(np.asarray(d_est, dtype=float))
     n = signals.shape[0]
 
     tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
@@ -242,9 +162,6 @@ def fit_dstar(
     at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
     at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
     at_bound = inactive | at_lower | at_upper
-
-    if dstar.shape == (1,):
-        return float(dstar[0]), bool(at_bound[0])
     return dstar, at_bound
 
 
@@ -281,9 +198,10 @@ def segmented_fit_batch(
     raise; they produce sentinel rows (every estimate at its lower bound)
     with the deficiency flag set.
     """
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
+    signals = np.asarray(signals, dtype=float)
     b_values = np.asarray(b_values, dtype=float)
-    if not (b_values == 0.0).any():
+    b0 = b_values == 0.0
+    if not b0.any():
         raise NoB0Error("acquisition has no b = 0 measurement")
     n = signals.shape[0]
 
@@ -299,13 +217,13 @@ def segmented_fit_batch(
     slope, intercept, ok = _loglinear_batch(signals, b_values, mask)
     d_est = np.clip(-slope, bounds.d_min, bounds.d_max)
 
-    s0_est, f_est, f_clamped = estimate_s0_f(signals, b_values, intercept)
-    s0_est = np.atleast_1d(s0_est)
-    f_est = np.atleast_1d(f_est)
-    f_clamped = np.atleast_1d(f_clamped)
+    # s0 from the mean of the b = 0 measurements; f = 1 - exp(intercept)/s0
+    s0_est = signals[:, b0].mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_raw = np.where(s0_est > 0.0, 1.0 - np.exp(intercept) / s0_est, 0.0)
+    f_est = np.clip(f_raw, 0.0, 1.0)
+    f_clamped = f_raw != f_est
     dstar_est, at_bound = fit_dstar(signals, b_values, s0_est, f_est, d_est, bounds)
-    dstar_est = np.atleast_1d(dstar_est)
-    at_bound = np.atleast_1d(at_bound)
 
     features[ok, 0] = s0_est[ok]
     features[ok, 1] = f_est[ok]
@@ -315,20 +233,6 @@ def segmented_fit_batch(
     flags[ok, 1] = f_clamped[ok]
     flags[ok, 2] = at_bound[ok]
     return features, flags
-
-
-def segmented_fit(signals, b_values, bounds: FitBounds = DEFAULT_BOUNDS) -> FitResult:
-    """Segmented fit for a single subject's signal vector."""
-    features, flags = segmented_fit_batch(np.atleast_2d(signals), b_values, bounds)
-    return FitResult(
-        s0_est=float(features[0, 0]),
-        f_est=float(features[0, 1]),
-        d_est=float(features[0, 2]),
-        dstar_est=float(features[0, 3]),
-        high_b_deficient=bool(flags[0, 0]),
-        f_clamped=bool(flags[0, 1]),
-        dstar_at_bound=bool(flags[0, 2]),
-    )
 
 
 def fit_dataset(dataset, bounds: FitBounds = DEFAULT_BOUNDS):

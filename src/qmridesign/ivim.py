@@ -14,13 +14,17 @@ is what makes very high b-values costly.
 Measurement noise is Rician: the magnitude of the complex signal after
 adding independent zero-mean Gaussians to the real and imaginary channels.
 
+Every function here is array-first: the forward model evaluates one
+parameter tuple or an (n, 4) array of them, and the noise draw covers a
+whole signal array at once.
+
 Units: b-values are carried in s/mm^2 throughout the package and converted
 to SI (s/m^2) in exactly one place, inside :func:`min_te`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,12 +34,12 @@ __all__ = [
     "B_VALUE_MAX",
     "ADHOC_B_VALUES",
     "IvimParams",
+    "check_params",
     "ScannerConfig",
     "AcquisitionProtocol",
     "min_te",
     "ivim_signal",
     "add_rician_noise",
-    "simulate_acquisition",
 ]
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
@@ -67,23 +71,24 @@ class IvimParams:
     d_star: float
 
     def __post_init__(self) -> None:
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be positive, got {self.s0}")
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"f must lie in [0, 1], got {self.f}")
-        if not self.d > 0:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if not self.d_star > 0:
-            raise ValueError(f"d_star must be positive, got {self.d_star}")
-        if self.d_star < self.d:
-            raise ValueError(
-                f"d_star ({self.d_star}) must be >= d ({self.d}): the perfusion "
-                "compartment decays faster"
-            )
+        check_params(self.as_array()[None, :])
 
     def as_array(self) -> np.ndarray:
         """Parameter vector in the canonical order (s0, f, d, d_star)."""
         return np.array([self.s0, self.f, self.d, self.d_star])
+
+
+def check_params(params: np.ndarray) -> None:
+    """Reject invalid rows of an (n, 4) (s0, f, d, d_star) array, all rows at once."""
+    s0, f, d, dstar = params.T
+    bad = ~((s0 > 0) & (f >= 0.0) & (f <= 1.0) & (d > 0) & (dstar > 0) & (dstar >= d))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"invalid IVIM parameters for subject {i}: (s0, f, d, d_star) = "
+            f"{tuple(params[i].tolist())}; need s0 > 0, 0 <= f <= 1, d > 0, "
+            "d_star > 0 and d_star >= d (the perfusion compartment decays faster)"
+        )
 
 
 @dataclass(frozen=True)
@@ -115,13 +120,7 @@ class ScannerConfig:
         return 1.0 / self.snr
 
     def with_snr(self, snr: float) -> "ScannerConfig":
-        return ScannerConfig(
-            gradient_strength=self.gradient_strength,
-            gyromagnetic_ratio=self.gyromagnetic_ratio,
-            te_overhead=self.te_overhead,
-            t2=self.t2,
-            snr=snr,
-        )
+        return replace(self, snr=snr)
 
 
 def min_te(b_max: float, scanner: ScannerConfig) -> float:
@@ -182,10 +181,12 @@ class AcquisitionProtocol:
         return min_te(self.b_max, scanner)
 
 
-def ivim_signal(params: IvimParams, b, te: float, t2: float):
+def ivim_signal(params, b, te: float, t2: float):
     """Noise-free bi-exponential signal at diffusion weighting ``b``.
 
-    ``b`` may be a scalar or an array (s/mm^2); the result matches its shape.
+    ``params`` is one IvimParams, whose result matches the shape of ``b``
+    (scalar or array, s/mm^2), or an (n, 4) array of (s0, f, d, d_star)
+    rows, whose result is (n, len(b)).
     """
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):
@@ -194,45 +195,27 @@ def ivim_signal(params: IvimParams, b, te: float, t2: float):
         raise ValueError(f"te must be non-negative, got {te}")
     if not t2 > 0:
         raise ValueError(f"t2 must be positive, got {t2}")
+    if isinstance(params, IvimParams):
+        s0, f, d, dstar = params.s0, params.f, params.d, params.d_star
+    else:
+        s0, f, d, dstar = (col[:, None] for col in np.asarray(params, dtype=float).T)
     decay = np.exp(-te / t2)
-    signal = params.s0 * decay * (
-        params.f * np.exp(-b * params.d_star) + (1.0 - params.f) * np.exp(-b * params.d)
-    )
+    signal = s0 * decay * (f * np.exp(-b * dstar) + (1.0 - f) * np.exp(-b * d))
     return signal if signal.ndim else float(signal)
 
 
-def add_rician_noise(signal, sigma: float, rng: np.random.Generator):
+def add_rician_noise(signal: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Magnitude signal after adding channel noise of std ``sigma``.
 
-    Returns sqrt((signal + xi1)^2 + xi2^2) with xi1, xi2 independent
-    N(0, sigma^2) draws, elementwise for array input. sigma = 0 reduces to
-    |signal| exactly. Every call consumes fresh draws, so repeated b-values
-    in a protocol receive independent noise.
+    Returns sqrt((signal + xi1)^2 + xi2^2) elementwise, with xi1, xi2
+    independent N(0, sigma^2) draws. For a signal of shape (..., n_b) the
+    draw has shape (..., 2, n_b): each row takes its real-channel then its
+    imaginary-channel values, so the result for row i does not depend on
+    how many rows follow it. Every call consumes fresh draws, so repeated
+    b-values in a protocol receive independent noise.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     signal = np.asarray(signal, dtype=float)
-    if sigma == 0.0:
-        out = np.abs(signal)
-        return out if out.ndim else float(out)
-    xi1 = rng.normal(0.0, sigma, size=signal.shape)
-    xi2 = rng.normal(0.0, sigma, size=signal.shape)
-    out = np.hypot(signal + xi1, xi2)
-    return out if out.ndim else float(out)
-
-
-def simulate_acquisition(
-    params: IvimParams,
-    protocol: AcquisitionProtocol,
-    scanner: ScannerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noisy signal vector for one subject under ``protocol``.
-
-    The noise sigma is 1/snr in units of the reference b=0 amplitude
-    (the pre-T2-decay s0 = 1 level), so longer echo times reduce the
-    effective SNR of every measurement.
-    """
-    te = protocol.echo_time(scanner)
-    clean = ivim_signal(params, protocol.b_array, te, scanner.t2)
-    return add_rician_noise(clean, scanner.noise_sigma, rng)
+    noise = rng.normal(0.0, sigma, size=signal.shape[:-1] + (2, signal.shape[-1]))
+    return np.hypot(signal + noise[..., 0, :], noise[..., 1, :])

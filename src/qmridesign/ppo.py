@@ -328,9 +328,8 @@ def rollout_greedy(agent: PpoAgent, env):
     return _protocol_from_info(info), total, info
 
 
-def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None = None,
-                    rng: np.random.Generator | None = None) -> None:
-    """Versioned dump of weights, optimizer moments, counters and RNG state."""
+def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None = None) -> None:
+    """Versioned dump of weights, optimizer moments and counters."""
     arrays = {}
     for i, p in enumerate(agent.actor.parameters):
         arrays[f"actor_{i}"] = p
@@ -348,7 +347,6 @@ def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None =
         "adam_t": opt_state["t"],
         "steps_done": int(steps_done),
         "config": asdict(agent.config),
-        "rng_state": rng.bit_generator.state if rng is not None else None,
         "extra": extra or {},
     }
     arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
@@ -363,16 +361,6 @@ def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None =
             np.save(buffer, np.asarray(arrays[name]))
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             archive.writestr(info, buffer.getvalue())
-
-
-def restore_rng(meta: dict) -> np.random.Generator | None:
-    """Generator resuming exactly where a checkpointed stream stopped."""
-    state = meta.get("rng_state")
-    if state is None:
-        return None
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
 
 
 def load_checkpoint(path):

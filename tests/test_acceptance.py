@@ -30,14 +30,14 @@ from qmridesign import (
     TissueClass,
     cross_val_accuracy,
     ivim_signal,
-    knn_predict,
+    knn_predict_batch,
     parameter_auc,
     train,
 )
 from qmridesign.config import default_tissue_path, load_tissue_distributions
 from qmridesign.crlb import draw_tissue_samples, fisher_matrix, optimize_crlb, signal_jacobian
 from qmridesign.experiments import AUC_PARAMS, auc_matrix, evaluate_accuracy
-from qmridesign.fitting import segmented_fit
+from qmridesign.fitting import segmented_fit_batch
 from qmridesign.nets import log_softmax
 from qmridesign.ppo import PpoAgent
 from qmridesign.protocol_env import ProtocolEnv
@@ -103,16 +103,18 @@ def test_c01_noiseless_fit_roundtrip():
         f = rng.uniform(0.03, 0.30)
         d = rng.uniform(1.5e-4, 1.0e-3)
         dstar = rng.uniform(max(2.2e-2, 25.0 * d), 8e-2)
-        res = segmented_fit(ivim_signal(IvimParams(1.0, f, d, dstar), b, te, scanner.t2), b)
+        signal = ivim_signal(IvimParams(1.0, f, d, dstar), b, te, scanner.t2)
+        features, _ = segmented_fit_batch(signal[None, :], b)
+        s0_est, f_est, d_est, dstar_est = features[0]
         dstar_tol = 0.10 if f < 0.05 else 0.05
         checks = [
-            abs(res.s0_est - s0_eff) <= 0.05 * s0_eff,
-            abs(res.f_est - f) <= 0.05 * f,
-            abs(res.d_est - d) <= 0.05 * d,
-            abs(res.dstar_est - dstar) <= dstar_tol * dstar,
+            abs(s0_est - s0_eff) <= 0.05 * s0_eff,
+            abs(f_est - f) <= 0.05 * f,
+            abs(d_est - d) <= 0.05 * d,
+            abs(dstar_est - dstar) <= dstar_tol * dstar,
         ]
         if not all(checks):
-            failures.append((i, f, d, dstar, res))
+            failures.append((i, f, d, dstar, features[0]))
     ok = not failures
     report_line("C01 fit round-trip", ok, f"{1000 - len(failures)}/1000 draws within tolerance")
     assert ok, failures[:3]
@@ -120,10 +122,12 @@ def test_c01_noiseless_fit_roundtrip():
 
 def test_c02_jacobian_and_fisher():
     """Analytic partials vs central differences (1e-6 relative, 100 draws);
-    Fisher symmetric positive semi-definite."""
+    Fisher symmetric positive semi-definite. The jacobian and Fisher
+    functions are the ones the CRLB annealer's cost calls."""
     rng = np.random.default_rng(MASTER_SEED + 1)
     scanner = ScannerConfig()
     protocol = AcquisitionProtocol.adhoc()
+    protocol_te = protocol.echo_time(scanner)
     worst = 0.0
     for _ in range(100):
         f = rng.uniform(0.02, 0.5)
@@ -131,7 +135,7 @@ def test_c02_jacobian_and_fisher():
         params = IvimParams(rng.uniform(0.5, 2.0), f, d, d * rng.uniform(3.0, 60.0))
         b = float(rng.uniform(0.0, 1000.0))
         te = float(rng.uniform(0.02, 0.09))
-        analytic = signal_jacobian(params, b, te, 0.1)
+        analytic = signal_jacobian(np.array([b]), te, 0.1, params.as_array()[None, :])[0, 0]
         numeric = np.empty(4)
         base = params.as_array()
         for i in range(4):
@@ -145,7 +149,7 @@ def test_c02_jacobian_and_fisher():
             ) / (2 * h)
         scale = max(np.abs(analytic).max(), 1e-12)
         worst = max(worst, float(np.abs(analytic - numeric).max() / scale))
-        fisher = fisher_matrix(params, protocol, scanner)
+        fisher = fisher_matrix(protocol.b_array, protocol_te, scanner, params.as_array()[None, :])[0]
         assert np.allclose(fisher, fisher.T, rtol=1e-12)
         assert np.linalg.eigvalsh(fisher
                                   ).min() >= -1e-10 * max(np.linalg.eigvalsh(fisher).max(), 1.0)
@@ -281,7 +285,7 @@ def test_c05_knn_auc_oracles():
         x = np.round(rng.normal(size=(n, 4)), 1)
         y = rng.integers(0, 3, size=n)
         q = np.round(rng.normal(size=4), 1)
-        assert knn_predict(x, y, q, 5) == brute_knn(x, y, q, 5)
+        assert knn_predict_batch(x, y, q[None, :], 5, int(y.max()) + 1)[0] == brute_knn(x, y, q, 5)
         a = np.round(rng.normal(size=rng.integers(2, 15)), 1)
         b = np.round(rng.normal(size=rng.integers(2, 15)), 1)
         assert parameter_auc(a, b) == pytest.approx(brute_auc(a, b), abs=1e-12)

@@ -12,7 +12,6 @@ from qmridesign import (
     Task,
     TissueClass,
     cross_val_accuracy,
-    knn_predict,
     parameter_auc,
     task_objective,
 )
@@ -37,6 +36,12 @@ def brute_force_knn(train_x, train_y, query, k):
     return top[0] if len(winners) > 1 else winners[0]
 
 
+def knn_predict_one(train_x, train_y, query, k):
+    """Predicted label of one query point: the n = 1 case of knn_predict_batch."""
+    train_y = np.asarray(train_y)
+    return int(knn_predict_batch(train_x, train_y, query[None, :], k, int(train_y.max()) + 1)[0])
+
+
 class TestKnn:
     def test_separable_clusters(self):
         a = np.zeros((10, 4))
@@ -44,14 +49,14 @@ class TestKnn:
         x = np.vstack([a, b])
         y = np.array([0] * 10 + [1] * 10)
         for i in range(20):
-            assert knn_predict(x, y, x[i], k=1) == y[i]
+            assert knn_predict_one(x, y, x[i], k=1) == y[i]
 
     def test_k_equals_train_size_predicts_majority(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(30, 4))
         y = np.array([0] * 18 + [1] * 12)
         for query in rng.normal(size=(10, 4)):
-            assert knn_predict(x, y, query, k=30) == 0
+            assert knn_predict_one(x, y, query, k=30) == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -60,19 +65,19 @@ class TestKnn:
             x = rng.normal(size=(n, 4))
             y = rng.integers(0, 3, size=n)
             query = rng.normal(size=4)
-            assert knn_predict(x, y, query, 5) == brute_force_knn(x, y, query, 5)
+            assert knn_predict_one(x, y, query, 5) == brute_force_knn(x, y, query, 5)
 
     def test_distance_tie_uses_lower_index(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         y = np.array([2, 1, 0])
         # query equidistant from all three; k=1 must pick index 0's label
-        assert knn_predict(x, y, np.zeros(2), k=1) == 2
+        assert knn_predict_one(x, y, np.zeros(2), k=1) == 2
 
     def test_vote_tie_falls_back_to_nearest(self):
         x = np.array([[0.1, 0.0], [1.0, 0.0], [-1.05, 0.0], [-1.1, 0.0]])
         y = np.array([1, 1, 0, 0])
         # k=4: two votes each; nearest neighbor (index 0) has label 1
-        assert knn_predict(x, y, np.zeros(2), k=4) == 1
+        assert knn_predict_one(x, y, np.zeros(2), k=4) == 1
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -81,7 +86,7 @@ class TestKnn:
         queries = rng.normal(size=(25, 4))
         batch = knn_predict_batch(x, y, queries, 5, 2)
         for i, q in enumerate(queries):
-            assert batch[i] == knn_predict(x, y, q, 5)
+            assert batch[i] == knn_predict_one(x, y, q, 5)
 
 
 class TestStratifiedFolds:

@@ -10,8 +10,8 @@ from qmridesign import (
     ScannerConfig,
     TissueClass,
     TissueDistribution,
+    ivim_signal,
     sample_cohort,
-    simulate_acquisition,
     simulate_dataset,
 )
 from qmridesign.cohort import Cohort, MissingDistributionError
@@ -27,7 +27,7 @@ def test_default_spec_counts(default_distributions):
     cohort = sample_cohort(default_distributions, CohortSpec(), np.random.default_rng(0))
     assert len(cohort) == 62
     counts = {label: 0 for label in TissueClass}
-    for label, _ in cohort:
+    for label in cohort.labels:
         counts[label] += 1
     assert counts[TissueClass.ACTIVE] == 20
     assert counts[TissueClass.CHRONIC] == 21
@@ -128,11 +128,16 @@ def test_simulate_dataset_equals_per_subject_loop(default_distributions, b_value
 
     ds = simulate_dataset(cohort, protocol, scanner, np.random.default_rng(22))
 
+    # one subject at a time: clean signal, then its real and imaginary channel draws
     rng = np.random.default_rng(22)
-    expected = np.array(
-        [simulate_acquisition(IvimParams(*row), protocol, scanner, rng) for row in cohort.params]
-    )
-    np.testing.assert_array_equal(ds.signals, expected)
+    te = protocol.echo_time(scanner)
+    expected = []
+    for row in cohort.params:
+        clean = ivim_signal(IvimParams(*row), protocol.b_array, te, scanner.t2)
+        xi1 = rng.normal(0.0, scanner.noise_sigma, size=clean.shape)
+        xi2 = rng.normal(0.0, scanner.noise_sigma, size=clean.shape)
+        expected.append(np.hypot(clean + xi1, xi2))
+    np.testing.assert_array_equal(ds.signals, np.array(expected))
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,18 @@ from qmridesign.config import default_tissue_path, load_tissue_distributions
 from qmridesign.ivim import ivim_signal
 
 
+def jacobian_of(params, b, te, t2):
+    """(n_b, 4) partials of one parameter tuple at the b-values ``b``."""
+    b_values = np.atleast_1d(np.asarray(b, dtype=float))
+    return signal_jacobian(b_values, te, t2, params.as_array()[None, :])[0]
+
+
+def fisher_of(params, protocol, scanner):
+    """4x4 Fisher information of ``protocol`` at one parameter tuple."""
+    te = protocol.echo_time(scanner)
+    return fisher_matrix(protocol.b_array, te, scanner, params.as_array()[None, :])[0]
+
+
 def random_params(rng):
     f = rng.uniform(0.02, 0.5)
     d = rng.uniform(1e-4, 2e-3)
@@ -44,13 +56,13 @@ def numeric_jacobian(params, b, te, t2, rel_step=1e-7):
 class TestSignalJacobian:
     def test_b0_partials(self):
         p = IvimParams(1.2, 0.3, 1e-3, 2e-2)
-        jac = signal_jacobian(p, 0.0, te=0.05, t2=0.1)
+        jac = jacobian_of(p, 0.0, te=0.05, t2=0.1)[0]
         decay = np.exp(-0.5)
         np.testing.assert_allclose(jac, [decay, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_f_zero_kills_dstar_partial(self):
         p = IvimParams(1.0, 0.0, 1e-3, 2e-2)
-        jac = signal_jacobian(p, 300.0, te=0.05, t2=0.1)
+        jac = jacobian_of(p, 300.0, te=0.05, t2=0.1)[0]
         assert jac[3] == 0.0
 
     def test_matches_finite_differences(self):
@@ -60,7 +72,7 @@ class TestSignalJacobian:
             p = random_params(rng)
             b = float(rng.uniform(0.0, 1000.0))
             te = float(rng.uniform(0.02, 0.09))
-            analytic = signal_jacobian(p, b, te, 0.1)
+            analytic = jacobian_of(p, b, te, 0.1)[0]
             numeric = numeric_jacobian(p, b, te, 0.1)
             scale = np.abs(analytic) + 1e-9 * np.abs(analytic).max()
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6 * scale.max())
@@ -68,10 +80,19 @@ class TestSignalJacobian:
     def test_vectorized_over_b(self):
         p = IvimParams(1.0, 0.2, 5e-4, 2e-2)
         b = np.array([0.0, 100.0, 700.0])
-        jac = signal_jacobian(p, b, 0.05, 0.1)
+        jac = jacobian_of(p, b, 0.05, 0.1)
         assert jac.shape == (3, 4)
         for i, bi in enumerate(b):
-            np.testing.assert_array_equal(jac[i], signal_jacobian(p, float(bi), 0.05, 0.1))
+            np.testing.assert_array_equal(jac[i], jacobian_of(p, float(bi), 0.05, 0.1)[0])
+
+    def test_vectorized_over_samples(self):
+        rng = np.random.default_rng(32)
+        params = [random_params(rng) for _ in range(6)]
+        b = np.array([0.0, 100.0, 700.0])
+        jac = signal_jacobian(b, 0.05, 0.1, np.array([p.as_array() for p in params]))
+        assert jac.shape == (6, 3, 4)
+        for i, p in enumerate(params):
+            np.testing.assert_array_equal(jac[i], jacobian_of(p, b, 0.05, 0.1))
 
 
 class TestFisherMatrix:
@@ -79,21 +100,21 @@ class TestFisherMatrix:
         rng = np.random.default_rng(21)
         scanner = ScannerConfig()
         for _ in range(50):
-            fisher = fisher_matrix(random_params(rng), AcquisitionProtocol.adhoc(), scanner)
+            fisher = fisher_of(random_params(rng), AcquisitionProtocol.adhoc(), scanner)
             np.testing.assert_allclose(fisher, fisher.T, rtol=1e-12)
             eigvals = np.linalg.eigvalsh(fisher)
             assert eigvals.min() >= -1e-10 * max(eigvals.max(), 1.0)
 
     def test_all_b0_rank_one(self):
         protocol = AcquisitionProtocol((0.0,) * 10)
-        fisher = fisher_matrix(IvimParams(1.0, 0.2, 1e-3, 2e-2), protocol, ScannerConfig())
+        fisher = fisher_of(IvimParams(1.0, 0.2, 1e-3, 2e-2), protocol, ScannerConfig())
         assert np.linalg.matrix_rank(fisher, tol=1e-9) == 1
 
     def test_sigma_scaling(self):
         p = IvimParams(1.0, 0.2, 1e-3, 2e-2)
         protocol = AcquisitionProtocol.adhoc()
-        f_snr25 = fisher_matrix(p, protocol, ScannerConfig(snr=25.0))
-        f_snr12_5 = fisher_matrix(p, protocol, ScannerConfig(snr=12.5))
+        f_snr25 = fisher_of(p, protocol, ScannerConfig(snr=25.0))
+        f_snr12_5 = fisher_of(p, protocol, ScannerConfig(snr=12.5))
         # doubling sigma divides every entry by four
         np.testing.assert_allclose(f_snr12_5, f_snr25 / 4.0, rtol=1e-12)
 
@@ -105,14 +126,19 @@ class TestFisherMatrix:
         te = protocol.echo_time(scanner)
         jac = np.array([numeric_jacobian(p, float(b), te, scanner.t2) for b in protocol.b_values])
         expected = jac.T @ jac / scanner.noise_sigma**2
-        np.testing.assert_allclose(fisher_matrix(p, protocol, scanner), expected, rtol=1e-6)
+        np.testing.assert_allclose(fisher_of(p, protocol, scanner), expected, rtol=1e-6)
 
 
 class TestCrlbObjective:
     def test_all_b0_penalty(self):
         protocol = AcquisitionProtocol((0.0,) * 10)
-        cost = crlb_objective(protocol, [IvimParams(1.0, 0.2, 1e-3, 2e-2)], ScannerConfig())
+        cost = crlb_objective(protocol, np.array([[1.0, 0.2, 1e-3, 2e-2]]), ScannerConfig())
         assert cost == SINGULAR_PENALTY
+
+    @pytest.mark.parametrize("samples", [np.empty((0, 4)), np.array([[1.0, 0.2, 1e-3, 5e-4]])])
+    def test_empty_or_invalid_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            crlb_objective(AcquisitionProtocol.adhoc(), samples, ScannerConfig())
 
     def test_information_monotonicity(self):
         """Adding an informative measurement cannot raise any bound diagonal."""
@@ -121,11 +147,11 @@ class TestCrlbObjective:
         p = IvimParams(1.0, 0.2, 8e-4, 2.5e-2)
         protocol = AcquisitionProtocol.adhoc()
         te = protocol.echo_time(scanner)
-        jac = signal_jacobian(p, protocol.b_array, te, scanner.t2)
+        jac = jacobian_of(p, protocol.b_array, te, scanner.t2)
         fisher = jac.T @ jac / scanner.noise_sigma**2
         for _ in range(20):
             extra_b = float(rng.uniform(1.0, 1000.0))
-            extra = signal_jacobian(p, extra_b, te, scanner.t2)
+            extra = jacobian_of(p, extra_b, te, scanner.t2)[0]
             fisher_aug = fisher + np.outer(extra, extra) / scanner.noise_sigma**2
             crlb_before = np.diag(np.linalg.inv(fisher))
             crlb_after = np.diag(np.linalg.inv(fisher_aug))
@@ -135,7 +161,7 @@ class TestCrlbObjective:
         scanner = ScannerConfig()
         p = IvimParams(1.0, 0.2, 8e-4, 2.5e-2)
         protocol = AcquisitionProtocol.adhoc()
-        fisher = fisher_matrix(p, protocol, scanner)
+        fisher = fisher_of(p, protocol, scanner)
         exact = np.diag(np.linalg.inv(fisher))
         config = CrlbConfig()
         ridge = config.ridge_rel * np.trace(fisher) / 4.0
@@ -177,7 +203,7 @@ class TestAnnealing:
         p = IvimParams(1.0, 0.0, d_true, 1.0e-2)
 
         def cost_fn(b_sorted):
-            j_d = signal_jacobian(p, b_sorted, te=0.0, t2=scanner.t2)[:, 2]
+            j_d = jacobian_of(p, b_sorted, te=0.0, t2=scanner.t2)[:, 2]
             info = float((j_d**2).sum()) / scanner.noise_sigma**2
             if info <= 0.0:
                 return 1e12

@@ -12,12 +12,8 @@ from qmridesign import AcquisitionProtocol, IvimParams, ScannerConfig, ivim_sign
 from qmridesign.fitting import (
     DEFAULT_BOUNDS,
     FitBounds,
-    HighBDeficientError,
     NoB0Error,
-    estimate_s0_f,
     fit_dstar,
-    fit_high_b,
-    segmented_fit,
     segmented_fit_batch,
 )
 
@@ -28,6 +24,18 @@ SCANNER = ScannerConfig()
 def noiseless_signals(params: IvimParams, protocol=ADHOC, scanner=SCANNER) -> np.ndarray:
     te = protocol.echo_time(scanner)
     return ivim_signal(params, protocol.b_array, te, scanner.t2)
+
+
+def fit_one(signals, b_values):
+    """Segmented fit of one subject: (features, flags) rows of an n = 1 batch."""
+    features, flags = segmented_fit_batch(np.asarray(signals)[None, :], b_values)
+    return features[0], flags[0]
+
+
+def fit_dstar_one(signals, b_values, s0, f, d):
+    """fit_dstar for one subject: (dstar_est, at_bound) of an n = 1 batch."""
+    dstar, at_bound = fit_dstar(signals[None, :], b_values, np.array([s0]), np.array([f]), np.array([d]))
+    return dstar[0], at_bound[0]
 
 
 def noisy_batch(n: int, seed: int) -> np.ndarray:
@@ -81,42 +89,43 @@ class TestFitHighB:
     def test_exact_monoexponential(self):
         b = np.array([0.0, 50.0, 200.0, 400.0, 800.0])
         s = 0.8 * np.exp(-b * 1e-3)
-        d_est, intercept = fit_high_b(s, b)
+        (s0_est, f_est, d_est, _), _ = fit_one(s, b)
         assert d_est == pytest.approx(1e-3, rel=1e-7)
-        assert np.exp(intercept) == pytest.approx(0.8, rel=1e-7)
+        # the extrapolated tissue intercept exp(intercept) = s0 * (1 - f)
+        assert s0_est * (1.0 - f_est) == pytest.approx(0.8, rel=1e-7)
 
     def test_all_low_b_deficient(self):
         b = np.array([0.0, 10.0, 20.0, 30.0, 50.0, 80.0, 100.0, 120.0, 150.0, 199.0])
-        with pytest.raises(HighBDeficientError):
-            fit_high_b(np.ones(10), b)
+        _, (deficient, _, _) = fit_one(np.ones(10), b)
+        assert deficient
 
     def test_single_distinct_high_b_deficient(self):
         b = np.array([0.0, 0.0, 7.0, 7.0, 7.0, 7.0, 52.0, 52.0, 52.0, 508.0])
-        with pytest.raises(HighBDeficientError):
-            fit_high_b(np.ones(10), b)
+        _, (deficient, _, _) = fit_one(np.ones(10), b)
+        assert deficient
 
     def test_noiseless_biexponential_reference(self):
         # perfusion residual at b >= 200 biases the recovered d upward by a
         # few percent for d_star ~ 1e-2; the exact recovered value is the
         # regression target
         params = IvimParams(1.0, 0.1, 0.3e-3, 10e-3)
-        d_est, _ = fit_high_b(noiseless_signals(params), ADHOC.b_array)
+        d_est = fit_one(noiseless_signals(params), ADHOC.b_array)[0][2]
         assert d_est == pytest.approx(3.2336e-4, rel=1e-3)  # frozen regression value
         assert d_est == pytest.approx(params.d, rel=0.09)
 
     def test_noiseless_fast_perfusion_within_two_percent(self):
         # with a faster perfusion compartment the residual is negligible
         params = IvimParams(1.0, 0.1, 0.3e-3, 3e-2)
-        d_est, _ = fit_high_b(noiseless_signals(params), ADHOC.b_array)
+        d_est = fit_one(noiseless_signals(params), ADHOC.b_array)[0][2]
         assert d_est == pytest.approx(params.d, rel=0.02)
 
     def test_clamps_to_bounds(self):
         b = np.array([0.0, 200.0, 400.0, 500.0, 600.0, 700.0, 750.0, 800.0, 900.0, 1000.0])
         rising = np.exp(b * 1e-4)  # negative apparent diffusivity
-        d_est, _ = fit_high_b(rising, b)
+        d_est = fit_one(rising, b)[0][2]
         assert d_est == DEFAULT_BOUNDS.d_min
         steep = np.exp(-b * 2e-2)
-        d_est, _ = fit_high_b(steep, b)
+        d_est = fit_one(steep, b)[0][2]
         assert d_est == DEFAULT_BOUNDS.d_max
 
 
@@ -125,9 +134,7 @@ class TestEstimateS0F:
         # fast perfusion: the residual above the threshold is ~1e-5, so f
         # comes back to better than four digits
         params = IvimParams(1.0, 0.17, 0.4e-3, 6e-2)
-        signals = noiseless_signals(params)
-        _, intercept = fit_high_b(signals, ADHOC.b_array)
-        s0_est, f_est, clamped = estimate_s0_f(signals, ADHOC.b_array, intercept)
+        (s0_est, f_est, _, _), (_, clamped, _) = fit_one(noiseless_signals(params), ADHOC.b_array)
         te = ADHOC.echo_time(SCANNER)
         assert s0_est == pytest.approx(np.exp(-te / SCANNER.t2), rel=1e-12)
         assert f_est == pytest.approx(params.f, abs=1e-4)
@@ -135,15 +142,16 @@ class TestEstimateS0F:
 
     def test_noise_induced_negative_f_clamps(self):
         b = ADHOC.b_array
-        signals = np.ones(10)
-        s0_est, f_est, clamped = estimate_s0_f(signals, b, intercept=0.5)
+        # b = 0 signal 1, high-b segment extrapolating to ln S = 0.5 > ln s0
+        signals = np.where(b >= DEFAULT_BOUNDS.high_b_threshold, np.exp(0.5 - b * 1e-3), 1.0)
+        (_, f_est, _, _), (_, clamped, _) = fit_one(signals, b)
         assert f_est == 0.0
         assert clamped
 
     def test_no_b0_raises(self):
         b = np.linspace(10, 900, 10)
         with pytest.raises(NoB0Error):
-            estimate_s0_f(np.ones(10), b, intercept=0.0)
+            fit_one(np.ones(10), b)
 
 
 class TestFitDstar:
@@ -152,13 +160,13 @@ class TestFitDstar:
         signals = noiseless_signals(params)
         te = ADHOC.echo_time(SCANNER)
         s0_eff = params.s0 * np.exp(-te / SCANNER.t2)
-        dstar, at_bound = fit_dstar(signals, ADHOC.b_array, s0_eff, params.f, params.d)
+        dstar, at_bound = fit_dstar_one(signals, ADHOC.b_array, s0_eff, params.f, params.d)
         assert dstar == pytest.approx(params.d_star, rel=1e-4)
         assert not at_bound
 
     def test_f_zero_returns_lower_bound(self):
         signals = noiseless_signals(IvimParams(1.0, 0.0, 0.4e-3, 2e-2))
-        dstar, at_bound = fit_dstar(signals, ADHOC.b_array, 0.5, 0.0, 0.4e-3)
+        dstar, at_bound = fit_dstar_one(signals, ADHOC.b_array, 0.5, 0.0, 0.4e-3)
         assert dstar == 0.4e-3
         assert at_bound
 
@@ -177,7 +185,7 @@ class TestFitDstar:
             clean = ivim_signal(params, b, te, SCANNER.t2)
             noisy = np.abs(clean + rng.normal(0, 0.04, size=10))
             s0_eff = params.s0 * np.exp(-te / SCANNER.t2)
-            dstar, _ = fit_dstar(noisy, b, s0_eff, params.f, params.d)
+            dstar, _ = fit_dstar_one(noisy, b, s0_eff, params.f, params.d)
 
             grid = np.exp(np.linspace(np.log(params.d), np.log(0.5), 1_000_000))
             tissue = s0_eff * (1 - params.f) * np.exp(-b[None, :] * params.d)
@@ -205,30 +213,32 @@ class TestSegmentedFit:
         # frozen regression values for a healthy-like tuple; the d_star
         # error (5.0%) is the perfusion->tissue coupling at d_star = 0.018
         params = IvimParams(1.0, 0.12, 0.31e-3, 1.8e-2)
-        res = segmented_fit(noiseless_signals(params), ADHOC.b_array)
+        (s0_est, f_est, d_est, dstar_est), (deficient, _, _) = fit_one(
+            noiseless_signals(params), ADHOC.b_array
+        )
         te = ADHOC.echo_time(SCANNER)
-        assert res.s0_est == pytest.approx(np.exp(-te / SCANNER.t2), rel=1e-6)
-        assert res.f_est == pytest.approx(0.116461, rel=1e-4)
-        assert res.d_est == pytest.approx(3.15693e-4, rel=1e-4)
-        assert res.dstar_est == pytest.approx(1.89014e-2, rel=1e-4)
-        assert res.f_est == pytest.approx(params.f, rel=0.05)
-        assert res.d_est == pytest.approx(params.d, rel=0.05)
-        assert res.dstar_est == pytest.approx(params.d_star, rel=0.06)
-        assert not res.high_b_deficient
+        assert s0_est == pytest.approx(np.exp(-te / SCANNER.t2), rel=1e-6)
+        assert f_est == pytest.approx(0.116461, rel=1e-4)
+        assert d_est == pytest.approx(3.15693e-4, rel=1e-4)
+        assert dstar_est == pytest.approx(1.89014e-2, rel=1e-4)
+        assert f_est == pytest.approx(params.f, rel=0.05)
+        assert d_est == pytest.approx(params.d, rel=0.05)
+        assert dstar_est == pytest.approx(params.d_star, rel=0.06)
+        assert not deficient
 
     def test_all_low_b_protocol_gives_sentinel(self):
         b = np.array([0.0, 10.0, 20.0, 30.0, 50.0, 80.0, 100.0, 120.0, 150.0, 199.0])
-        res = segmented_fit(np.ones(10), b)
-        assert res.high_b_deficient
-        assert res.s0_est == 0.0
-        assert res.f_est == 0.0
-        assert res.d_est == DEFAULT_BOUNDS.d_min
-        assert res.dstar_est == DEFAULT_BOUNDS.d_min
+        (s0_est, f_est, d_est, dstar_est), (deficient, _, _) = fit_one(np.ones(10), b)
+        assert deficient
+        assert s0_est == 0.0
+        assert f_est == 0.0
+        assert d_est == DEFAULT_BOUNDS.d_min
+        assert dstar_est == DEFAULT_BOUNDS.d_min
 
     def test_all_zero_protocol_gives_sentinel(self):
         b = np.zeros(10)
-        res = segmented_fit(np.ones(10), b)
-        assert res.high_b_deficient
+        _, (deficient, _, _) = fit_one(np.ones(10), b)
+        assert deficient
 
     def test_single_high_b_relaxes_threshold(self):
         """One point above threshold: fall back to the two largest distinct
@@ -238,18 +248,18 @@ class TestSegmentedFit:
         protocol = AcquisitionProtocol(tuple(b))
         te = protocol.echo_time(SCANNER)
         signals = ivim_signal(params, b, te, SCANNER.t2)
-        res = segmented_fit(signals, b)
-        assert res.high_b_deficient  # fallback is recorded
+        (s0_est, _, d_est, _), (deficient, _, _) = fit_one(signals, b)
+        assert deficient  # fallback is recorded
         # estimates are informative, not sentinel
-        assert res.s0_est > 0.0
-        assert 1e-4 < res.d_est < 2e-3
+        assert s0_est > 0.0
+        assert 1e-4 < d_est < 2e-3
         # noiseless: the 52/508 log-slope absorbs part of the perfusion decay
-        assert res.d_est == pytest.approx(params.d, rel=0.5)
+        assert d_est == pytest.approx(params.d, rel=0.5)
 
     def test_no_b0_raises(self):
         b = np.linspace(10, 900, 10)
         with pytest.raises(NoB0Error):
-            segmented_fit(np.ones(10), b)
+            fit_one(np.ones(10), b)
 
     def test_permutation_invariance(self):
         # summation order changes under permutation, so equality holds to
@@ -258,13 +268,12 @@ class TestSegmentedFit:
         params = IvimParams(1.0, 0.2, 0.5e-3, 2e-2)
         signals = noiseless_signals(params) + rng.normal(0, 0.02, 10)
         signals = np.abs(signals)
-        ref = segmented_fit(signals, ADHOC.b_array)
+        ref_features, ref_flags = fit_one(signals, ADHOC.b_array)
         for _ in range(5):
             perm = rng.permutation(10)
-            res = segmented_fit(signals[perm], ADHOC.b_array[perm])
-            np.testing.assert_allclose(res.feature_vector(), ref.feature_vector(), rtol=1e-9)
-            assert (res.high_b_deficient, res.f_clamped, res.dstar_at_bound) == (
-                ref.high_b_deficient, ref.f_clamped, ref.dstar_at_bound)
+            features, flags = fit_one(signals[perm], ADHOC.b_array[perm])
+            np.testing.assert_allclose(features, ref_features, rtol=1e-9)
+            np.testing.assert_array_equal(flags, ref_flags)
 
     def test_batch_equals_single(self):
         b = ADHOC.b_array
@@ -273,11 +282,9 @@ class TestSegmentedFit:
             signals = noisy_batch(n, seed)
             features, flags = segmented_fit_batch(signals, b)
             for i in range(n):
-                res = segmented_fit(signals[i], b)
-                np.testing.assert_array_equal(features[i], res.feature_vector())
-                assert flags[i, 0] == res.high_b_deficient
-                assert flags[i, 1] == res.f_clamped
-                assert flags[i, 2] == res.dstar_at_bound
+                row_features, row_flags = fit_one(signals[i], b)
+                np.testing.assert_array_equal(features[i], row_features)
+                np.testing.assert_array_equal(flags[i], row_flags)
 
     def test_bounds_always_respected_and_flags_bidirectional(self):
         rng = np.random.default_rng(14)
@@ -349,13 +356,13 @@ class TestNoiselessConsistency:
             dstar = rng.uniform(max(2.2e-2, 25.0 * d), 8e-2)
             params = IvimParams(1.0, f, d, dstar)
             signals = ivim_signal(params, b, te, SCANNER.t2)
-            res = segmented_fit(signals, b)
+            (s0_est, f_est, d_est, dstar_est), _ = fit_one(signals, b)
             s0_eff = np.exp(-te / SCANNER.t2)
-            assert res.s0_est == pytest.approx(s0_eff, rel=0.05)
-            assert res.f_est == pytest.approx(f, rel=0.05, abs=0.01)
-            assert res.d_est == pytest.approx(d, rel=0.05)
+            assert s0_est == pytest.approx(s0_eff, rel=0.05)
+            assert f_est == pytest.approx(f, rel=0.05, abs=0.01)
+            assert d_est == pytest.approx(d, rel=0.05)
             dstar_tol = 0.10 if f < 0.05 else 0.05
-            assert res.dstar_est == pytest.approx(dstar, rel=dstar_tol)
-            worst["f"] = max(worst["f"], abs(res.f_est - f) / f)
-            worst["d"] = max(worst["d"], abs(res.d_est - d) / d)
-            worst["dstar"] = max(worst["dstar"], abs(res.dstar_est - dstar) / dstar)
+            assert dstar_est == pytest.approx(dstar, rel=dstar_tol)
+            worst["f"] = max(worst["f"], abs(f_est - f) / f)
+            worst["d"] = max(worst["d"], abs(d_est - d) / d)
+            worst["dstar"] = max(worst["dstar"], abs(dstar_est - dstar) / dstar)

@@ -1,6 +1,7 @@
 """Config/report/plot/CLI layer: schemas, persistence, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ class TestConfig:
         copied = tmp_path / "copy.json"
         copied.write_text(default_tissue_path().read_text())
         assert config_hash(base) == config_hash(base.with_overrides(tissue_file=str(copied)))
+
+    def test_hash_pinned(self):
+        """Frozen digests: refactoring the config layer must not move them."""
+        assert config_hash(ExperimentConfig()) == "614d0aa832be6fe7"
+        repro = Path(__file__).resolve().parents[1] / "configs" / "repro.json"
+        assert config_hash(load_experiment_config(repro)) == "27cedd5804ead4fc"
 
     def test_validation_env_uses_knob(self):
         config = ExperimentConfig(eval=EvalConfig(validation_snr=200.0))

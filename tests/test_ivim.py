@@ -9,12 +9,20 @@ from qmridesign import (
     AcquisitionProtocol,
     IvimParams,
     ScannerConfig,
+    TissueClass,
     add_rician_noise,
     ivim_signal,
     min_te,
-    simulate_acquisition,
+    simulate_dataset,
 )
+from qmridesign.cohort import Cohort
 from qmridesign.ivim import ADHOC_B_VALUES
+
+
+def simulate_one(params, protocol, scanner, rng):
+    """Noisy signal vector of a one-subject cohort."""
+    cohort = Cohort(labels=(TissueClass.ACTIVE,), params=params.as_array()[None, :])
+    return simulate_dataset(cohort, protocol, scanner, rng).signals[0]
 
 
 @pytest.fixture
@@ -164,12 +172,23 @@ class TestIvimSignal:
             s = ivim_signal(p, b, 0.06, 0.1)
             assert np.all(np.diff(s) < 0)
 
+    def test_parameter_rows_match_single_params(self):
+        rng = np.random.default_rng(8)
+        d = rng.uniform(1e-4, 2e-3, 20)
+        rows = np.column_stack(
+            [rng.uniform(0.5, 2.0, 20), rng.uniform(0, 1, 20), d, d * rng.uniform(1.0, 100.0, 20)]
+        )
+        b = np.array([0.0, 13.0, 220.0, 999.0])
+        signals = ivim_signal(rows, b, 0.05, 0.1)
+        assert signals.shape == (20, 4)
+        for row, signal in zip(rows, signals):
+            np.testing.assert_array_equal(signal, ivim_signal(IvimParams(*row), b, 0.05, 0.1))
+
 
 class TestRicianNoise:
     def test_sigma_zero_is_abs(self):
         rng = np.random.default_rng(0)
-        assert add_rician_noise(0.7, 0.0, rng) == 0.7
-        assert add_rician_noise(-0.3, 0.0, rng) == 0.3
+        np.testing.assert_array_equal(add_rician_noise(np.array([0.7, -0.3]), 0.0, rng), [0.7, 0.3])
 
     def test_output_non_negative(self):
         rng = np.random.default_rng(1)
@@ -193,7 +212,7 @@ class TestRicianNoise:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            add_rician_noise(1.0, -0.1, np.random.default_rng(0))
+            add_rician_noise(np.ones(1), -0.1, np.random.default_rng(0))
 
 
 class TestSimulateAcquisition:
@@ -202,7 +221,7 @@ class TestSimulateAcquisition:
         p = IvimParams(1.0, 0.12, 0.4e-3, 0.02)
         protocol = AcquisitionProtocol.adhoc()
         rng = np.random.default_rng(0)
-        sim = simulate_acquisition(p, protocol, scanner, rng)
+        sim = simulate_one(p, protocol, scanner, rng)
         te = protocol.echo_time(scanner)
         clean = ivim_signal(p, protocol.b_array, te, scanner.t2)
         np.testing.assert_allclose(sim, clean, rtol=1e-6)
@@ -210,14 +229,14 @@ class TestSimulateAcquisition:
     def test_repeated_b_values_get_independent_noise(self, scanner):
         protocol = AcquisitionProtocol((0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
         p = IvimParams(1.0, 0.1, 1e-3, 1e-2)
-        sim = simulate_acquisition(p, protocol, scanner, np.random.default_rng(6))
+        sim = simulate_one(p, protocol, scanner, np.random.default_rng(6))
         assert len(np.unique(sim)) == len(sim)
 
     def test_deterministic_given_seed(self, scanner):
         p = IvimParams(1.0, 0.15, 0.5e-3, 0.02)
         protocol = AcquisitionProtocol.adhoc()
-        a = simulate_acquisition(p, protocol, scanner, np.random.default_rng(42))
-        b = simulate_acquisition(p, protocol, scanner, np.random.default_rng(42))
+        a = simulate_one(p, protocol, scanner, np.random.default_rng(42))
+        b = simulate_one(p, protocol, scanner, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_noise_level_matches_sigma(self, scanner):
