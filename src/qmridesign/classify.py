@@ -252,7 +252,6 @@ def task_objective(
     env: SimulationEnv,
     config: EvalConfig,
     rng: np.random.Generator,
-    n_repeats: int | None = None,
 ) -> float:
     """Scalar objective: cross-validated accuracy on a freshly simulated cohort.
 
@@ -260,8 +259,9 @@ def task_objective(
     failures contribute sentinel feature vectors rather than errors, so
     every protocol receives a defined score.
     """
-    repeats = config.n_repeats_reward if n_repeats is None else n_repeats
     dataset = simulate_fitted_dataset(protocol, task, env, rng)
     labels = dataset.label_codes(task.classes)
-    mean, _ = cross_val_accuracy(dataset.features, labels, config, rng, n_repeats=repeats)
+    mean, _ = cross_val_accuracy(
+        dataset.features, labels, config, rng, n_repeats=config.n_repeats_reward
+    )
     return mean

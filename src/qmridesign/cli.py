@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: validate, calibrate, evaluate, optimize, sweep-snr, plot,
-report. Every command reads one JSON config (flags override individual
+Subcommands: validate, calibrate, evaluate (alias sweep-snr), optimize,
+plot, report. Every command reads one JSON config (flags override individual
 fields) and writes artifacts stamped with the config hash and master seed
 into the output directory. Concurrent invocations must target distinct
 output directories.
@@ -55,39 +55,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add(name, run, summary, **kwargs):
+        p = sub.add_parser(name, help=summary, **kwargs)
         p.add_argument("--config", type=Path, help="experiment config JSON")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", type=Path, help="output directory override")
         p.add_argument("--task", help="task override: " + "|".join(t.token for t in Task))
         p.add_argument("--snr", help="comma-separated SNR list override, e.g. 5,15,25,35")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("validate", help="per-parameter AUC matrix for the binary tasks")
-    add_common(p)
+    add("validate", cmd_validate, "per-parameter AUC matrix for the binary tasks")
 
-    p = sub.add_parser("calibrate", help="fit tissue distributions to the AUC target matrix")
-    add_common(p)
+    p = add("calibrate", cmd_calibrate, "fit tissue distributions to the AUC target matrix")
     p.add_argument("--budget", type=int, default=6, help="coordinate-descent rounds")
 
-    p = sub.add_parser("evaluate", help="accuracy of a protocol at the requested SNRs")
-    add_common(p)
+    p = add("evaluate", cmd_evaluate, "accuracy of a protocol at the requested SNRs",
+            aliases=["sweep-snr"])
     _add_protocol_source(p)
 
-    p = sub.add_parser("optimize", help="search for a protocol (crlb or rl)")
-    add_common(p)
+    p = add("optimize", cmd_optimize, "search for a protocol (crlb or rl)")
     p.add_argument("--optimizer", choices=OPTIMIZER_CHOICES)
     p.add_argument("--budget", type=int, help="step/iteration budget override")
 
-    p = sub.add_parser("sweep-snr", help="evaluate a protocol across the config's SNR list")
-    add_common(p)
-    _add_protocol_source(p)
-
-    p = sub.add_parser("plot", help="accuracy-vs-SNR chart from a report CSV")
-    add_common(p)
+    p = add("plot", cmd_plot, "accuracy-vs-SNR chart from a report CSV")
     p.add_argument("--report", type=Path, required=True, help="input report.csv")
 
-    p = sub.add_parser("report", help="print a report CSV as an aggregated table")
-    add_common(p)
+    p = add("report", cmd_report, "print a report CSV as an aggregated table")
     p.add_argument("--report", type=Path, required=True, help="input report.csv")
     return parser
 
@@ -113,7 +107,7 @@ def _resolve_config(args) -> ExperimentConfig:
         overrides["snr_list"] = tuple(float(s) for s in args.snr.split(","))
     if getattr(args, "optimizer", None):
         overrides["optimizer"] = args.optimizer
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides)
 
 
 def _parse_protocol_literal(text: str) -> AcquisitionProtocol:
@@ -236,12 +230,11 @@ def _evaluate_rows(config: ExperimentConfig, protocol: AcquisitionProtocol, labe
     return rows
 
 
-def cmd_evaluate(args, snr_sweep: bool = False) -> int:
+def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(config)
     protocol, label = _protocol_source(args, config)
-    snrs = config.snrs() if (snr_sweep or config.snr_list) else (config.scanner.snr,)
-    rows = _evaluate_rows(config, protocol, label, snrs)
+    rows = _evaluate_rows(config, protocol, label, config.snrs())
     path = out / "report.csv"
     append_report_rows(path, rows)
     for row in rows:
@@ -334,16 +327,7 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    commands = {
-        "validate": cmd_validate,
-        "calibrate": cmd_calibrate,
-        "evaluate": cmd_evaluate,
-        "optimize": cmd_optimize,
-        "sweep-snr": lambda a: cmd_evaluate(a, snr_sweep=True),
-        "plot": cmd_plot,
-        "report": cmd_report,
-    }
-    return commands[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -107,9 +107,6 @@ class ExperimentConfig:
             "snr_list": list(self.snr_list),
             "out_dir": str(self.out_dir),
         }
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 def _build(section: dict, cls, **renames):

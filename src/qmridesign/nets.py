@@ -37,70 +37,53 @@ class Mlp:
     """Fully connected net with tanh hidden layers and a linear head.
 
     Hidden weights use orthogonal init with gain sqrt(2); the head gain is
-    caller-chosen (small for policy logits, 1 for value heads).
+    caller-chosen (small for policy logits, 1 for value heads). All weights
+    and biases are views into one flat ``params`` vector laid out as
+    (W0, b0, W1, b1, ...); ``backward`` returns gradients in that layout.
     """
 
     def __init__(self, sizes, rng: np.random.Generator, out_gain: float = 1.0):
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
-        for i, (fan_in, fan_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
-            gain = out_gain if i == len(self.sizes) - 2 else np.sqrt(2.0)
-            self.weights.append(orthogonal(rng, fan_out, fan_in, gain))
-            self.biases.append(np.zeros(fan_out))
+        self.params = np.zeros(sum(o * (i + 1) for i, o in zip(self.sizes[:-1], self.sizes[1:])))
+        self.weights, self.biases = self._split(self.params)
+        last = len(self.weights) - 1
+        for i, w in enumerate(self.weights):
+            w[...] = orthogonal(rng, *w.shape, out_gain if i == last else np.sqrt(2.0))
 
-    @property
-    def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend([w, b])
-        return params
+    def _split(self, flat: np.ndarray):
+        """(weights, biases) as views into a vector laid out like ``params``."""
+        weights, biases, offset = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
+        return weights, biases
 
     def forward(self, x: np.ndarray):
-        """Returns (output, cache); x is (batch, in_dim)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        activations = [x]
-        pre = []
-        h = x
+        """Returns (output, activations); x is (batch, in_dim)."""
+        activations = [np.atleast_2d(np.asarray(x, dtype=float))]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            pre.append(z)
-            h = z if i == last else np.tanh(z)
-            activations.append(h)
-        return h, (activations, pre)
+            z = activations[-1] @ w.T + b
+            activations.append(z if i == last else np.tanh(z))
+        return activations[-1], activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Parameter gradients for d(loss)/d(output) = grad_out.
-
-        Returns a list aligned with ``parameters`` (dW0, db0, dW1, ...).
-        """
-        activations, pre = cache
-        grads = [None] * (2 * len(self.weights))
+    def backward(self, activations, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient of the loss w.r.t. ``params`` for d(loss)/d(output) = grad_out."""
+        grad = np.empty_like(self.params)
+        d_weights, d_biases = self._split(grad)
         delta = np.atleast_2d(grad_out)
         for i in range(len(self.weights) - 1, -1, -1):
-            if i != len(self.weights) - 1:
-                delta = delta * (1.0 - np.tanh(pre[i]) ** 2)
-            grads[2 * i] = delta.T @ activations[i]
-            grads[2 * i + 1] = delta.sum(axis=0)
+            d_weights[i][...] = delta.T @ activations[i]
+            d_biases[i][...] = delta.sum(axis=0)
             if i > 0:
-                delta = delta @ self.weights[i]
-        return grads
-
-    def get_state(self):
-        return [p.copy() for p in self.parameters]
-
-    def set_state(self, state) -> None:
-        params = self.parameters
-        if len(state) != len(params):
-            raise ValueError("state does not match network shape")
-        for target, source in zip(params, state):
-            if target.shape != np.shape(source):
-                raise ValueError("state does not match network shape")
-            target[...] = source
+                # tanh'(z) = 1 - tanh(z)^2, read from the cached activation
+                delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)
+        return grad
 
 
 class Adam:
@@ -127,17 +110,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g**2
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def get_state(self):
-        return {
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-            "t": self.t,
-        }
-
-    def set_state(self, state) -> None:
-        self.t = int(state["t"])
-        for target, source in zip(self.m, state["m"]):
-            target[...] = source
-        for target, source in zip(self.v, state["v"]):
-            target[...] = source

@@ -35,6 +35,7 @@ __all__ = [
     "PpoAgent",
     "RolloutBuffer",
     "PpoNanError",
+    "ppo_loss",
     "ppo_update",
     "train",
     "rollout_greedy",
@@ -42,7 +43,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class PpoNanError(RuntimeError):
@@ -90,17 +91,12 @@ class PpoAgent:
         self.actor = Mlp((observation_size, h, h, n_actions), rng, out_gain=0.01)
         self.critic = Mlp((observation_size, h, h, 1), rng, out_gain=1.0)
         self.optimizer = Adam(
-            self.actor.parameters + self.critic.parameters,
-            lr=config.learning_rate,
-            eps=config.adam_eps,
+            [self.actor.params, self.critic.params], lr=config.learning_rate, eps=config.adam_eps
         )
 
     def policy_forward(self, observation: np.ndarray):
         """(action probabilities, value estimate) for a single observation."""
-        obs = np.atleast_2d(np.asarray(observation, dtype=float))
-        logits, _ = self.actor.forward(obs)
-        value, _ = self.critic.forward(obs)
-        return softmax(logits)[0], float(value[0, 0])
+        return softmax(self.actor(observation))[0], float(self.critic(observation)[0, 0])
 
     def act(self, observation: np.ndarray, rng: np.random.Generator):
         """Sample an action; returns (action, log_probability, value)."""
@@ -113,7 +109,7 @@ class PpoAgent:
         return int(np.argmax(probs))
 
     def check_finite(self) -> None:
-        for p in self.actor.parameters + self.critic.parameters:
+        for p in (self.actor.params, self.critic.params):
             if not np.isfinite(p).all():
                 raise PpoNanError("non-finite network weights after update")
 
@@ -172,6 +168,60 @@ def _clip_global_norm(grads, max_norm: float):
     return grads
 
 
+def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, config: PpoConfig):
+    """Clipped-surrogate loss of one minibatch and its gradient.
+
+    Returns (losses, [actor_grad, critic_grad]): ``losses`` maps
+    policy_loss, value_loss, entropy and approx_kl to floats; the total
+    minimized is policy_loss + vf_coef * value_loss - ent_coef * entropy,
+    and each gradient is laid out like its network's ``params``. Raises
+    PpoNanError if the total is non-finite.
+    """
+    batch = len(actions)
+    logits, actor_cache = agent.actor.forward(obs)
+    logp_all = log_softmax(logits)
+    probs = np.exp(logp_all)
+    rows = np.arange(batch)
+    logp_act = logp_all[rows, actions]
+    ratio = np.exp(logp_act - logp_old)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * advantages
+    policy_loss = -np.minimum(unclipped, clipped).mean()
+
+    entropy_per = -(probs * logp_all).sum(axis=1)
+    entropy = entropy_per.mean()
+
+    values, critic_cache = agent.critic.forward(obs)
+    value_err = values[:, 0] - returns
+    value_loss = float((value_err**2).mean())
+
+    total_loss = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
+    if not np.isfinite(total_loss):
+        raise PpoNanError(
+            f"non-finite loss (policy={policy_loss}, value={value_loss}, entropy={entropy})"
+        )
+
+    # d(policy_loss)/d(logp_act): the clipped branch has zero slope
+    active = unclipped <= clipped
+    dlogp_act = np.where(active, ratio * advantages, 0.0) * (-1.0 / batch)
+    dlogits = -probs * dlogp_act[:, None]
+    dlogits[rows, actions] += dlogp_act
+    if config.ent_coef != 0.0:
+        # dH/dlogits = -p * (logp + H)
+        d_entropy = -probs * (logp_all + entropy_per[:, None])
+        dlogits += (-config.ent_coef / batch) * d_entropy
+    dvalues = (2.0 * config.vf_coef / batch) * value_err[:, None]
+
+    losses = {
+        "policy_loss": float(policy_loss),
+        "value_loss": value_loss,
+        "entropy": float(entropy),
+        "approx_kl": float((logp_old - logp_act).mean()),
+    }
+    grads = [agent.actor.backward(actor_cache, dlogits), agent.critic.backward(critic_cache, dvalues)]
+    return losses, grads
+
+
 def ppo_update(agent: PpoAgent, buffer: RolloutBuffer, last_value: float,
                rng: np.random.Generator, config: PpoConfig | None = None):
     """One full optimization phase over a collected rollout.
@@ -196,59 +246,14 @@ def ppo_update(agent: PpoAgent, buffer: RolloutBuffer, last_value: float,
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             idx = order[start : start + config.minibatch_size]
-            batch = len(idx)
-            obs_mb = observations[idx]
-            act_mb = actions[idx]
-            adv_mb = advantages[idx]
-            ret_mb = returns[idx]
-            logp_old_mb = log_probs_old[idx]
-
-            logits, actor_cache = agent.actor.forward(obs_mb)
-            logp_all = log_softmax(logits)
-            probs = np.exp(logp_all)
-            rows = np.arange(batch)
-            logp_act = logp_all[rows, act_mb]
-            ratio = np.exp(logp_act - logp_old_mb)
-            unclipped = ratio * adv_mb
-            clipped = np.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * adv_mb
-            policy_loss = -np.minimum(unclipped, clipped).mean()
-
-            entropy_per = -(probs * logp_all).sum(axis=1)
-            entropy = entropy_per.mean()
-
-            values, critic_cache = agent.critic.forward(obs_mb)
-            value_err = values[:, 0] - ret_mb
-            value_loss = float((value_err**2).mean())
-
-            total_loss = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
-            if not np.isfinite(total_loss):
-                raise PpoNanError(
-                    f"non-finite loss (policy={policy_loss}, value={value_loss}, "
-                    f"entropy={entropy})"
-                )
-
-            # d(policy_loss)/d(logp_act): the clipped branch has zero slope
-            active = unclipped <= clipped
-            dlogp_act = np.where(active, ratio * adv_mb, 0.0) * (-1.0 / batch)
-            dlogits = -probs * dlogp_act[:, None]
-            dlogits[rows, act_mb] += dlogp_act
-            if config.ent_coef != 0.0:
-                # dH/dlogits = -p * (logp + H)
-                d_entropy = -probs * (logp_all + entropy_per[:, None])
-                dlogits += (-config.ent_coef / batch) * d_entropy
-            dvalues = (2.0 * config.vf_coef / batch) * value_err[:, None]
-
-            grads = agent.actor.backward(actor_cache, dlogits) + agent.critic.backward(
-                critic_cache, dvalues
+            losses, grads = ppo_loss(
+                agent, observations[idx], actions[idx], log_probs_old[idx], advantages[idx],
+                returns[idx], config,
             )
-            grads = _clip_global_norm(grads, config.max_grad_norm)
-            agent.optimizer.step(grads)
+            agent.optimizer.step(_clip_global_norm(grads, config.max_grad_norm))
             agent.check_finite()
-
-            stats["policy_loss"].append(float(policy_loss))
-            stats["value_loss"].append(value_loss)
-            stats["entropy"].append(float(entropy))
-            stats["approx_kl"].append(float((logp_old_mb - logp_act).mean()))
+            for key, value in losses.items():
+                stats[key].append(value)
     return {key: float(np.mean(values)) for key, values in stats.items()}
 
 
@@ -328,23 +333,27 @@ def rollout_greedy(agent: PpoAgent, env):
     return _protocol_from_info(info), total, info
 
 
+def _checkpoint_arrays(agent: PpoAgent) -> dict:
+    """Checkpoint entry name -> the agent array it holds; save reads them, load fills them."""
+    optimizer = agent.optimizer
+    return {
+        "actor": agent.actor.params,
+        "critic": agent.critic.params,
+        "adam_m_actor": optimizer.m[0],
+        "adam_m_critic": optimizer.m[1],
+        "adam_v_actor": optimizer.v[0],
+        "adam_v_critic": optimizer.v[1],
+    }
+
+
 def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None = None) -> None:
     """Versioned dump of weights, optimizer moments and counters."""
-    arrays = {}
-    for i, p in enumerate(agent.actor.parameters):
-        arrays[f"actor_{i}"] = p
-    for i, p in enumerate(agent.critic.parameters):
-        arrays[f"critic_{i}"] = p
-    opt_state = agent.optimizer.get_state()
-    for i, m in enumerate(opt_state["m"]):
-        arrays[f"adam_m_{i}"] = m
-    for i, v in enumerate(opt_state["v"]):
-        arrays[f"adam_v_{i}"] = v
+    arrays = _checkpoint_arrays(agent)
     meta = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "observation_size": agent.observation_size,
         "n_actions": agent.n_actions,
-        "adam_t": opt_state["t"],
+        "adam_t": agent.optimizer.t,
         "steps_done": int(steps_done),
         "config": asdict(agent.config),
         "extra": extra or {},
@@ -376,15 +385,12 @@ def load_checkpoint(path):
         agent = PpoAgent(
             meta["observation_size"], meta["n_actions"], np.random.default_rng(0), config
         )
-        n_params = len(agent.actor.parameters)
-        agent.actor.set_state([data[f"actor_{i}"] for i in range(n_params)])
-        agent.critic.set_state([data[f"critic_{i}"] for i in range(len(agent.critic.parameters))])
-        total = n_params + len(agent.critic.parameters)
-        agent.optimizer.set_state(
-            {
-                "m": [data[f"adam_m_{i}"] for i in range(total)],
-                "v": [data[f"adam_v_{i}"] for i in range(total)],
-                "t": meta["adam_t"],
-            }
-        )
+        for name, target in _checkpoint_arrays(agent).items():
+            source = data[name]
+            if source.shape != target.shape:
+                raise ValueError(
+                    f"checkpoint entry {name} has shape {source.shape}, expected {target.shape}"
+                )
+            target[...] = source
+        agent.optimizer.t = meta["adam_t"]
     return agent, meta["steps_done"], meta

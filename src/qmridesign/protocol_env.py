@@ -51,15 +51,11 @@ class ProtocolEnv:
         task: Task,
         eval_config: EvalConfig,
         master_seed: int,
-        n_repeats_reward: int | None = None,
     ):
         self.sim_env = sim_env
         self.task = task
         self.eval_config = eval_config
         self.master_seed = master_seed
-        self.n_repeats_reward = (
-            eval_config.n_repeats_reward if n_repeats_reward is None else n_repeats_reward
-        )
         if sim_env.scanner.snr > _SNR_SCALE:
             warnings.warn(
                 f"snr {sim_env.scanner.snr} exceeds the observation scale {_SNR_SCALE}; "
@@ -105,15 +101,8 @@ class ProtocolEnv:
         self._cursor += 1
         if self._cursor < PROTOCOL_LENGTH:
             return self._observation(), 0.0, False, {}
-        protocol = AcquisitionProtocol(tuple(np.sort(self._slots)))
+        protocol = AcquisitionProtocol(tuple(self._slots))
         reward_rng = derive_rng(self.master_seed, "reward", self._episode)
-        reward = task_objective(
-            protocol,
-            self.task,
-            self.sim_env,
-            self.eval_config,
-            reward_rng,
-            n_repeats=self.n_repeats_reward,
-        )
+        reward = task_objective(protocol, self.task, self.sim_env, self.eval_config, reward_rng)
         info = {"b_values": protocol.b_values, "episode": self._episode}
         return self._observation(), float(reward), True, info

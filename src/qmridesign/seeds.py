@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed_sequence"]
+__all__ = ["derive_rng"]
 
 
 def _key_to_int(key: int | str) -> int:
@@ -26,15 +26,11 @@ def _key_to_int(key: int | str) -> int:
     raise TypeError(f"stream key must be int or str, got {type(key)!r}")
 
 
-def derive_seed_sequence(master_seed: int, *keys: int | str) -> np.random.SeedSequence:
-    """SeedSequence for the stream addressed by ``keys`` under ``master_seed``."""
-    return np.random.SeedSequence(master_seed, spawn_key=tuple(_key_to_int(k) for k in keys))
-
-
 def derive_rng(master_seed: int, *keys: int | str) -> np.random.Generator:
     """Independent Generator for the stream addressed by ``keys``.
 
     Example: ``derive_rng(seed, "evaluate", repeat_index)`` yields the same
     stream no matter how many other streams were consumed before it.
     """
-    return np.random.default_rng(derive_seed_sequence(master_seed, *keys))
+    keys = tuple(_key_to_int(k) for k in keys)
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=keys))

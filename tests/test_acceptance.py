@@ -10,6 +10,7 @@ Interpretation notes are inline where a criterion's text allows more
 than one reading.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -39,7 +40,7 @@ from qmridesign.crlb import draw_tissue_samples, fisher_matrix, optimize_crlb, s
 from qmridesign.experiments import AUC_PARAMS, auc_matrix, evaluate_accuracy
 from qmridesign.fitting import segmented_fit_batch
 from qmridesign.nets import log_softmax
-from qmridesign.ppo import PpoAgent
+from qmridesign.ppo import PpoAgent, ppo_loss
 from qmridesign.protocol_env import ProtocolEnv
 from qmridesign.reports import read_report
 from qmridesign import CrlbConfig
@@ -185,45 +186,21 @@ def test_c03_ppo_gradient_check():
         value = float(((values - returns) ** 2).mean())
         return policy + config.vf_coef * value - config.ent_coef * entropy
 
-    logits, actor_cache = agent.actor.forward(obs)
-    logp_all = log_softmax(logits)
-    probs = np.exp(logp_all)
-    rows = np.arange(n)
-    ratio = np.exp(logp_all[rows, actions] - logp_old)
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1 - config.clip_range, 1 + config.clip_range) * advantages
-    active = unclipped <= clipped
-    dlogp_act = np.where(active, ratio * advantages, 0.0) * (-1.0 / n)
-    dlogits = -probs * dlogp_act[:, None]
-    dlogits[rows, actions] += dlogp_act
-    entropy_per = -(probs * logp_all).sum(axis=1)
-    dlogits += (-config.ent_coef / n) * (-probs * (logp_all + entropy_per[:, None]))
-    values, critic_cache = agent.critic.forward(obs)
-    dvalues = (2.0 * config.vf_coef / n) * (values[:, 0] - returns)[:, None]
-    grads = agent.actor.backward(actor_cache, dlogits) + agent.critic.backward(critic_cache, dvalues)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    _, grads = ppo_loss(agent, obs, actions, logp_old, advantages, returns, config)
+    analytic = np.concatenate(grads)
 
-    params = agent.actor.parameters + agent.critic.parameters
-    flat0 = np.concatenate([p.ravel() for p in params])
-    numeric = np.empty_like(flat0)
+    numeric = []
     h = 2e-6
-
-    def set_flat(flat):
-        offset = 0
-        for p in params:
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-
-    for i in range(len(flat0)):
-        up, down = flat0.copy(), flat0.copy()
-        up[i] += h
-        down[i] -= h
-        set_flat(up)
-        loss_up = loss_value()
-        set_flat(down)
-        loss_down = loss_value()
-        numeric[i] = (loss_up - loss_down) / (2 * h)
-    set_flat(flat0)
+    for params in (agent.actor.params, agent.critic.params):
+        for i in range(params.size):
+            saved = params[i]
+            params[i] = saved + h
+            loss_up = loss_value()
+            params[i] = saved - h
+            loss_down = loss_value()
+            params[i] = saved
+            numeric.append((loss_up - loss_down) / (2 * h))
+    numeric = np.array(numeric)
 
     scale = max(np.abs(numeric).max(), 1e-12)
     worst = float(np.abs(analytic - numeric).max() / scale)
@@ -467,8 +444,8 @@ def test_c10_reduced_budget_search(sim_env, eval_config):
     """20,000 policy-search steps with single-repeat rewards: the best
     discovered protocol's 50-repeat accuracy beats the baseline by >= 0.05
     on the multi-class task."""
-    env = ProtocolEnv(sim_env, Task.MULTICLASS, eval_config, master_seed=MASTER_SEED,
-                      n_repeats_reward=1)
+    env = ProtocolEnv(sim_env, Task.MULTICLASS,
+                      dataclasses.replace(eval_config, n_repeats_reward=1), master_seed=MASTER_SEED)
     config = PpoConfig(total_steps=20_000)
     started = time.perf_counter()
     result = train(env, config, np.random.default_rng(MASTER_SEED + 4))

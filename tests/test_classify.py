@@ -239,7 +239,7 @@ class TestTaskObjective:
         cfg = EvalConfig()
         values = [
             task_objective(AcquisitionProtocol.adhoc(), Task.ACTIVE_VS_CHRONIC, env, cfg,
-                           np.random.default_rng(100 + s), n_repeats=3)
+                           np.random.default_rng(100 + s))
             for s in range(10)
         ]
         assert abs(float(np.mean(values)) - 0.5) < 0.08

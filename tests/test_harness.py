@@ -1,5 +1,6 @@
 """Config/report/plot/CLI layer: schemas, persistence, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -83,14 +84,14 @@ class TestConfig:
         )
         other = tmp_path / "tissue.json"
         save_tissue_distributions(other, dists)
-        digest_b = config_hash(base.with_overrides(tissue_file=str(other)))
+        digest_b = config_hash(dataclasses.replace(base, tissue_file=str(other)))
         assert digest_a != digest_b
 
     def test_hash_ignores_tissue_location(self, tmp_path):
         base = ExperimentConfig()
         copied = tmp_path / "copy.json"
         copied.write_text(default_tissue_path().read_text())
-        assert config_hash(base) == config_hash(base.with_overrides(tissue_file=str(copied)))
+        assert config_hash(base) == config_hash(dataclasses.replace(base, tissue_file=str(copied)))
 
     def test_hash_pinned(self):
         """Frozen digests: refactoring the config layer must not move them."""

@@ -1,7 +1,6 @@
 """Network primitives: gradient correctness against central finite differences."""
 
 import numpy as np
-import pytest
 
 from qmridesign.nets import Adam, Mlp, log_softmax, orthogonal, softmax
 
@@ -23,17 +22,6 @@ def test_softmax_normalized():
     np.testing.assert_allclose(np.log(p), log_softmax(logits), atol=1e-12)
 
 
-def flatten_params(mlp):
-    return np.concatenate([p.ravel() for p in mlp.parameters])
-
-
-def set_flat(mlp, flat):
-    offset = 0
-    for p in mlp.parameters:
-        p[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-
-
 def test_backward_matches_finite_differences():
     """Scalar loss sum(out^2): analytic grads vs central differences, 1e-7."""
     rng = np.random.default_rng(2)
@@ -41,14 +29,13 @@ def test_backward_matches_finite_differences():
     x = rng.normal(size=(6, 5))
 
     def loss_of(flat):
-        set_flat(mlp, flat)
+        mlp.params[...] = flat
         out, _ = mlp.forward(x)
         return float((out**2).sum())
 
-    flat0 = flatten_params(mlp)
+    flat0 = mlp.params.copy()
     out, cache = mlp.forward(x)
-    grads = mlp.backward(cache, 2.0 * out)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    analytic = mlp.backward(cache, 2.0 * out)
 
     numeric = np.empty_like(flat0)
     h = 1e-6
@@ -57,7 +44,7 @@ def test_backward_matches_finite_differences():
         up[i] += h
         down[i] -= h
         numeric[i] = (loss_of(up) - loss_of(down)) / (2.0 * h)
-    set_flat(mlp, flat0)
+    mlp.params[...] = flat0
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
 
@@ -68,24 +55,24 @@ def test_backward_batch_is_sum_of_singles():
     grad_out = rng.normal(size=(5, 2))
     _, cache = mlp.forward(x)
     batch = mlp.backward(cache, grad_out)
-    acc = [np.zeros_like(g) for g in batch]
+    acc = np.zeros_like(batch)
     for i in range(5):
         _, cache_i = mlp.forward(x[i : i + 1])
-        for j, g in enumerate(mlp.backward(cache_i, grad_out[i : i + 1])):
-            acc[j] += g
-    for got, expected in zip(batch, acc):
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        acc += mlp.backward(cache_i, grad_out[i : i + 1])
+    np.testing.assert_allclose(batch, acc, rtol=1e-12)
 
 
 def test_state_roundtrip():
+    """The flat params vector is the whole state: weights and biases are
+    views into it, so copying it copies the network."""
     rng = np.random.default_rng(4)
     a = Mlp((3, 4, 2), rng)
     b = Mlp((3, 4, 2), np.random.default_rng(99))
-    b.set_state(a.get_state())
+    assert a.params.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    assert all(np.shares_memory(p, b.params) for p in b.weights + b.biases)
+    b.params[...] = a.params
     x = rng.normal(size=(2, 3))
     np.testing.assert_array_equal(a(x), b(x))
-    with pytest.raises(ValueError):
-        b.set_state(a.get_state()[:-1])
 
 
 def test_adam_matches_reference_formula():

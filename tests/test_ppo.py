@@ -5,6 +5,8 @@ The finite-difference check of the full loss on a tiny agent is the
 load-bearing test here: every other property rides on those gradients.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qmridesign.ppo import (
     PpoNanError,
     RolloutBuffer,
     load_checkpoint,
+    ppo_loss,
     ppo_update,
     rollout_greedy,
     save_checkpoint,
@@ -122,6 +125,21 @@ def ppo_loss_value(agent, batch, config):
     return policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
 
 
+def numeric_gradient(agent, loss, h=2e-6):
+    """Central differences of ``loss()`` over the actor then the critic params."""
+    numeric = []
+    for params in (agent.actor.params, agent.critic.params):
+        for i in range(params.size):
+            saved = params[i]
+            params[i] = saved + h
+            loss_up = loss()
+            params[i] = saved - h
+            loss_down = loss()
+            params[i] = saved
+            numeric.append((loss_up - loss_down) / (2.0 * h))
+    return np.array(numeric)
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("ent_coef", [0.0, 0.01])
     def test_full_loss_gradients_match_finite_differences(self, ent_coef):
@@ -140,81 +158,66 @@ class TestGradientCheck:
         returns = rng.normal(size=n)
         batch = (obs, actions, logp_old, advantages, returns)
 
-        # analytic gradients via one ppo_update pass on a single minibatch:
-        # replicate its math directly with the loss recomputation
-        params = agent.actor.parameters + agent.critic.parameters
-        flat0 = np.concatenate([p.ravel() for p in params])
-
-        logits, actor_cache = agent.actor.forward(obs)
-        logp_all = log_softmax(logits)
-        probs = np.exp(logp_all)
-        rows = np.arange(n)
-        logp_act = logp_all[rows, actions]
-        ratio = np.exp(logp_act - logp_old)
-        unclipped = ratio * advantages
-        clipped = np.clip(ratio, 1 - config.clip_range, 1 + config.clip_range) * advantages
-        active = unclipped <= clipped
-        dlogp_act = np.where(active, ratio * advantages, 0.0) * (-1.0 / n)
-        dlogits = -probs * dlogp_act[:, None]
-        dlogits[rows, actions] += dlogp_act
-        if config.ent_coef != 0.0:
-            entropy_per = -(probs * logp_all).sum(axis=1)
-            d_entropy = -probs * (logp_all + entropy_per[:, None])
-            dlogits += (-config.ent_coef / n) * d_entropy
-        values, critic_cache = agent.critic.forward(obs)
-        dvalues = (2.0 * config.vf_coef / n) * (values[:, 0] - returns)[:, None]
-        grads = agent.actor.backward(actor_cache, dlogits) + agent.critic.backward(
-            critic_cache, dvalues
-        )
-        analytic = np.concatenate([g.ravel() for g in grads])
-
-        def loss_of(flat):
-            offset = 0
-            for p in params:
-                p[...] = flat[offset : offset + p.size].reshape(p.shape)
-                offset += p.size
-            return ppo_loss_value(agent, batch, config)
-
-        numeric = np.empty_like(flat0)
-        h = 2e-6
-        for i in range(len(flat0)):
-            up, down = flat0.copy(), flat0.copy()
-            up[i] += h
-            down[i] -= h
-            numeric[i] = (loss_of(up) - loss_of(down)) / (2.0 * h)
-        loss_of(flat0)  # restore
+        _, grads = ppo_loss(agent, *batch, config)
+        analytic = np.concatenate(grads)
+        numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch, config))
 
         scale = np.abs(numeric).max()
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-4 * scale)
+
+    def test_entropy_gradient_on_peaked_policy(self):
+        """Entropy term alone on a far-from-uniform policy: at the near-uniform
+        initial policy its gradient vanishes, so the full-loss check above
+        cannot see it."""
+        rng = np.random.default_rng(18)
+        config = PpoConfig(total_steps=0, hidden_size=4, ent_coef=1.0, vf_coef=0.0)
+        agent = PpoAgent(4, 5, rng, config)
+        agent.actor.weights[-1][...] *= 300.0
+        n = 12
+        obs = rng.normal(size=(n, 4))
+        actions = rng.integers(0, 5, size=n)
+        logp_old = log_softmax(agent.actor(obs))[np.arange(n), actions]
+        batch = (obs, actions, logp_old, np.zeros(n), np.zeros(n))
+
+        _, grads = ppo_loss(agent, *batch, config)
+        analytic = np.concatenate(grads)
+        numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch, config))
+
+        scale = np.abs(numeric).max()
+        assert scale > 1e-2
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-4 * scale)
 
 
 class TestPpoUpdate:
     def test_zero_advantage_leaves_policy_term_inactive(self):
+        """Zero advantages with the value and entropy terms off: no actor gradient."""
         rng = np.random.default_rng(8)
-        config = small_config(vf_coef=0.0)
+        config = small_config(vf_coef=0.0, ent_coef=0.0)
         agent = PpoAgent(4, 5, rng, config)
         buffer = fill_buffer(agent, rng)
-        advantages, _ = buffer.compute_advantages(0.0, config.gamma, config.gae_lambda)
-        # force all-equal rewards -> normalized advantages are ~0; instead
-        # check the invariant directly: zero advantages => zero policy grad
-        obs = buffer.observations[: buffer.size]
-        actions = buffer.actions[: buffer.size]
-        logits, cache = agent.actor.forward(obs)
-        logp_all = log_softmax(logits)
-        rows = np.arange(buffer.size)
-        ratio = np.exp(logp_all[rows, actions] - buffer.log_probs[: buffer.size])
-        adv = np.zeros(buffer.size)
-        dlogp = np.where(ratio * adv <= np.clip(ratio, 0.8, 1.2) * adv, ratio * adv, 0.0)
-        assert np.all(dlogp == 0.0)
+        n = buffer.size
+        batch = (buffer.observations, buffer.actions, buffer.log_probs)
+        actor_grad, _ = ppo_loss(agent, *batch, np.zeros(n), buffer.rewards, config)[1]
+        assert np.all(actor_grad == 0.0)
+        actor_grad, _ = ppo_loss(agent, *batch, np.ones(n), buffer.rewards, config)[1]
+        assert np.any(actor_grad != 0.0)
 
     def test_clipping_definition(self):
-        # ratio forced to 2 with positive advantage: objective is the
-        # clipped 1.2 * advantage, not 2 * advantage
-        ratio = np.array([2.0])
-        advantage = np.array([1.0])
-        clipped = np.clip(ratio, 0.8, 1.2) * advantage
-        objective = np.minimum(ratio * advantage, clipped)
-        assert objective[0] == pytest.approx(1.2)
+        """A sample whose ratio exceeds 1 + clip under a positive advantage
+        contributes the clipped 1.2 * advantage and no policy gradient."""
+        rng = np.random.default_rng(16)
+        config = small_config(vf_coef=0.0, ent_coef=0.0)
+        agent = PpoAgent(4, 5, rng, config)
+        obs = rng.normal(size=(2, 4))
+        actions = np.array([1, 3])
+        logp_act = log_softmax(agent.actor(obs))[np.arange(2), actions]
+        logp_old = logp_act - np.log([2.0, 1.0])  # ratios 2 and 1
+        returns = np.zeros(2)
+        losses, (actor_grad, _) = ppo_loss(agent, obs, actions, logp_old, np.ones(2), returns, config)
+        assert losses["policy_loss"] == pytest.approx(-(1.2 + 1.0) / 2)
+        _, (without_first, _) = ppo_loss(agent, obs, actions, logp_old, np.array([0.0, 1.0]),
+                                         returns, config)
+        np.testing.assert_array_equal(actor_grad, without_first)
 
     def test_update_returns_stats_and_keeps_simplex(self):
         rng = np.random.default_rng(9)
@@ -301,8 +304,26 @@ class TestGreedyAndCheckpoint:
         )
         # optimizer moments restored too
         assert restored.optimizer.t == result.agent.optimizer.t
-        for a, b in zip(restored.optimizer.m, result.agent.optimizer.m):
+        for a, b in zip(restored.optimizer.m + restored.optimizer.v,
+                        result.agent.optimizer.m + result.agent.optimizer.v):
             np.testing.assert_array_equal(a, b)
+
+    def test_version_one_checkpoint_refused(self, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez(path, meta=np.array(json.dumps({"checkpoint_version": 1})))
+        with pytest.raises(ValueError, match="checkpoint version 1 not supported"):
+            load_checkpoint(path)
+
+    def test_wrong_shaped_entry_rejected(self, tmp_path):
+        path = tmp_path / "agent.npz"
+        agent = PpoAgent(3, 2, np.random.default_rng(17), small_config())
+        save_checkpoint(path, agent, steps_done=0)
+        with np.load(path) as data:
+            entries = dict(data)
+        entries["adam_m_actor"] = np.zeros(1)
+        np.savez(path, **entries)
+        with pytest.raises(ValueError, match="adam_m_actor"):
+            load_checkpoint(path)
 
 
 def test_zero_budget_protocol_env_returns_baseline():

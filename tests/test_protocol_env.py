@@ -1,5 +1,7 @@
 """Protocol-construction environment: episode mechanics and reward wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ def env():
         cohort_spec=CohortSpec(),
         scanner=ScannerConfig(),
     )
-    return ProtocolEnv(sim_env, Task.MULTICLASS, EvalConfig(), master_seed=77, n_repeats_reward=1)
+    eval_config = dataclasses.replace(EvalConfig(), n_repeats_reward=1)
+    return ProtocolEnv(sim_env, Task.MULTICLASS, eval_config, master_seed=77)
 
 
 def test_observation_encoding_at_reset(env):
@@ -75,7 +78,7 @@ def test_replay_reproduces_reward(env):
 
     # fresh env, same seed: episode 1 replayed with the same actions
     sim_env = env.sim_env
-    replay = ProtocolEnv(env.sim_env, env.task, env.eval_config, master_seed=77, n_repeats_reward=1)
+    replay = ProtocolEnv(env.sim_env, env.task, env.eval_config, master_seed=77)
     replay.reset()
     for a in actions[:-1]:
         replay.step(a)
