@@ -112,13 +112,6 @@ class SimulationEnv:
         return replace(self, scanner=self.scanner.with_snr(snr))
 
 
-def _zscore_stats(features: np.ndarray):
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)  # constant feature -> zero after centering
-    return mean, std
-
-
 def knn_predict_batch(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -126,32 +119,37 @@ def knn_predict_batch(
     k: int,
     n_classes: int,
 ) -> np.ndarray:
-    """Deterministic KNN majority vote for a block of queries.
+    """Deterministic KNN majority vote for a stack of splits.
 
-    Neighbor order is (squared Euclidean distance, subject index); a tied
-    vote resolves to the nearest neighbor's label.
+    Takes (n_splits, n_train, n_features) training rows with
+    (n_splits, n_train) labels and (n_splits, n_query, n_features) queries;
+    returns (n_splits, n_query) predicted labels, each split voting among
+    its own training rows only. Neighbor order is (squared Euclidean
+    distance, training row index); a tied vote resolves to the nearest
+    neighbor's label. Training rows labelled -1 are padding: they sort
+    after every real row and never vote.
     """
     train_features = np.asarray(train_features, dtype=float)
-    query_features = np.atleast_2d(np.asarray(query_features, dtype=float))
+    query_features = np.asarray(query_features, dtype=float)
     train_labels = np.asarray(train_labels, dtype=int)
-    if len(train_features) == 0:
-        raise ValueError("training set must be non-empty")
-    k = min(k, len(train_features))
+    padding = train_labels < 0
+    if not (~padding).any(axis=1).all():
+        raise ValueError("every split needs a training row")
+    n_splits, n_train = train_labels.shape
+    k = min(k, n_train)
 
-    predictions = np.empty(len(query_features), dtype=int)
-    block = max(1, int(2**20 // max(len(train_features), 1)))  # bound the distance tensor
-    for start in range(0, len(query_features), block):
-        q = query_features[start : start + block]
-        diff = q[:, None, :] - train_features[None, :, :]
-        dist_sq = np.einsum("qtf,qtf->qt", diff, diff)
-        order = np.argsort(dist_sq, axis=1, kind="stable")  # stable: index breaks ties
-        top = train_labels[order[:, :k]]
-        counts = np.zeros((len(q), n_classes), dtype=int)
-        for c in range(n_classes):
-            counts[:, c] = (top == c).sum(axis=1)
-        winner = counts.argmax(axis=1)
-        tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
-        predictions[start : start + len(q)] = np.where(tied, top[:, 0], winner)
+    predictions = np.empty(query_features.shape[:2], dtype=int)
+    block = max(1, int(2**20 // (n_splits * n_train)))  # bound the distance tensor
+    for start in range(0, query_features.shape[1], block):
+        q = query_features[:, start : start + block]
+        diff = q[:, :, None, :] - train_features[:, None, :, :]
+        dist_sq = np.where(padding[:, None, :], np.inf, np.einsum("sqtf,sqtf->sqt", diff, diff))
+        order = np.argsort(dist_sq, axis=2, kind="stable")  # stable: index breaks ties
+        top = np.take_along_axis(train_labels[:, None, :], order[:, :, :k], axis=2)
+        counts = (top[..., None] == np.arange(n_classes)).sum(axis=2)
+        winner = counts.argmax(axis=2)
+        tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1
+        predictions[:, start : start + q.shape[1]] = np.where(tied, top[:, :, 0], winner)
     return predictions
 
 
@@ -192,18 +190,33 @@ def cross_val_accuracy(
     n_classes = int(labels.max()) + 1
     repeats = config.n_repeats_report if n_repeats is None else n_repeats
 
-    fold_accuracies = []
-    for _ in range(repeats):
-        folds = stratified_fold_assignments(labels, config.n_folds, rng)
-        for fold in range(config.n_folds):
-            test = folds == fold
-            train = ~test
-            mean, std = _zscore_stats(features[train])
-            train_z = (features[train] - mean) / std
-            test_z = (features[test] - mean) / std
-            pred = knn_predict_batch(train_z, labels[train], test_z, config.k_neighbors, n_classes)
-            fold_accuracies.append(float((pred == labels[test]).mean()))
-    fold_accuracies = np.asarray(fold_accuracies)
+    # one split per (repeat, fold), repeat-major: the order of the pooled accuracies
+    folds = np.stack([stratified_fold_assignments(labels, config.n_folds, rng) for _ in range(repeats)])
+    test = (folds[:, None, :] == np.arange(config.n_folds)[:, None]).reshape(-1, len(labels))
+    train = ~test
+
+    # z-score statistics of each split's training rows; the masked sums add
+    # the same rows in the same order as a sum over features[train]
+    n_train = train.sum(axis=1)[:, None]
+    mean = np.where(train[:, :, None], features, 0.0).sum(axis=1) / n_train
+    centered = np.where(train[:, :, None], features - mean[:, None, :], 0.0)
+    std = np.sqrt((centered * centered).sum(axis=1) / n_train)
+    std = np.where(std > 0.0, std, 1.0)  # constant feature -> zero after centering
+    z = (features - mean[:, None, :]) / std[:, None, :]
+
+    # every subject is a candidate neighbor, test rows labelled as padding;
+    # the queries are each split's test rows in index order, padded to the largest fold
+    n_test = test.sum(axis=1)
+    query = np.argsort(train, axis=1, kind="stable")[:, : n_test.max()]
+    pred = knn_predict_batch(
+        z,
+        np.where(train, labels, -1),
+        np.take_along_axis(z, query[:, :, None], axis=1),
+        config.k_neighbors,
+        n_classes,
+    )
+    hits = (pred == labels[query]) & (np.arange(query.shape[1]) < n_test[:, None])
+    fold_accuracies = hits.sum(axis=1) / n_test
     return float(fold_accuracies.mean()), float(fold_accuracies.std())
 
 

@@ -262,7 +262,8 @@ def test_c05_knn_auc_oracles():
         x = np.round(rng.normal(size=(n, 4)), 1)
         y = rng.integers(0, 3, size=n)
         q = np.round(rng.normal(size=4), 1)
-        assert knn_predict_batch(x, y, q[None, :], 5, int(y.max()) + 1)[0] == brute_knn(x, y, q, 5)
+        predicted = knn_predict_batch(x[None], y[None], q[None, None, :], 5, int(y.max()) + 1)[0, 0]
+        assert predicted == brute_knn(x, y, q, 5)
         a = np.round(rng.normal(size=rng.integers(2, 15)), 1)
         b = np.round(rng.normal(size=rng.integers(2, 15)), 1)
         assert parameter_auc(a, b) == pytest.approx(brute_auc(a, b), abs=1e-12)

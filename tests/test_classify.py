@@ -37,9 +37,35 @@ def brute_force_knn(train_x, train_y, query, k):
 
 
 def knn_predict_one(train_x, train_y, query, k):
-    """Predicted label of one query point: the n = 1 case of knn_predict_batch."""
+    """Predicted label of one query point: one split, one query of knn_predict_batch."""
     train_y = np.asarray(train_y)
-    return int(knn_predict_batch(train_x, train_y, query[None, :], k, int(train_y.max()) + 1)[0])
+    return int(knn_predict_batch(train_x[None], train_y[None], query[None, None, :], k,
+                                 int(train_y.max()) + 1)[0, 0])
+
+
+def zscore_knn_reference(features, labels, folds, k, n_classes):
+    """Per-fold accuracies of one fold assignment, one split at a time.
+
+    Training statistics via mean/std over features[train], then a 2-D KNN
+    per fold with the (distance, index) order and nearest-label vote fallback.
+    """
+    accuracies = []
+    for fold in range(int(folds.max()) + 1):
+        test = folds == fold
+        train = ~test
+        mean = features[train].mean(axis=0)
+        std = features[train].std(axis=0)
+        std = np.where(std > 0.0, std, 1.0)
+        train_z = (features[train] - mean) / std
+        test_z = (features[test] - mean) / std
+        diff = test_z[:, None, :] - train_z[None, :, :]
+        order = np.argsort(np.einsum("qtf,qtf->qt", diff, diff), axis=1, kind="stable")
+        top = labels[train][order[:, :k]]
+        counts = np.stack([(top == c).sum(axis=1) for c in range(n_classes)], axis=1)
+        tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        pred = np.where(tied, top[:, 0], counts.argmax(axis=1))
+        accuracies.append(float((pred == labels[test]).mean()))
+    return accuracies
 
 
 class TestKnn:
@@ -84,9 +110,29 @@ class TestKnn:
         x = rng.normal(size=(40, 4))
         y = rng.integers(0, 2, size=40)
         queries = rng.normal(size=(25, 4))
-        batch = knn_predict_batch(x, y, queries, 5, 2)
+        batch = knn_predict_batch(x[None], y[None], queries[None], 5, 2)[0]
         for i, q in enumerate(queries):
             assert batch[i] == knn_predict_one(x, y, q, 5)
+
+    def test_splits_vote_among_their_own_rows(self):
+        """Each split of a stack predicts as if alone; padding rows never vote."""
+        rng = np.random.default_rng(3)
+        x = np.round(rng.normal(size=(3, 30, 4)), 1)  # rounded: tied distances
+        y = rng.integers(0, 3, size=(3, 30))
+        y[1, 4:] = -1  # a split with 4 real rows, fewer than k
+        y[2, ::2] = -1
+        queries = rng.normal(size=(3, 12, 4))
+        stacked = knn_predict_batch(x, y, queries, 5, 3)
+        for s in range(3):
+            real = y[s] >= 0
+            for i, q in enumerate(queries[s]):
+                assert stacked[s, i] == brute_force_knn(x[s][real], y[s][real], q, 5)
+
+    def test_split_without_training_rows_rejected(self):
+        y = np.zeros((2, 5), dtype=int)
+        y[1] = -1
+        with pytest.raises(ValueError):
+            knn_predict_batch(np.zeros((2, 5, 4)), y, np.zeros((2, 1, 4)), 5, 1)
 
 
 class TestStratifiedFolds:
@@ -131,22 +177,49 @@ class TestCrossVal:
         assert 1 / 3 - 0.03 <= mean <= 1 / 3 + 0.03
 
     def test_no_leakage_from_test_fold(self):
-        """Permuting test-fold features cannot change training statistics,
-        so predictions on an untouched query stay identical."""
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(50, 4))
-        y = rng.integers(0, 2, size=50)
-        folds = stratified_fold_assignments(y, 5, np.random.default_rng(8))
-        train = folds != 0
-        from qmridesign.classify import _zscore_stats
+        """Rearranging a test fold's rows cannot change the training statistics.
 
-        mean_a, std_a = _zscore_stats(x[train])
-        x_permuted = x.copy()
-        test_idx = np.flatnonzero(~train)
-        x_permuted[test_idx] = x_permuted[test_idx[::-1]]
-        mean_b, std_b = _zscore_stats(x_permuted[train])
-        np.testing.assert_array_equal(mean_a, mean_b)
-        np.testing.assert_array_equal(std_a, std_b)
+        Features are multiples of 1/16 and every split trains on 32 rows, so
+        every statistic is exact in any summation order: shuffling fold 0's
+        features among its same-class subjects must leave the result
+        bit-identical (fold assignments depend on labels only)."""
+        rng = np.random.default_rng(7)
+        x = rng.integers(-512, 512, size=(40, 4)) / 16.0
+        y = np.arange(40) % 2
+        folds = stratified_fold_assignments(y, 5, np.random.default_rng(8))
+        x_shuffled = x.copy()
+        for c in range(2):
+            idx = np.flatnonzero((folds == 0) & (y == c))
+            x_shuffled[idx] = x[rng.permutation(idx)]
+        assert not np.array_equal(x_shuffled, x)
+        cfg = EvalConfig()
+        before = cross_val_accuracy(x, y, cfg, np.random.default_rng(8), n_repeats=1)
+        after = cross_val_accuracy(x_shuffled, y, cfg, np.random.default_rng(8), n_repeats=1)
+        assert before == after
+
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("ties", ["none", "duplicates", "sentinels"])
+    def test_equals_per_split_reference(self, n_repeats, n_classes, ties):
+        """All splits in one tensor equal a z-score-then-KNN loop, bit for bit."""
+        rng = np.random.default_rng(20 + n_classes)
+        n = 31 * n_classes
+        x = rng.normal(size=(n, 4)) * np.array([1.0, 0.1, 1e-3, 1e-2])
+        y = rng.permutation(np.arange(n) % n_classes)
+        if ties == "duplicates":
+            x[rng.integers(0, n, n // 2)] = x[rng.integers(0, n, n // 2)]
+        elif ties == "sentinels":
+            x[rng.random(n) < 0.4] = [0.0, 0.0, 1e-5, 1e-5]  # failed fits, all one point
+        cfg = EvalConfig()
+        seed = 30 + n_repeats
+        fold_rng = np.random.default_rng(seed)
+        pooled = []
+        for _ in range(n_repeats):
+            folds = stratified_fold_assignments(y, cfg.n_folds, fold_rng)
+            pooled += zscore_knn_reference(x, y, folds, cfg.k_neighbors, n_classes)
+        expected = (float(np.mean(pooled)), float(np.std(pooled)))
+        got = cross_val_accuracy(x, y, cfg, np.random.default_rng(seed), n_repeats=n_repeats)
+        np.testing.assert_equal(got, expected)
 
     def test_constant_feature_does_not_blow_up(self):
         rng = np.random.default_rng(9)
