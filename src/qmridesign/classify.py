@@ -231,17 +231,12 @@ def parameter_auc(values_a, values_b) -> float:
     b = np.asarray(values_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
-    combined = np.concatenate([a, b])
-    order = np.argsort(combined, kind="stable")
-    ranks = np.empty(len(combined))
-    sorted_vals = combined[order]
-    # average ranks over tie groups
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0.0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(combined)]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0  # 1-based average rank
-    u_a = ranks[: len(a)].sum() - len(a) * (len(a) + 1) / 2.0
+    pooled = np.sort(np.concatenate([a, b]))
+    # the tie group of a value spans sorted positions [start, end); its
+    # members share the 1-based average rank
+    start = np.searchsorted(pooled, a, side="left")
+    end = np.searchsorted(pooled, a, side="right")
+    u_a = (0.5 * (start + end - 1) + 1.0).sum() - len(a) * (len(a) + 1) / 2.0
     auc = u_a / (len(a) * len(b))
     return float(max(auc, 1.0 - auc))
 

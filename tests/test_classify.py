@@ -260,6 +260,16 @@ class TestAuc:
             b = np.round(rng.normal(size=n_b), 1)
             assert parameter_auc(a, b) == pytest.approx(brute_force_auc(a, b), abs=1e-12)
 
+    def test_tie_heavy_equals_pairwise_count(self):
+        """Few distinct values, long tie groups: equal to the pairwise count
+        bit for bit (both sums are exact multiples of 0.5)."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_values = int(rng.integers(1, 5))
+            a = rng.integers(0, n_values, size=int(rng.integers(1, 60))).astype(float)
+            b = rng.integers(0, n_values, size=int(rng.integers(1, 60))).astype(float)
+            assert parameter_auc(a, b) == brute_force_auc(a, b)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parameter_auc([], [1.0])
