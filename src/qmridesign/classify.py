@@ -6,6 +6,9 @@ cross-validate a k-nearest-neighbor classifier on the fitted feature
 vectors (s0, f, d, d_star). Features are z-scored with statistics from the
 training folds only; raw feature scales differ by three orders of
 magnitude, which would otherwise make Euclidean distances degenerate.
+One cross-validation call scores all of its repeat x fold splits at once:
+each split's statistics come from sums masked to its training rows, and
+the KNN runs on one padded (split, test, train) distance tensor.
 
 Tie-breaking is fully deterministic: neighbors are ordered by (distance,
 subject index), and a tied majority vote falls back to the label of the

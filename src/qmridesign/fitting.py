@@ -6,8 +6,11 @@ diffusivity d (negative slope) and the extrapolated log-intercept.
 Stage 2 anchors s0 on the mean of the b = 0 measurements and reads the
 perfusion fraction off the intercept: f = 1 - exp(intercept)/s0.
 Stage 3 recovers d_star from the full residual by a bounded 1-D search:
-a 200-point log-spaced grid scan followed by golden-section refinement,
-which is deterministic and immune to local minima.
+a scan of one 200-point log-spaced grid over [d_min, dstar_max], shared
+by every row and computed as a single product with the grid's
+exponential basis, followed by golden-section refinement from each row's
+best point at or above its d. The search is deterministic and immune to
+local minima between grid points.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
@@ -38,9 +41,6 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# grid columns per D* scan block: bounds the (n, block, n_acquisitions) temporary
-_GRID_BLOCK = 10
 
 
 class NoB0Error(ValueError):
@@ -113,29 +113,34 @@ def fit_dstar(
 
     Minimizes sum_b [S_b - s0*((1-f) e^(-b d) + f e^(-b dstar))]^2 over
     dstar in [d, bounds.dstar_max] for each row of the (n, n_b) signal
-    matrix, given (n,) arrays s0, f and d, by a log-spaced grid scan plus
-    golden-section refinement. Rows with f <= 0 return d with the
-    boundary flag set. Returns (n,) arrays (dstar_est, at_bound).
+    matrix, given (n,) arrays s0, f and d. The scan evaluates one grid of
+    ``bounds.grid_points`` log-spaced values over [d_min, dstar_max],
+    shared by all rows, and skips each row's points below d; golden-section
+    refinement then searches [max(previous point, d), next point] around
+    the row's best point on the exact misfit. Rows with f <= 0 return d
+    with the boundary flag set. Returns (n,) arrays (dstar_est, at_bound).
     """
-    n = signals.shape[0]
-
     tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     residual = signals - tissue
     amplitude = s0 * f
 
-    lo = np.log(d)
-    hi = np.log(np.full(n, bounds.dstar_max))
-    # grid scan in log space, then bracket the argmin for refinement
-    steps = np.linspace(0.0, 1.0, bounds.grid_points)
-    grid = np.exp(lo[:, None] + (hi - lo)[:, None] * steps[None, :])
-    sse = np.empty((n, bounds.grid_points))
-    for j in range(0, bounds.grid_points, _GRID_BLOCK):
-        sse[:, j : j + _GRID_BLOCK] = _dstar_sse(residual, amplitude, b_values, grid[:, j : j + _GRID_BLOCK])
-    best = sse.argmin(axis=1)
-    left = grid[np.arange(n), np.maximum(best - 1, 0)]
-    right = grid[np.arange(n), np.minimum(best + 1, bounds.grid_points - 1)]
+    # one log-spaced grid for every row, scanned through the expansion
+    # SSE = |r|^2 - 2a (r . E) + a^2 |E|^2 of the basis E = exp(-b * grid)
+    grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), bounds.grid_points))
+    basis = np.exp(-b_values[:, None] * grid[None, :])
+    # einsum, not BLAS: a matrix product can sum a lone row in another order,
+    # and a row's fit must not depend on its batch
+    cross = np.einsum("nb,bg->ng", residual, basis)
+    scan = (
+        (residual * residual).sum(axis=1)[:, None]
+        - 2.0 * amplitude[:, None] * cross
+        + (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
+    )
+    scan[grid[None, :] < d[:, None]] = np.inf  # the search starts at d
+    best = scan.argmin(axis=1)
+    a = np.maximum(grid[np.maximum(best - 1, 0)], d)
+    b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
 
-    a, b = left.copy(), right.copy()
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = _dstar_sse(residual, amplitude, b_values, np.column_stack([x1, x2])).T

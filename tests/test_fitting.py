@@ -51,40 +51,6 @@ def noisy_batch(n: int, seed: int) -> np.ndarray:
     return signals
 
 
-def _dstar_per_column(signals, b, s0, f, d, bounds=DEFAULT_BOUNDS):
-    """fit_dstar written with a column-by-column grid scan and golden section."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def sse(x):
-        model = (s0 * f)[:, None] * np.exp(-b[None, :] * x[:, None])
-        return ((residual - model) ** 2).sum(axis=1)
-
-    n = len(signals)
-    residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b[None, :] * d[:, None])
-    lo, hi = np.log(d), np.log(np.full(n, bounds.dstar_max))
-    steps = np.linspace(0.0, 1.0, bounds.grid_points)
-    grid = np.exp(lo[:, None] + (hi - lo)[:, None] * steps[None, :])
-    scan = np.column_stack([sse(grid[:, j]) for j in range(bounds.grid_points)])
-    best = scan.argmin(axis=1)
-    a = grid[np.arange(n), np.maximum(best - 1, 0)]
-    c = grid[np.arange(n), np.minimum(best + 1, bounds.grid_points - 1)]
-    x1, x2 = c - golden * (c - a), a + golden * (c - a)
-    f1, f2 = sse(x1), sse(x2)
-    for _ in range(200):
-        active = (c - a) > bounds.refine_rel_tol * np.maximum(0.5 * (a + c), bounds.d_min)
-        if not active.any():
-            break
-        shrink_left = active & (f1 > f2)
-        shrink_right = active & ~shrink_left
-        a = np.where(shrink_left, x1, a)
-        c = np.where(shrink_right, x2, c)
-        x1 = np.where(active, c - golden * (c - a), x1)
-        x2 = np.where(active, a + golden * (c - a), x2)
-        f1 = np.where(active, sse(x1), f1)
-        f2 = np.where(active, sse(x2), f2)
-    return np.where(f <= 0.0, d, np.clip(0.5 * (a + c), d, bounds.dstar_max))
-
-
 class TestFitHighB:
     def test_exact_monoexponential(self):
         b = np.array([0.0, 50.0, 200.0, 400.0, 800.0])
@@ -195,17 +161,43 @@ class TestFitDstar:
             assert dstar == pytest.approx(brute, rel=1e-4)
 
     @pytest.mark.parametrize("grid_points", [200, 37])
-    def test_blocked_scan_equals_per_column_scan(self, grid_points):
-        """The blocked grid scan equals a column-by-column reference bit for bit."""
-        bounds = FitBounds(grid_points=grid_points)  # 37: the last block is ragged
+    def test_no_worse_than_any_grid_point(self, grid_points):
+        """Refined D* fits at least as well as every shared grid point >= d.
+
+        Rows that end at a search bound are exempt from the comparison:
+        golden section stops inside its final bracket, within
+        refine_rel_tol of the bound, so those rows are checked to sit there."""
+        bounds = FitBounds(grid_points=grid_points)
         rng = np.random.default_rng(18)
         n = 64
-        signals = noisy_batch(n, 19)
-        s0 = rng.uniform(0.6, 1.0, n)
-        f = rng.uniform(-0.05, 0.4, n)  # some f <= 0 rows take the inactive branch
-        d = rng.uniform(2e-4, 1.5e-3, n)
-        dstar, _ = fit_dstar(signals, ADHOC.b_array, s0, f, d, bounds)
-        np.testing.assert_array_equal(dstar, _dstar_per_column(signals, ADHOC.b_array, s0, f, d, bounds))
+        b = ADHOC.b_array
+        te = ADHOC.echo_time(SCANNER)
+        truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
+                                 rng.uniform(1e-2, 5e-2, n)])
+        signals = np.abs(ivim_signal(truth, b, te, SCANNER.t2) + rng.normal(0, 0.04, (n, 10)))
+        s0 = np.full(n, np.exp(-te / SCANNER.t2))
+        f = truth[:, 1] + rng.normal(0.0, 0.05, n)  # some f <= 0 rows take the inactive branch
+        d = truth[:, 2]
+        dstar, at_bound = fit_dstar(signals, b, s0, f, d, bounds)
+
+        residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b[None, :] * d[:, None])
+
+        def sse(row, x):
+            return ((residual[row] - s0[row] * f[row] * np.exp(-b * x)) ** 2).sum()
+
+        grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), grid_points))
+        interior = 0
+        for row in range(n):
+            if f[row] <= 0.0:
+                assert dstar[row] == d[row]
+            elif at_bound[row]:
+                edge = min(abs(dstar[row] - d[row]), abs(bounds.dstar_max - dstar[row]))
+                assert edge <= 10.0 * bounds.refine_rel_tol * dstar[row]
+            else:
+                interior += 1
+                best_on_grid = min(sse(row, x) for x in grid[grid >= d[row]])
+                assert sse(row, dstar[row]) <= best_on_grid * (1.0 + 1e-12)
+        assert interior >= n // 2
 
 
 class TestSegmentedFit:
