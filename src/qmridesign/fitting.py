@@ -9,8 +9,8 @@ Stage 3 recovers d_star from the full residual by a bounded 1-D search:
 a scan of one 200-point log-spaced grid over [d_min, dstar_max], shared
 by every row and computed as a single product with the grid's
 exponential basis, followed by golden-section refinement from each row's
-best point at or above its d. The search is deterministic and immune to
-local minima between grid points.
+best point at or above its d, which is deterministic and immune to
+local minima.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
