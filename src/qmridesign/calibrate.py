@@ -71,13 +71,12 @@ def calibrate_distributions(
     eval_config: EvalConfig,
     master_seed: int,
     targets: dict | None = None,
-    protocol: AcquisitionProtocol | None = None,
     n_repeats: int = 12,
     max_rounds: int = 6,
     initial_step: float = 0.15,
     tolerance: float = 0.02,
 ) -> CalibrationResult:
-    """Coordinate descent on class means/stds toward the AUC targets.
+    """Coordinate descent on class means/stds toward the AUC targets of the adhoc protocol.
 
     Each round sweeps every (class, parameter, mean/std) coordinate with
     multiplicative perturbations, keeping improvements. Stops early when
@@ -86,7 +85,7 @@ def calibrate_distributions(
     whether to warn).
     """
     targets = DEFAULT_AUC_TARGETS if targets is None else targets
-    protocol = protocol or AcquisitionProtocol.adhoc()
+    protocol = AcquisitionProtocol.adhoc()
     current = dict(distributions)
     evaluations = 0
 

@@ -40,8 +40,6 @@ __all__ = [
     "task_objective",
 ]
 
-FEATURE_NAMES = ("s0", "f", "d", "d_star")
-
 
 class InsufficientSubjectsError(ValueError):
     """A class has fewer subjects than cross-validation folds."""
@@ -181,9 +179,9 @@ def cross_val_accuracy(
     labels: np.ndarray,
     config: EvalConfig,
     rng: np.random.Generator,
-    n_repeats: int | None = None,
+    n_repeats: int,
 ):
-    """Stratified k-fold KNN accuracy, averaged over fold-shuffle repeats.
+    """Stratified k-fold KNN accuracy, averaged over ``n_repeats`` fold-shuffle repeats.
 
     Returns (mean, std) over the pooled per-fold accuracies. Normalization
     statistics are fitted on the training folds of each split only.
@@ -191,10 +189,9 @@ def cross_val_accuracy(
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n_classes = int(labels.max()) + 1
-    repeats = config.n_repeats_report if n_repeats is None else n_repeats
 
     # one split per (repeat, fold), repeat-major: the order of the pooled accuracies
-    folds = np.stack([stratified_fold_assignments(labels, config.n_folds, rng) for _ in range(repeats)])
+    folds = np.stack([stratified_fold_assignments(labels, config.n_folds, rng) for _ in range(n_repeats)])
     test = (folds[:, None, :] == np.arange(config.n_folds)[:, None]).reshape(-1, len(labels))
     train = ~test
 

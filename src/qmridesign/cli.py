@@ -1,17 +1,17 @@
 """Command-line interface.
 
 Subcommands: validate, calibrate, evaluate (alias sweep-snr), optimize,
-plot, report. Every command reads one JSON config (flags override individual
-fields) and writes artifacts stamped with the config hash and master seed
-into the output directory. Concurrent invocations must target distinct
-output directories.
+plot, report. Each takes only the flags it reads. Every command but
+report resolves one JSON config (flags override individual fields) once,
+with its output directory and hash, and writes artifacts stamped with the
+config hash and master seed into that directory. Concurrent invocations
+must target distinct output directories.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 import warnings
@@ -28,9 +28,11 @@ from .config import (
     config_hash,
     load_experiment_config,
     save_tissue_distributions,
+    with_file_values,
+    write_json,
 )
 from .crlb import optimize_crlb
-from .experiments import AUC_PARAMS, auc_matrix, evaluate_accuracy, protocol_id
+from .experiments import auc_matrix, evaluate_accuracy, protocol_id
 from .ivim import AcquisitionProtocol, PROTOCOL_LENGTH
 from .plotting import plot_accuracy_vs_snr
 from .ppo import load_checkpoint, rollout_greedy, save_checkpoint, train
@@ -48,6 +50,20 @@ from .seeds import derive_rng
 __all__ = ["main"]
 
 
+#: flags shared by several subcommands, as add_argument keywords; a flag whose
+#: dest is an ExperimentConfig field overrides that field of the config
+_FLAGS = {
+    "config": dict(type=Path, help="experiment config JSON"),
+    "seed": dict(type=int, help="master seed override"),
+    "out": dict(dest="out_dir", type=Path, help="output directory override"),
+    "task": dict(choices=[t.token for t in Task], help="task override"),
+    "snr": dict(dest="snr_list", type=lambda text: text.split(","),
+                help="comma-separated SNR list override, e.g. 5,15,25,35"),
+    "optimizer": dict(choices=OPTIMIZER_CHOICES, help="protocol source or optimizer override"),
+    "report": dict(type=Path, required=True, help="input report.csv"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmridesign",
@@ -55,59 +71,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, run, summary, **kwargs):
+    def add(name, run, summary, flags, **kwargs):
         p = sub.add_parser(name, help=summary, **kwargs)
-        p.add_argument("--config", type=Path, help="experiment config JSON")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", type=Path, help="output directory override")
-        p.add_argument("--task", help="task override: " + "|".join(t.token for t in Task))
-        p.add_argument("--snr", help="comma-separated SNR list override, e.g. 5,15,25,35")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(run=run)
         return p
 
-    add("validate", cmd_validate, "per-parameter AUC matrix for the binary tasks")
+    common = ("config", "seed", "out")
+    add("validate", cmd_validate, "per-parameter AUC matrix for the binary tasks", common)
 
-    p = add("calibrate", cmd_calibrate, "fit tissue distributions to the AUC target matrix")
+    p = add("calibrate", cmd_calibrate, "fit tissue distributions to the AUC target matrix", common)
     p.add_argument("--budget", type=int, default=6, help="coordinate-descent rounds")
 
     p = add("evaluate", cmd_evaluate, "accuracy of a protocol at the requested SNRs",
-            aliases=["sweep-snr"])
-    _add_protocol_source(p)
-
-    p = add("optimize", cmd_optimize, "search for a protocol (crlb or rl)")
-    p.add_argument("--optimizer", choices=OPTIMIZER_CHOICES)
-    p.add_argument("--budget", type=int, help="step/iteration budget override")
-
-    p = add("plot", cmd_plot, "accuracy-vs-SNR chart from a report CSV")
-    p.add_argument("--report", type=Path, required=True, help="input report.csv")
-
-    p = add("report", cmd_report, "print a report CSV as an aggregated table")
-    p.add_argument("--report", type=Path, required=True, help="input report.csv")
-    return parser
-
-
-def _add_protocol_source(p) -> None:
+            (*common, "task", "snr", "optimizer"), aliases=["sweep-snr"])
     p.add_argument("--protocol", help=f"literal protocol: {PROTOCOL_LENGTH} comma-separated b-values")
     p.add_argument("--protocol-file", type=Path, help="stored protocol artifact (JSON)")
     p.add_argument("--checkpoint", type=Path, help="agent checkpoint; evaluates its greedy protocol")
-    p.add_argument("--optimizer", choices=OPTIMIZER_CHOICES, help="adhoc evaluates the baseline protocol")
     p.add_argument("--label", help="method label for report rows")
+
+    p = add("optimize", cmd_optimize, "search for a protocol (crlb or rl)",
+            (*common, "task", "optimizer"))
+    p.add_argument("--budget", type=int, help="step/iteration budget override")
+
+    add("plot", cmd_plot, "accuracy-vs-SNR chart from a report CSV", ("config", "out", "report"))
+    add("report", cmd_report, "print a report CSV as an aggregated table", ("report",))
+    return parser
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the command's override flags applied."""
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = str(args.out)
-    if getattr(args, "task", None):
-        overrides["task"] = Task.from_token(args.task)
-    if getattr(args, "snr", None):
-        overrides["snr_list"] = tuple(float(s) for s in args.snr.split(","))
-    if getattr(args, "optimizer", None):
-        overrides["optimizer"] = args.optimizer
-    return replace(config, **overrides)
+    return with_file_values(config, {name: value for name, value in vars(args).items() if value is not None})
 
 
 def _parse_protocol_literal(text: str) -> AcquisitionProtocol:
@@ -133,50 +129,34 @@ def _protocol_source(args, config: ExperimentConfig):
         env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
         protocol, _, _ = rollout_greedy(agent, env)
         return protocol, args.label or "rl"
-    optimizer = args.optimizer or config.optimizer
-    if optimizer == "adhoc":
+    if config.optimizer == "adhoc":
         return AcquisitionProtocol.adhoc(), args.label or "adhoc"
     raise SystemExit(
         "no protocol source: pass --protocol, --protocol-file, --checkpoint or --optimizer adhoc"
     )
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_validate(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
-    digest = config_hash(config)
-    protocol = AcquisitionProtocol.adhoc()
+def cmd_validate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
     started = time.perf_counter()
-    matrix = auc_matrix(protocol, config.validation_env(), config.eval, config.seed)
+    matrix = auc_matrix(AcquisitionProtocol.adhoc(), config.validation_env(), config.eval, config.seed)
     elapsed = time.perf_counter() - started
 
     path = out / "auc_report.csv"
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["task", "param", "mean_auc", "std_auc", "n_repeats", "config_hash", "seed"])
-        for task_token, params in matrix.items():
-            for param in AUC_PARAMS:
-                mean, std = params[param]
-                writer.writerow(
-                    [task_token, param, repr(mean), repr(std), config.eval.n_repeats_report,
-                     digest, config.seed]
-                )
+        writer.writerows(
+            [task_token, param, repr(mean), repr(std), config.eval.n_repeats_report, digest, config.seed]
+            for task_token, params in matrix.items() for param, (mean, std) in params.items()
+        )
     for task_token, params in matrix.items():
-        cells = "  ".join(f"{p}={params[p][0]:.2f}+/-{params[p][1]:.2f}" for p in AUC_PARAMS)
+        cells = "  ".join(f"{p}={mean:.2f}+/-{std:.2f}" for p, (mean, std) in params.items())
         print(f"{task_token:16s} {cells}")
     print(f"wrote {path} ({elapsed:.1f}s)")
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
+def cmd_calibrate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
     result = calibrate_distributions(
         config.distributions(),
         config.validation_env(),
@@ -187,26 +167,25 @@ def cmd_calibrate(args) -> int:
     )
     tissue_path = out / "tissue_calibrated.json"
     save_tissue_distributions(tissue_path, result.distributions)
-    report = {
+    write_json(out / "calibration_report.json", {
         "converged": result.converged,
         "loss": result.loss,
         "evaluations": result.evaluations,
         "achieved": result.achieved,
         "targets": DEFAULT_AUC_TARGETS,
-        "config_hash": config_hash(config),
+        "config_hash": digest,
         "seed": config.seed,
-    }
-    (out / "calibration_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    })
     if not result.converged:
         warnings.warn("calibration budget exhausted before reaching targets; wrote best found")
     print(f"calibration loss {result.loss:.4f} (converged={result.converged}); wrote {tissue_path}")
     return 0
 
 
-def _evaluate_rows(config: ExperimentConfig, protocol: AcquisitionProtocol, label: str, snrs):
-    digest = config_hash(config)
+def cmd_evaluate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
+    protocol, label = _protocol_source(args, config)
     rows = []
-    for snr in snrs:
+    for snr in config.snrs():
         env = config.sim_env(snr=snr)
         started = time.perf_counter()
         mean, std = evaluate_accuracy(protocol, config.task, env, config.eval, config.seed)
@@ -227,14 +206,6 @@ def _evaluate_rows(config: ExperimentConfig, protocol: AcquisitionProtocol, labe
                 wall_clock_s=elapsed,
             )
         )
-    return rows
-
-
-def cmd_evaluate(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
-    protocol, label = _protocol_source(args, config)
-    rows = _evaluate_rows(config, protocol, label, config.snrs())
     path = out / "report.csv"
     append_report_rows(path, rows)
     for row in rows:
@@ -246,18 +217,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
-    digest = config_hash(config)
-    optimizer = config.optimizer
-    if optimizer not in ("crlb", "rl"):
+def cmd_optimize(args, config: ExperimentConfig, out: Path, digest: str) -> int:
+    if config.optimizer not in ("crlb", "rl"):
         raise SystemExit("optimize requires --optimizer crlb or --optimizer rl")
 
-    (out / "config_snapshot.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    if optimizer == "crlb":
+    write_json(out / "config_snapshot.json", config.to_dict())
+    if config.optimizer == "crlb":
         crlb_config = config.crlb
         if args.budget is not None:
             crlb_config = replace(crlb_config, iterations=args.budget)
@@ -297,16 +262,17 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    config = _resolve_config(args)
-    out = _out_dir(config)
+def cmd_plot(args, config: ExperimentConfig, out: Path, digest: str) -> int:
     rows = read_report(args.report)
     if not rows:
         raise SystemExit(f"report {args.report} has no rows")
     path = out / "accuracy_vs_snr.svg"
-    plot_accuracy_vs_snr(
-        rows, path, comment=f"config_hash={config_hash(config)} seed={config.seed}"
+    # stamp the plotted rows' own provenance, not the config given to plot
+    stamp = " ".join(
+        f"{key}=" + ",".join(str(value) for value in sorted({row[key] for row in rows}))
+        for key in ("config_hash", "seed")
     )
+    plot_accuracy_vs_snr(rows, path, comment=stamp)
     print(f"wrote {path}")
     return 0
 
@@ -327,7 +293,12 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.run(args)
+    if "config" not in args:
+        return args.run(args)
+    config = _resolve_config(args)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return args.run(args, config, out, config_hash(config))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,19 @@
 """Experiment configuration: file schema, loading, resolution and hashing.
 
 A single JSON file drives every command. Sections are optional; omitted
-fields fall back to the package defaults. The resolved configuration
-(including the tissue-distribution values it references) is hashed, and
-that hash plus the master seed are embedded in every artifact so each
-output is reproducible from the pair alone.
+fields fall back to the package defaults. Each field of ExperimentConfig
+declares how it is written to and read from that file; to_dict, the
+loader and the command-line overrides all walk those declarations. The
+resolved configuration (including the tissue-distribution values it
+references) is hashed, and that hash plus the master seed are embedded in
+every artifact so each output is reproducible from the pair alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -29,10 +31,12 @@ __all__ = [
     "OPTIMIZER_CHOICES",
     "ExperimentConfig",
     "load_experiment_config",
+    "with_file_values",
     "load_tissue_distributions",
     "save_tissue_distributions",
     "default_tissue_path",
     "config_hash",
+    "write_json",
 ]
 
 CONFIG_SCHEMA_VERSION = 1
@@ -47,19 +51,36 @@ def default_tissue_path() -> Path:
     return Path(str(resources.files("qmridesign").joinpath("data/tissue_classes.json")))
 
 
+def _stored(dump, load, **default):
+    """Field written to the config file as ``dump(value)`` and read back by ``load``."""
+    return field(**default, metadata={"json": (dump, load)})
+
+
+def _section(cls):
+    """Section held in one frozen dataclass, stored as the JSON object of its fields."""
+    return _stored(asdict, lambda raw: cls(**raw), default_factory=cls)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 1234
-    scanner: ScannerConfig = field(default_factory=ScannerConfig)
+    """The config file's schema: each field's metadata says how it is written
+    and read back; a field without one is a string stored as it is."""
+
+    seed: int = _stored(int, int, default=1234)
+    scanner: ScannerConfig = _section(ScannerConfig)
     tissue_file: str = ""
-    cohort: CohortSpec = field(default_factory=CohortSpec)
-    task: Task = Task.MULTICLASS
-    eval: EvalConfig = field(default_factory=EvalConfig)
-    fit_bounds: FitBounds = field(default_factory=FitBounds)
-    crlb: CrlbConfig = field(default_factory=CrlbConfig)
-    ppo: PpoConfig = field(default_factory=PpoConfig)
+    cohort: CohortSpec = _stored(
+        lambda spec: {label.value: n for label, n in spec.counts.items()},
+        lambda raw: CohortSpec({TissueClass(label): int(n) for label, n in raw.items()}),
+        default_factory=CohortSpec,
+    )
+    task: Task = _stored(lambda task: task.token, Task.from_token, default=Task.MULTICLASS)
+    eval: EvalConfig = _section(EvalConfig)
+    fit_bounds: FitBounds = _section(FitBounds)
+    crlb: CrlbConfig = _section(CrlbConfig)
+    ppo: PpoConfig = _section(PpoConfig)
     optimizer: str = "adhoc"
-    snr_list: tuple = ()
+    snr_list: tuple = _stored(list, lambda raw: tuple(float(s) for s in raw), default=())
     out_dir: str = "runs/out"
 
     def __post_init__(self) -> None:
@@ -92,69 +113,42 @@ class ExperimentConfig:
         return self.snr_list if self.snr_list else (self.scanner.snr,)
 
     def to_dict(self) -> dict:
+        """The config file's content; load_experiment_config reads it back."""
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
-            "seed": self.seed,
-            "scanner": asdict(self.scanner),
-            "tissue_file": str(self.tissue_file),
-            "cohort": {label.value: n for label, n in self.cohort.counts.items()},
-            "task": self.task.token,
-            "eval": asdict(self.eval),
-            "fit_bounds": asdict(self.fit_bounds),
-            "crlb": asdict(self.crlb),
-            "ppo": asdict(self.ppo),
-            "optimizer": self.optimizer,
-            "snr_list": list(self.snr_list),
-            "out_dir": str(self.out_dir),
+            **{f.name: _codec(f)[0](getattr(self, f.name)) for f in fields(self)},
         }
 
 
-def _build(section: dict, cls, **renames):
-    return cls(**{renames.get(k, k): v for k, v in section.items()})
+def _codec(f) -> tuple:
+    """(dump, load) of one ExperimentConfig field."""
+    return f.metadata.get("json", (str, str))
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse a config file; missing sections take package defaults."""
-    raw = json.loads(Path(path).read_text())
+    """Parse a config file; missing fields and sections take package defaults.
+
+    A relative tissue file is resolved against the config file's directory
+    and kept as an absolute path, so a written to_dict() loads from anywhere;
+    an empty one is the packaged default.
+    """
+    path = Path(path)
+    raw = json.loads(path.read_text())
     version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"config schema version {version} not supported")
-    kwargs: dict = {}
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    if "scanner" in raw:
-        kwargs["scanner"] = _build(raw["scanner"], ScannerConfig)
-    if "tissue_file" in raw:
-        tissue = Path(raw["tissue_file"])
-        if not tissue.is_absolute():
-            tissue = Path(path).parent / tissue
+    if raw.get("tissue_file"):
+        tissue = (path.parent / raw["tissue_file"]).resolve()
         if not tissue.exists():
             raise FileNotFoundError(f"tissue file {tissue} does not exist")
-        kwargs["tissue_file"] = str(tissue)
-    if "cohort" in raw:
-        kwargs["cohort"] = CohortSpec(
-            {TissueClass(label): int(n) for label, n in raw["cohort"].items()}
-        )
-    if "task" in raw:
-        kwargs["task"] = Task.from_token(raw["task"])
-    if "eval" in raw:
-        kwargs["eval"] = _build(raw["eval"], EvalConfig)
-    if "fit_bounds" in raw:
-        kwargs["fit_bounds"] = _build(raw["fit_bounds"], FitBounds)
-    if "crlb" in raw:
-        section = dict(raw["crlb"])
-        if "scored_params" in section:
-            section["scored_params"] = tuple(section["scored_params"])
-        kwargs["crlb"] = _build(section, CrlbConfig)
-    if "ppo" in raw:
-        kwargs["ppo"] = _build(raw["ppo"], PpoConfig)
-    if "optimizer" in raw:
-        kwargs["optimizer"] = raw["optimizer"]
-    if "snr_list" in raw:
-        kwargs["snr_list"] = tuple(float(s) for s in raw["snr_list"])
-    if "out_dir" in raw:
-        kwargs["out_dir"] = raw["out_dir"]
-    return ExperimentConfig(**kwargs)
+        raw["tissue_file"] = str(tissue)
+    return with_file_values(ExperimentConfig(), raw)
+
+
+def with_file_values(config: ExperimentConfig, values: Mapping) -> ExperimentConfig:
+    """``config`` with each field named in ``values`` replaced, the value given
+    as the config file stores it; keys that name no field are ignored."""
+    return replace(config, **{f.name: _codec(f)[1](values[f.name]) for f in fields(config) if f.name in values})
 
 
 #: per-class values a tissue file stores, in TissueDistribution field order
@@ -185,9 +179,16 @@ def load_tissue_distributions(path) -> dict:
     }
 
 
+def write_json(path, payload) -> None:
+    """Write a JSON artifact (config snapshot, tissue file, calibration report,
+    protocol artifact): indented, keys sorted, newline-terminated."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def save_tissue_distributions(path, distributions: Mapping[TissueClass, TissueDistribution]) -> None:
-    payload = {"schema_version": TISSUE_SCHEMA_VERSION, "classes": _tissue_records(distributions)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"schema_version": TISSUE_SCHEMA_VERSION, "classes": _tissue_records(distributions)})
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -27,10 +27,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cohort import CohortSpec, TissueClass, TissueDistribution, sample_cohort
-from .ivim import ADHOC_B_VALUES, B_VALUE_MAX, AcquisitionProtocol, ScannerConfig, check_params, min_te
+from .ivim import ADHOC_B_VALUES, B_VALUE_MAX, PARAM_NAMES, AcquisitionProtocol, ScannerConfig, check_params, min_te
 
 __all__ = [
-    "PARAM_ORDER",
     "CrlbConfig",
     "signal_jacobian",
     "fisher_matrix",
@@ -39,8 +38,6 @@ __all__ = [
     "draw_tissue_samples",
     "optimize_crlb",
 ]
-
-PARAM_ORDER = ("s0", "f", "d", "d_star")
 
 #: cost assigned to protocols whose Fisher matrix is singular for the
 #: scored parameters (e.g. ten b = 0 acquisitions)
@@ -65,13 +62,14 @@ class CrlbConfig:
             raise ValueError("iterations must be >= 1")
         if self.n_tissue_samples < 1:
             raise ValueError("n_tissue_samples must be >= 1")
-        unknown = set(self.scored_params) - set(PARAM_ORDER)
+        object.__setattr__(self, "scored_params", tuple(self.scored_params))
+        unknown = set(self.scored_params) - set(PARAM_NAMES)
         if unknown:
             raise ValueError(f"unknown scored parameters: {sorted(unknown)}")
 
     @property
     def scored_indices(self) -> np.ndarray:
-        return np.array([PARAM_ORDER.index(p) for p in self.scored_params], dtype=int)
+        return np.array([PARAM_NAMES.index(p) for p in self.scored_params], dtype=int)
 
 
 def signal_jacobian(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:

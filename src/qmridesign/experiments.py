@@ -22,7 +22,7 @@ from .classify import (
     parameter_auc,
     simulate_fitted_dataset,
 )
-from .ivim import AcquisitionProtocol
+from .ivim import PARAM_NAMES, AcquisitionProtocol
 from .seeds import derive_rng
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: fitted parameters scored in the validation matrix (feature columns 1..3)
-AUC_PARAMS = ("f", "d", "d_star")
+AUC_PARAMS = PARAM_NAMES[1:]
 
 BINARY_TASKS = (Task.ACTIVE_VS_CHRONIC, Task.ACTIVE_VS_HEALTHY, Task.CHRONIC_VS_HEALTHY)
 

@@ -24,7 +24,7 @@ to SI (s/m^2) in exactly one place, inside :func:`min_te`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "B_VALUE_MAX",
     "ADHOC_B_VALUES",
     "IvimParams",
+    "PARAM_NAMES",
     "check_params",
     "ScannerConfig",
     "AcquisitionProtocol",
@@ -76,6 +77,10 @@ class IvimParams:
     def as_array(self) -> np.ndarray:
         """Parameter vector in the canonical order (s0, f, d, d_star)."""
         return np.array([self.s0, self.f, self.d, self.d_star])
+
+
+#: the canonical parameter order of every (n, 4) parameter or feature array
+PARAM_NAMES = tuple(f.name for f in fields(IvimParams))
 
 
 def check_params(params: np.ndarray) -> None:

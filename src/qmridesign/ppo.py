@@ -81,7 +81,7 @@ class PpoAgent:
         observation_size: int,
         n_actions: int,
         rng: np.random.Generator,
-        config: PpoConfig = PpoConfig(),
+        config: PpoConfig,
     ):
         self.observation_size = observation_size
         self.n_actions = n_actions
@@ -223,14 +223,13 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
 
 
 def ppo_update(agent: PpoAgent, buffer: RolloutBuffer, last_value: float,
-               rng: np.random.Generator, config: PpoConfig | None = None):
+               rng: np.random.Generator, config: PpoConfig):
     """One full optimization phase over a collected rollout.
 
     Runs n_epochs of shuffled minibatches with one Adam step each and
     returns mean loss statistics. Raises PpoNanError if any loss or
     weight goes non-finite.
     """
-    config = config or agent.config
     n = buffer.size
     if n == 0:
         raise ValueError("cannot update from an empty rollout")

@@ -1,18 +1,20 @@
 """Report CSV schema and protocol artifacts.
 
 The report schema is versioned; appending to a file whose header does not
-match the current schema is refused rather than silently mixed. Floats
-are written with full repr precision so re-runs are byte-comparable
-(wall-clock is the one intentionally varying column).
+match the current schema is refused rather than silently mixed. Its
+columns are the fields of ``ReportRow``, which both the writer and the
+reader walk. Floats are written with full repr precision so re-runs are
+byte-comparable (wall-clock is the one intentionally varying column).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .config import write_json
 from .ivim import AcquisitionProtocol
 
 __all__ = [
@@ -29,22 +31,6 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = 1
 
-REPORT_COLUMNS = (
-    "schema_version",
-    "task",
-    "method",
-    "protocol_id",
-    "b_values",
-    "te_s",
-    "snr",
-    "mean_accuracy",
-    "std_accuracy",
-    "n_repeats",
-    "config_hash",
-    "seed",
-    "wall_clock_s",
-)
-
 
 class SchemaMismatchError(ValueError):
     """Existing report header does not match the current schema."""
@@ -52,6 +38,9 @@ class SchemaMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One report row. The fields, in order, are the report's columns after
+    ``schema_version``; each field's type picks its cell format in ``_CELLS``."""
+
     task: str
     method: str
     protocol_id: str
@@ -63,24 +52,36 @@ class ReportRow:
     n_repeats: int
     config_hash: str
     seed: int
-    wall_clock_s: float
+    wall_clock_s: float = field(metadata={"write": "{:.3f}".format})
 
     def as_record(self) -> dict:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "task": self.task,
-            "method": self.method,
-            "protocol_id": self.protocol_id,
-            "b_values": ";".join(repr(float(b)) for b in self.b_values),
-            "te_s": repr(self.te_s),
-            "snr": repr(self.snr),
-            "mean_accuracy": repr(self.mean_accuracy),
-            "std_accuracy": repr(self.std_accuracy),
-            "n_repeats": self.n_repeats,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "wall_clock_s": f"{self.wall_clock_s:.3f}",
+            **{f.name: _cell(f)[0](getattr(self, f.name)) for f in fields(self)},
         }
+
+
+#: (write, read) of a report cell per ReportRow field type; floats keep full repr precision
+_CELLS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (repr, float),
+    "tuple": (lambda values: ";".join(repr(float(v)) for v in values),
+              lambda text: tuple(float(v) for v in text.split(";"))),
+}
+
+
+def _cell(f) -> tuple:
+    write, read = _CELLS[f.type]
+    return f.metadata.get("write", write), read
+
+
+REPORT_COLUMNS = ("schema_version", *(f.name for f in fields(ReportRow)))
+
+
+def _check_header(path, header) -> None:
+    if header != list(REPORT_COLUMNS):
+        raise SchemaMismatchError(f"report {path} has header {header}, expected {list(REPORT_COLUMNS)}")
 
 
 def append_report_rows(path, rows) -> None:
@@ -88,11 +89,7 @@ def append_report_rows(path, rows) -> None:
     exists = path.exists()
     if exists:
         with path.open(newline="") as handle:
-            header = next(csv.reader(handle), None)
-        if header != list(REPORT_COLUMNS):
-            raise SchemaMismatchError(
-                f"report {path} has header {header}, expected {list(REPORT_COLUMNS)}"
-            )
+            _check_header(path, next(csv.reader(handle), None))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=REPORT_COLUMNS)
@@ -107,21 +104,13 @@ def read_report(path):
     records = []
     with Path(path).open(newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames != list(REPORT_COLUMNS):
-            raise SchemaMismatchError(
-                f"report {path} has header {reader.fieldnames}, expected {list(REPORT_COLUMNS)}"
-            )
+        _check_header(path, reader.fieldnames)
         for record in reader:
             if int(record["schema_version"]) != REPORT_SCHEMA_VERSION:
                 raise SchemaMismatchError(
                     f"row schema version {record['schema_version']} not supported"
                 )
-            record["b_values"] = tuple(float(b) for b in record["b_values"].split(";"))
-            for key in ("te_s", "snr", "mean_accuracy", "std_accuracy", "wall_clock_s"):
-                record[key] = float(record[key])
-            for key in ("n_repeats", "seed"):
-                record[key] = int(record[key])
-            records.append(record)
+            records.append({**record, **{f.name: _cell(f)[1](record[f.name]) for f in fields(ReportRow)}})
     return records
 
 
@@ -151,9 +140,7 @@ def save_protocol_artifact(
     }
     if extra:
         payload.update(extra)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_protocol_artifact(path):

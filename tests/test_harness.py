@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmridesign import AcquisitionProtocol, EvalConfig, Task, TissueClass
+from qmridesign.cli import main
 from qmridesign.config import (
     ExperimentConfig,
     config_hash,
@@ -99,6 +100,38 @@ class TestConfig:
         repro = Path(__file__).resolve().parents[1] / "configs" / "repro.json"
         assert config_hash(load_experiment_config(repro)) == "27cedd5804ead4fc"
 
+    @pytest.mark.parametrize("which", ["default", "repro", "explicit_tissue"])
+    def test_dumped_config_loads_back(self, which, tmp_path):
+        """A written to_dict() is a config file: loading it gives the same
+        to_dict() and config_hash (an empty tissue_file is the packaged default)."""
+        if which == "default":
+            config = ExperimentConfig()
+        elif which == "repro":
+            config = load_experiment_config(Path(__file__).resolve().parents[1] / "configs" / "repro.json")
+        else:
+            tissue = tmp_path / "tissue.json"
+            tissue.write_text(default_tissue_path().read_text())
+            config = ExperimentConfig(tissue_file=str(tissue), seed=9, snr_list=(5.0, 15.0))
+        dumped = tmp_path / "snapshot" / "config.json"
+        dumped.parent.mkdir()
+        dumped.write_text(json.dumps(config.to_dict()))
+        loaded = load_experiment_config(dumped)
+        assert loaded.to_dict() == config.to_dict()
+        assert config_hash(loaded) == config_hash(config)
+
+    def test_relative_tissue_file_survives_a_snapshot(self, tmp_path, monkeypatch):
+        """A tissue file named relative to a config file given by a relative
+        path still loads from a snapshot written to another directory."""
+        monkeypatch.chdir(tmp_path)
+        Path("exp").mkdir()
+        Path("exp", "tissue.json").write_text(default_tissue_path().read_text())
+        Path("exp", "config.json").write_text(json.dumps({"tissue_file": "tissue.json", "seed": 5}))
+        config = load_experiment_config("exp/config.json")
+        snapshot = Path("elsewhere", "config_snapshot.json")
+        snapshot.parent.mkdir()
+        snapshot.write_text(json.dumps(config.to_dict()))
+        assert load_experiment_config(snapshot).to_dict() == config.to_dict()
+
     def test_validation_env_uses_knob(self):
         config = ExperimentConfig(eval=EvalConfig(validation_snr=200.0))
         assert config.validation_env().scanner.snr == 200.0
@@ -123,6 +156,20 @@ class TestReports:
         assert len(rows) == 2
         assert rows[0]["b_values"] == AcquisitionProtocol.adhoc().b_values
         assert rows[1]["snr"] == 35.0
+
+    def test_file_format_pinned(self, tmp_path):
+        """The columns come from ReportRow's fields: pin the bytes they produce."""
+        path = tmp_path / "report.csv"
+        row = self.row(te_s=0.07, wall_clock_s=1.23456)
+        append_report_rows(path, [row])
+        assert path.read_text().splitlines() == [
+            "schema_version,task,method,protocol_id,b_values,te_s,snr,mean_accuracy,"
+            "std_accuracy,n_repeats,config_hash,seed,wall_clock_s",
+            "1,multiclass,adhoc,p0,0.0;10.0;20.0;30.0;50.0;80.0;100.0;200.0;400.0;800.0,"
+            "0.07,25.0,0.5,0.05,50,abc,1,1.235",
+        ]
+        (record,) = read_report(path)
+        assert record == {"schema_version": "1", **dataclasses.asdict(row), "wall_clock_s": 1.235}
 
     def test_append_preserves_existing(self, tmp_path):
         path = tmp_path / "report.csv"
@@ -201,6 +248,65 @@ class TestPlot:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--optimizer", "crlb", "--snr", "15"],
+        ["validate", "--task", "multiclass"],
+        ["report", "--seed", "1"],
+    ], ids=["optimize-snr", "validate-task", "report-seed"])
+    def test_flags_a_command_does_not_read_are_refused(self, argv, tiny_config, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        append_report_rows(report, [TestReports().row()])
+        args = [argv[0], "--report", str(report)] if argv[0] == "report" else [
+            argv[0], "--config", str(tiny_config)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + argv[1:])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err
+
+    def test_override_flags_replace_config_fields(self, run_cli, tiny_config, tmp_path):
+        run_cli(["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc", "--seed", "3",
+                 "--task", "active-healthy", "--snr", "40", "--out", str(tmp_path / "other")],
+                tmp_path, check=True)
+        (row,) = read_report(tmp_path / "other" / "report.csv")
+        assert (row["seed"], row["task"], row["snr"]) == (3, "active-healthy", 40.0)
+        expected = dataclasses.replace(
+            load_experiment_config(tiny_config), seed=3, task=Task.ACTIVE_VS_HEALTHY,
+            snr_list=(40.0,), out_dir=str(tmp_path / "other"),
+        )
+        assert row["config_hash"] == config_hash(expected)
+
+    def test_plot_stamps_the_rows_provenance(self, run_cli, tiny_config, tmp_path):
+        run_cli(["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc"], tmp_path,
+                check=True)
+        report = tmp_path / "out" / "report.csv"
+        (row,) = read_report(report)
+        assert row["config_hash"] == config_hash(load_experiment_config(tiny_config))
+        assert row["config_hash"] != config_hash(ExperimentConfig())
+        run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path,
+                check=True)
+        svg = (tmp_path / "fig" / "accuracy_vs_snr.svg").read_text()
+        assert f"<!-- config_hash={row['config_hash']} seed=424242 -->" in svg
+
+        # a report mixing runs names each distinct hash and seed, sorted
+        append_report_rows(report, [TestReports().row(config_hash="0000", seed=10, snr=35.0)])
+        run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path,
+                check=True)
+        svg = (tmp_path / "fig" / "accuracy_vs_snr.svg").read_text()
+        assert f"<!-- config_hash=0000,{row['config_hash']} seed=10,424242 -->" in svg
+
+    def test_config_snapshot_drives_a_command(self, run_cli, tiny_config, tmp_path):
+        run_cli(["optimize", "--config", str(tiny_config), "--optimizer", "crlb"], tmp_path,
+                check=True)
+        snapshot = tmp_path / "out" / "config_snapshot.json"
+        _, payload = load_protocol_artifact(tmp_path / "out" / "protocol_crlb.json")
+        assert config_hash(load_experiment_config(snapshot)) == payload["config_hash"]
+        run_cli(["evaluate", "--config", str(snapshot),
+                 "--protocol-file", str(tmp_path / "out" / "protocol_crlb.json")], tmp_path,
+                check=True)
+        (row,) = read_report(tmp_path / "out" / "report.csv")
+        assert row["config_hash"] == payload["config_hash"]
+
     def test_evaluate_writes_report(self, run_cli, tiny_config, tmp_path):
         result = run_cli(
             ["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc"], tmp_path
