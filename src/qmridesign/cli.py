@@ -100,10 +100,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the (section, field) that ``optimize --budget`` overrides, per optimizer
+_BUDGET_FIELDS = {"crlb": ("crlb", "iterations"), "rl": ("ppo", "total_steps")}
+
+
 def _resolve_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the command's override flags applied."""
+    """The config file (or the defaults) with the command's override flags applied.
+
+    ``optimize --budget`` overrides the chosen optimizer's budget field, so the
+    hash and the config snapshot record the budget that runs.
+    """
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    return with_file_values(config, {name: value for name, value in vars(args).items() if value is not None})
+    config = with_file_values(config, {name: value for name, value in vars(args).items() if value is not None})
+    if args.command == "optimize" and args.budget is not None and config.optimizer in _BUDGET_FIELDS:
+        section, name = _BUDGET_FIELDS[config.optimizer]
+        config = replace(config, **{section: replace(getattr(config, section), **{name: args.budget})})
+    return config
 
 
 def _parse_protocol_literal(text: str) -> AcquisitionProtocol:
@@ -223,12 +235,9 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, digest: str) -> int:
 
     write_json(out / "config_snapshot.json", config.to_dict())
     if config.optimizer == "crlb":
-        crlb_config = config.crlb
-        if args.budget is not None:
-            crlb_config = replace(crlb_config, iterations=args.budget)
         rng = derive_rng(config.seed, "optimize-crlb")
         protocol, cost, _ = optimize_crlb(
-            config.task.classes, config.distributions(), config.scanner, crlb_config, rng
+            config.task.classes, config.distributions(), config.scanner, config.crlb, rng
         )
         artifact = out / "protocol_crlb.json"
         save_protocol_artifact(
@@ -238,22 +247,19 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, digest: str) -> int:
         print(f"crlb protocol {list(protocol.b_values)} cost={cost:.4g}; wrote {artifact}")
         return 0
 
-    ppo_config = config.ppo
-    if args.budget is not None:
-        ppo_config = replace(ppo_config, total_steps=args.budget)
     env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
     rng = derive_rng(config.seed, "optimize-rl")
-    result = train(env, ppo_config, rng)
+    result = train(env, config.ppo, rng)
     protocol = result.best_protocol or AcquisitionProtocol.adhoc()
     artifact = out / "protocol_rl.json"
     save_protocol_artifact(
         artifact, protocol, protocol.echo_time(config.scanner), "rl",
         protocol_id(protocol), digest, config.seed,
         objective_value=result.best_reward if np.isfinite(result.best_reward) else None,
-        extra={"episodes": result.episodes, "total_steps": ppo_config.total_steps},
+        extra={"episodes": result.episodes, "total_steps": config.ppo.total_steps},
     )
     write_curve(out / "curve.csv", result.curve)
-    save_checkpoint(out / "checkpoint.npz", result.agent, ppo_config.total_steps,
+    save_checkpoint(out / "checkpoint.npz", result.agent, config.ppo.total_steps,
                     extra={"config_hash": digest, "seed": config.seed})
     print(
         f"rl protocol {list(protocol.b_values)} best_reward={result.best_reward:.3f} "

@@ -130,13 +130,18 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     A relative tissue file is resolved against the config file's directory
     and kept as an absolute path, so a written to_dict() loads from anywhere;
-    an empty one is the packaged default.
+    an empty one is the packaged default. A top-level key that names no
+    field (nor ``schema_version``) raises, so a misspelt field is not
+    silently left at its default.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
     version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"config schema version {version} not supported")
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"schema_version"}
+    if unknown:
+        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
     if raw.get("tissue_file"):
         tissue = (path.parent / raw["tissue_file"]).resolve()
         if not tissue.exists():

@@ -10,12 +10,15 @@ protocol can measure them, independent of any downstream task.
 
 Tissue samples travel as an (m, 4) array of (s0, f, d, d_star) rows: the
 jacobian is (m, n_b, 4) and the Fisher matrices (m, 4, 4), so the cost of
-a protocol over all samples is a handful of array operations.
+a protocol over all samples is a handful of array operations. Rows whose
+ridged inverse proves them regular skip the eigendecomposition that the
+singularity test needs (see _certified_regular), without changing a bit.
 
 The optimizer anneals the ten b-values over the integer grid [0, 1000]
 (first slot pinned to b = 0) against that score averaged over a fixed set
 of tissue samples. A fixed sample set keeps the objective deterministic
-during the anneal. The Gaussian-noise Fisher matrix is an approximation to
+during the anneal, and lets one anneal cost each distinct sorted protocol
+once. The Gaussian-noise Fisher matrix is an approximation to
 the Rician simulation noise; at SNR 25 the discrepancy is negligible.
 """
 
@@ -42,6 +45,9 @@ __all__ = [
 #: cost assigned to protocols whose Fisher matrix is singular for the
 #: scored parameters (e.g. ten b = 0 acquisitions)
 SINGULAR_PENALTY = 1.0e12
+
+_N_PARAMS = len(PARAM_NAMES)
+_IDENTITY = np.eye(_N_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -102,32 +108,70 @@ def fisher_matrix(
     return np.einsum("mbi,mbj->mij", jac, jac) / scanner.noise_sigma**2
 
 
-def _crlb_cost_for_samples(
-    b_values: np.ndarray,
-    te: float,
-    sample_params: np.ndarray,
-    scanner: ScannerConfig,
-    config: CrlbConfig,
-) -> float:
-    """Mean normalized-CRLB cost over a (m, 4) array of tissue samples."""
+#: slack of the regularity certificate beyond 2 * ridge_rel, relative to
+#: tr(F): the rounding of the ridged inverse and of eigvalsh when ridge_rel
+#: itself is near machine precision
+_ROUNDING_MARGIN = 64.0 * np.finfo(float).eps
+
+
+def _certified_regular(fisher: np.ndarray, trace: np.ndarray, ridge: np.ndarray, ridge_rel: float):
+    """(C, regular): C = (F + rI)^-1 for every row, and the rows C proves regular.
+
+    For PSD F, lambda_min(F) >= 1/tr(C) - r and lambda_max(F) <= tr(F), so a
+    row with 1/tr(C) - r > 2 ridge_rel tr(F) passes the eigvalsh test of
+    _sample_cost; the factor 2 absorbs the rounding of C and of eigvalsh.
+    Non-finite rows compare False. C is None, and no row is proved regular,
+    when ridge_rel is 0 or the batched inverse fails.
+    """
+    regular = np.zeros(len(fisher), dtype=bool)
+    if ridge_rel <= 0.0:
+        return None, regular
+    try:
+        inverse = np.linalg.inv(fisher + ridge[:, None, None] * _IDENTITY)
+    except np.linalg.LinAlgError:
+        return None, regular
+    lower_bound = 1.0 / np.trace(inverse, axis1=1, axis2=2) - ridge
+    return inverse, lower_bound > (2.0 * ridge_rel + _ROUNDING_MARGIN) * trace
+
+
+def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: CrlbConfig):
+    """``cost(b_values, te)``: mean normalized-CRLB cost over the (m, 4) sample rows.
+
+    A row costs SINGULAR_PENALTY if its Fisher matrix F is singular by
+    eigvalsh (smallest eigenvalue at most ridge_rel times the largest), else
+    the sum over the scored parameters of diag((F + rI)^-1)/theta^2, with
+    r = ridge_rel tr(F)/4. eigvalsh runs only on the rows _certified_regular
+    does not prove regular. LAPACK works matrix by matrix, so each row gets
+    the eigenvalues and inverse it gets in any batch: the cost is bit for
+    bit that of running eigvalsh on every row and inverting the regular ones.
+    """
     scored = config.scored_indices
-    fisher = fisher_matrix(b_values, te, scanner, sample_params)
-    eigvals = np.linalg.eigvalsh(fisher)  # ascending per sample
-    singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (
-        eigvals[:, -1] <= 0.0
-    )
-    costs = np.full(len(sample_params), SINGULAR_PENALTY)
-    good = ~singular
-    if good.any():
-        fisher_good = fisher[good]
-        ridge = config.ridge_rel * np.trace(fisher_good, axis1=1, axis2=2) / fisher.shape[-1]
-        crlb = np.linalg.inv(fisher_good + ridge[:, None, None] * np.eye(fisher.shape[-1]))
-        diag = np.diagonal(crlb, axis1=1, axis2=2)[:, scored]
-        theta = sample_params[good][:, scored]
-        sample_cost = (diag / theta**2).sum(axis=1)
-        sample_cost = np.where((diag < 0.0).any(axis=1), SINGULAR_PENALTY, sample_cost)
-        costs[good] = sample_cost
-    return float(costs.mean())
+    theta_sq = sample_params[:, scored] ** 2
+
+    def cost(b_values: np.ndarray, te: float) -> float:
+        fisher = fisher_matrix(b_values, te, scanner, sample_params)
+        trace = np.trace(fisher, axis1=1, axis2=2)
+        ridge = config.ridge_rel * trace / _N_PARAMS
+        inverse, good = _certified_regular(fisher, trace, ridge, config.ridge_rel)
+        uncertain = ~good
+        if uncertain.any():
+            eigvals = np.linalg.eigvalsh(fisher[uncertain])  # ascending per sample
+            singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (
+                eigvals[:, -1] <= 0.0
+            )
+            good[uncertain] = ~singular
+        costs = np.full(len(fisher), SINGULAR_PENALTY)
+        if good.any():
+            if inverse is None:
+                crlb = np.linalg.inv(fisher[good] + ridge[good, None, None] * _IDENTITY)
+            else:
+                crlb = inverse[good]
+            diag = np.diagonal(crlb, axis1=1, axis2=2)[:, scored]
+            sample_cost = (diag / theta_sq[good]).sum(axis=1)
+            costs[good] = np.where((diag < 0.0).any(axis=1), SINGULAR_PENALTY, sample_cost)
+        return float(costs.mean())
+
+    return cost
 
 
 def _checked_samples(tissue_samples) -> np.ndarray:
@@ -153,7 +197,7 @@ def crlb_objective(
     """
     samples = _checked_samples(tissue_samples)
     te = protocol.echo_time(scanner)
-    return _crlb_cost_for_samples(protocol.b_array, te, samples, scanner, config)
+    return _sample_cost(samples, scanner, config)(protocol.b_array, te)
 
 
 def anneal_b_values(
@@ -249,9 +293,14 @@ def optimize_crlb(
         tissue_samples = draw_tissue_samples(classes, distributions, config.n_tissue_samples, rng)
     sample_params = _checked_samples(tissue_samples)
 
+    cost = _sample_cost(sample_params, scanner, config)
+    memo = {}  # the cost is a pure function of the sorted b-vector
+
     def cost_fn(b_sorted: np.ndarray) -> float:
-        te = min_te(float(b_sorted[-1]), scanner)
-        return _crlb_cost_for_samples(b_sorted, te, sample_params, scanner, config)
+        key = b_sorted.tobytes()
+        if key not in memo:
+            memo[key] = cost(b_sorted, min_te(float(b_sorted[-1]), scanner))
+        return memo[key]
 
     best_b, best_cost, trace = anneal_b_values(
         cost_fn,

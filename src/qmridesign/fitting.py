@@ -95,12 +95,6 @@ def _loglinear_batch(signals: np.ndarray, b_values: np.ndarray, column_mask: np.
     return slope, intercept, ok
 
 
-def _dstar_sse(residual: np.ndarray, amplitude: np.ndarray, b_values: np.ndarray, dstar: np.ndarray):
-    """Sum-of-squares misfit of the perfusion term for (n, k) candidate d_star values."""
-    model = amplitude[:, None, None] * np.exp(-b_values[None, None, :] * dstar[:, :, None])
-    return ((residual[:, None, :] - model) ** 2).sum(axis=2)
-
-
 def fit_dstar(
     signals: np.ndarray,
     b_values: np.ndarray,
@@ -141,23 +135,32 @@ def fit_dstar(
     a = np.maximum(grid[np.maximum(best - 1, 0)], d)
     b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
 
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = _dstar_sse(residual, amplitude, b_values, np.column_stack([x1, x2])).T
+    # golden-section points (x1, x2) of each row's bracket, recomputed from
+    # it every step; the misfit is per element, so a frozen row keeps its bits
+    neg_b = -b_values
+    points = np.empty((len(a), 2))
+
+    def misfit():
+        model = amplitude[:, None, None] * np.exp(neg_b[None, None, :] * points[:, :, None])
+        return ((residual[:, None, :] - model) ** 2).sum(axis=2).T
+
+    width = b - a
+    points[:, 0] = b - _GOLDEN * width
+    points[:, 1] = a + _GOLDEN * width
+    f1, f2 = misfit()
     for _ in range(200):
         # freeze converged rows so results do not depend on batch company
-        active = (b - a) > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
+        active = width > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
         if not active.any():
             break
         shrink_left = active & (f1 > f2)  # minimum lies in [x1, b]
         shrink_right = active & ~shrink_left
-        a = np.where(shrink_left, x1, a)
-        b = np.where(shrink_right, x2, b)
-        x1 = np.where(active, b - _GOLDEN * (b - a), x1)
-        x2 = np.where(active, a + _GOLDEN * (b - a), x2)
-        sse1, sse2 = _dstar_sse(residual, amplitude, b_values, np.column_stack([x1, x2])).T
-        f1 = np.where(active, sse1, f1)
-        f2 = np.where(active, sse2, f2)
+        a = np.where(shrink_left, points[:, 0], a)
+        b = np.where(shrink_right, points[:, 1], b)
+        width = b - a
+        points[:, 0] = b - _GOLDEN * width
+        points[:, 1] = a + _GOLDEN * width
+        f1, f2 = misfit()
 
     dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
     inactive = f <= 0.0

@@ -15,9 +15,15 @@ from qmridesign import (
     optimize_crlb,
     signal_jacobian,
 )
-from qmridesign.crlb import SINGULAR_PENALTY, anneal_b_values
+from qmridesign.crlb import (
+    SINGULAR_PENALTY,
+    _certified_regular,
+    _sample_cost,
+    anneal_b_values,
+    draw_tissue_samples,
+)
 from qmridesign.config import default_tissue_path, load_tissue_distributions
-from qmridesign.ivim import ivim_signal
+from qmridesign.ivim import ADHOC_B_VALUES, ivim_signal, min_te
 
 
 def jacobian_of(params, b, te, t2):
@@ -177,8 +183,6 @@ class TestCrlbObjective:
         Regression-pins the measured direction and rough magnitude."""
         dists = load_tissue_distributions(default_tissue_path())
         rng = np.random.default_rng(24)
-        from qmridesign.crlb import draw_tissue_samples
-
         samples = draw_tissue_samples(
             (TissueClass.ACTIVE, TissueClass.CHRONIC), dists, 100, rng
         )
@@ -264,8 +268,6 @@ class TestOptimizeCrlb:
         assert len(protocol.b_values) == 10
         assert protocol.b_values[0] == 0.0
         samples_rng = np.random.default_rng(28)
-        from qmridesign.crlb import draw_tissue_samples
-
         samples = draw_tissue_samples(
             (TissueClass.ACTIVE, TissueClass.CHRONIC), dists, config.n_tissue_samples, samples_rng
         )
@@ -276,8 +278,6 @@ class TestOptimizeCrlb:
         """Task independence: the objective sees classes only through the
         tissue samples, so sharing them forces identical results."""
         dists, scanner, config = setup
-        from qmridesign.crlb import draw_tissue_samples
-
         samples = draw_tissue_samples(tuple(TissueClass), dists, 30, np.random.default_rng(29))
         protocol_a, cost_a, _ = optimize_crlb(
             (TissueClass.CHRONIC, TissueClass.HEALTHY), dists, scanner, config,
@@ -306,3 +306,180 @@ class TestOptimizeCrlb:
                 clusters += 1
         assert clusters <= 5
         assert values[-1] >= 150.0  # one arm reaches into the high-b range
+
+
+def reference_cost(b_values, te, samples, scanner, config):
+    """The cost by its definition: eigvalsh on every row, then the ridged
+    inverse of the regular rows. The annealer's cost must equal it bit for bit."""
+    scored = config.scored_indices
+    fisher = fisher_matrix(b_values, te, scanner, samples)
+    eigvals = np.linalg.eigvalsh(fisher)
+    singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (
+        eigvals[:, -1] <= 0.0
+    )
+    costs = np.full(len(samples), SINGULAR_PENALTY)
+    good = ~singular
+    if good.any():
+        fisher_good = fisher[good]
+        ridge = config.ridge_rel * np.trace(fisher_good, axis1=1, axis2=2) / 4
+        crlb = np.linalg.inv(fisher_good + ridge[:, None, None] * np.eye(4))
+        diag = np.diagonal(crlb, axis1=1, axis2=2)[:, scored]
+        sample_cost = (diag / samples[good][:, scored] ** 2).sum(axis=1)
+        costs[good] = np.where((diag < 0.0).any(axis=1), SINGULAR_PENALTY, sample_cost)
+    return float(costs.mean())
+
+
+def reference_anneal(samples, scanner, config, rng):
+    """optimize_crlb's anneal with the reference cost and no memo."""
+    def cost_fn(b_sorted):
+        return reference_cost(b_sorted, min_te(float(b_sorted[-1]), scanner), samples, scanner, config)
+
+    return anneal_b_values(
+        cost_fn, n_slots=10, rng=rng, iterations=config.iterations, t_initial=config.t_initial,
+        perturb_width=config.perturb_width, t_final_fraction=config.t_final_fraction,
+        duplicate_move_prob=config.duplicate_move_prob, initial=np.asarray(ADHOC_B_VALUES),
+    )
+
+
+def probe_protocols(rng, n_each):
+    """Sorted protocols with b[0] = 0: uniform over [0, 1000], clustered on
+    three support values, and confined below b = 60 (nearly singular)."""
+    out = []
+    for _ in range(n_each):
+        for b in (
+            rng.integers(0, 1001, 10),
+            rng.choice(rng.integers(0, 1001, 3), 10),
+            rng.integers(0, 60, 10),
+        ):
+            b = b.astype(float)
+            b[0] = 0.0
+            out.append(np.sort(b))
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the linear-algebra error it raises."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as err:
+        return type(err)
+
+
+@pytest.fixture(scope="module")
+def all_class_samples():
+    dists = load_tissue_distributions(default_tissue_path())
+    return draw_tissue_samples(tuple(TissueClass), dists, 100, np.random.default_rng(40))
+
+
+class TestCostCertificate:
+    """The memoized, certificate-first cost changes no output bit."""
+
+    @pytest.mark.parametrize("seed,n_samples", [(41, 100), (42, 100), (43, 5), (44, 30)])
+    def test_anneal_matches_reference(self, seed, n_samples):
+        dists = load_tissue_distributions(default_tissue_path())
+        scanner = ScannerConfig()
+        config = CrlbConfig(iterations=800, n_tissue_samples=n_samples)
+        samples = draw_tissue_samples(tuple(TissueClass), dists, n_samples, np.random.default_rng(seed))
+        protocol, cost, trace = optimize_crlb(
+            tuple(TissueClass), dists, scanner, config, np.random.default_rng(seed + 1),
+            tissue_samples=samples,
+        )
+        best_b, best_cost, best_trace = reference_anneal(
+            samples, scanner, config, np.random.default_rng(seed + 1)
+        )
+        assert protocol.b_values == tuple(best_b)
+        assert cost == best_cost
+        np.testing.assert_array_equal(trace, best_trace)
+
+    def test_certified_rows_are_regular(self, all_class_samples):
+        """No row the certificate passes is singular by eigvalsh, and the
+        cost equals the reference on every probe protocol."""
+        scanner = ScannerConfig()
+        config = CrlbConfig()
+        cost = _sample_cost(all_class_samples, scanner, config)
+        certified = near_singular = 0
+        for b in probe_protocols(np.random.default_rng(45), 400):
+            te = min_te(float(b[-1]), scanner)
+            fisher = fisher_matrix(b, te, scanner, all_class_samples)
+            trace = np.trace(fisher, axis1=1, axis2=2)
+            _, regular = _certified_regular(fisher, trace, config.ridge_rel * trace / 4, config.ridge_rel)
+            eigvals = np.linalg.eigvalsh(fisher)
+            singular = eigvals[:, 0] <= config.ridge_rel * eigvals[:, -1]
+            assert not (regular & singular).any(), b
+            assert cost(b, te) == reference_cost(b, te, all_class_samples, scanner, config), b
+            certified += regular.sum()
+            near_singular += (singular & (eigvals[:, 0] > 1e-3 * config.ridge_rel * eigvals[:, -1])).sum()
+        # the probes exercise both sides: most rows certified, and many rows
+        # singular by a margin a loose certificate would miss
+        assert certified > 0.5 * 1200 * len(all_class_samples)
+        assert near_singular > 100
+
+    def test_well_spread_protocol_skips_eigvalsh(self, all_class_samples, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+        crlb_objective(AcquisitionProtocol.adhoc(), all_class_samples, ScannerConfig())
+        assert calls == []
+
+    def test_zero_ridge_takes_eigvalsh_on_every_row(self, all_class_samples, monkeypatch):
+        scanner = ScannerConfig()
+        config = CrlbConfig(ridge_rel=0.0)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+        finite = 0
+        for b in probe_protocols(np.random.default_rng(46), 20):
+            te = min_te(float(b[-1]), scanner)
+            calls.clear()
+            got = outcome(_sample_cost(all_class_samples, scanner, config), b, te)
+            assert calls[0] == len(all_class_samples)
+            # without a ridge, inverting a barely regular row can raise: it
+            # must raise exactly where the reference does
+            assert got == outcome(reference_cost, b, te, all_class_samples, scanner, config)
+            finite += isinstance(got, float)
+        assert finite > 10
+
+    def test_failed_batched_inverse_falls_back(self, all_class_samples, monkeypatch):
+        """If inverting every row raises, the cost is the reference's."""
+        scanner = ScannerConfig()
+        config = CrlbConfig()
+        inv = np.linalg.inv
+        for b in probe_protocols(np.random.default_rng(47), 10):
+            te = min_te(float(b[-1]), scanner)
+            calls = []
+
+            def failing_first(a):
+                calls.append(len(a))
+                if len(calls) == 1:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return inv(a)
+
+            monkeypatch.setattr(np.linalg, "inv", failing_first)
+            got = _sample_cost(all_class_samples, scanner, config)(b, te)
+            monkeypatch.setattr(np.linalg, "inv", inv)
+            assert got == reference_cost(b, te, all_class_samples, scanner, config)
+            assert calls[0] == len(all_class_samples)
+
+    def test_zero_information_raises_in_inverse_and_costs_the_penalty(self, all_class_samples):
+        """An exactly zero Fisher matrix (signal fully decayed by T2) makes the
+        ridged inverse singular; every row then costs the penalty."""
+        scanner = ScannerConfig(t2=1.0e-5)
+        b = np.asarray(ADHOC_B_VALUES, dtype=float)
+        te = min_te(float(b[-1]), scanner)
+        fisher = fisher_matrix(b, te, scanner, all_class_samples)
+        assert not fisher.any()
+        trace = np.trace(fisher, axis1=1, axis2=2)
+        assert _certified_regular(fisher, trace, trace, 1e-12)[0] is None
+        assert _sample_cost(all_class_samples, scanner, CrlbConfig())(b, te) == SINGULAR_PENALTY
+
+    def test_repeated_protocols_are_costed_once(self, all_class_samples, monkeypatch):
+        """The anneal revisits protocols; each distinct sorted one is costed once."""
+        from qmridesign import crlb
+
+        costed = []
+        fisher = crlb.fisher_matrix
+        monkeypatch.setattr(crlb, "fisher_matrix", lambda b, *rest: costed.append(b.tobytes()) or fisher(b, *rest))
+        dists = load_tissue_distributions(default_tissue_path())
+        optimize_crlb(tuple(TissueClass), dists, ScannerConfig(), CrlbConfig(iterations=400),
+                      np.random.default_rng(48), tissue_samples=all_class_samples)
+        assert len(costed) == len(set(costed)) < 401

@@ -16,6 +16,7 @@ from qmridesign.config import (
     load_experiment_config,
     load_tissue_distributions,
     save_tissue_distributions,
+    with_file_values,
 )
 from qmridesign.experiments import protocol_id
 from qmridesign.plotting import plot_accuracy_vs_snr
@@ -72,6 +73,15 @@ class TestConfig:
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(ValueError):
             load_experiment_config(path)
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        """A misspelt field raises and names the key; the CLI override path
+        (with_file_values) still skips names that are not fields."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seeds": 7}))
+        with pytest.raises(ValueError, match="seeds"):
+            load_experiment_config(path)
+        assert with_file_values(ExperimentConfig(), {"seeds": 7, "budget": 3}) == ExperimentConfig()
 
     def test_hash_covers_tissue_values(self, tmp_path):
         base = ExperimentConfig()
@@ -306,6 +316,26 @@ class TestCli:
                 check=True)
         (row,) = read_report(tmp_path / "out" / "report.csv")
         assert row["config_hash"] == payload["config_hash"]
+
+    def test_optimize_budget_is_a_config_override(self, tmp_path, capsys):
+        """``optimize --budget`` is recorded in the snapshot and the hash, and
+        the snapshot alone re-runs the same anneal."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"crlb": {"iterations": 50, "n_tissue_samples": 10}}))
+        runs = {name: tmp_path / name for name in ("budget", "file", "snapshot")}
+        main(["optimize", "--config", str(config), "--optimizer", "crlb", "--budget", "10",
+              "--out", str(runs["budget"])])
+        main(["optimize", "--config", str(config), "--optimizer", "crlb", "--out", str(runs["file"])])
+        snapshot = runs["budget"] / "config_snapshot.json"
+        assert json.loads(snapshot.read_text())["crlb"]["iterations"] == 10
+        assert json.loads((runs["file"] / "config_snapshot.json").read_text())["crlb"]["iterations"] == 50
+        hashes = {name: load_protocol_artifact(out / "protocol_crlb.json")[1]["config_hash"]
+                  for name, out in runs.items() if name != "snapshot"}
+        assert hashes["budget"] != hashes["file"]
+        assert hashes["budget"] == config_hash(load_experiment_config(snapshot))
+        main(["optimize", "--config", str(snapshot), "--out", str(runs["snapshot"])])
+        artifact = (runs["budget"] / "protocol_crlb.json").read_bytes()
+        assert (runs["snapshot"] / "protocol_crlb.json").read_bytes() == artifact
 
     def test_evaluate_writes_report(self, run_cli, tiny_config, tmp_path):
         result = run_cli(
