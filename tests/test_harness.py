@@ -317,7 +317,7 @@ class TestCli:
         (row,) = read_report(tmp_path / "out" / "report.csv")
         assert row["config_hash"] == payload["config_hash"]
 
-    def test_optimize_budget_is_a_config_override(self, tmp_path, capsys):
+    def test_optimize_budget_is_a_config_override(self, tmp_path):
         """``optimize --budget`` is recorded in the snapshot and the hash, and
         the snapshot alone re-runs the same anneal."""
         config = tmp_path / "config.json"
