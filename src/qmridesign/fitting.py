@@ -114,8 +114,7 @@ def fit_dstar(
     the row's best point on the exact misfit. Rows with f <= 0 return d
     with the boundary flag set. Returns (n,) arrays (dstar_est, at_bound).
     """
-    tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
-    residual = signals - tissue
+    residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     amplitude = s0 * f
 
     # one log-spaced grid for every row, scanned through the expansion
@@ -124,43 +123,64 @@ def fit_dstar(
     basis = np.exp(-b_values[:, None] * grid[None, :])
     # einsum, not BLAS: a matrix product can sum a lone row in another order,
     # and a row's fit must not depend on its batch
-    cross = np.einsum("nb,bg->ng", residual, basis)
-    scan = (
-        (residual * residual).sum(axis=1)[:, None]
-        - 2.0 * amplitude[:, None] * cross
-        + (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
-    )
-    scan[grid[None, :] < d[:, None]] = np.inf  # the search starts at d
+    scan = np.einsum("nb,bg->ng", residual, basis)
+    np.multiply(2.0 * amplitude[:, None], scan, out=scan)
+    np.subtract((residual * residual).sum(axis=1)[:, None], scan, out=scan)
+    scan += (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
+    np.copyto(scan, np.inf, where=grid[None, :] < d[:, None])  # the search starts at d
     best = scan.argmin(axis=1)
     a = np.maximum(grid[np.maximum(best - 1, 0)], d)
     b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
 
-    # golden-section points (x1, x2) of each row's bracket, recomputed from
-    # it every step; the misfit is per element, so a frozen row keeps its bits
+    # golden-section refinement on preallocated buffers: the points (x1, x2)
+    # are recomputed from each row's bracket [a, b] every step, and the
+    # misfit is per element, so a frozen row keeps its bits
+    n = len(a)
     neg_b = -b_values
-    points = np.empty((len(a), 2))
+    width = np.empty(n)
+    step = np.empty(n)
+    points = np.empty((n, 2))
+    model = np.empty((n, 2, len(b_values)))
+    values = np.empty((n, 2))
+    f1, f2 = values[:, 0], values[:, 1]
+    shrink_left = np.empty(n, dtype=bool)  # minimum lies in [x1, b]
+    shrink_right = np.empty(n, dtype=bool)
 
-    def misfit():
-        model = amplitude[:, None, None] * np.exp(neg_b[None, None, :] * points[:, :, None])
-        return ((residual[:, None, :] - model) ** 2).sum(axis=2).T
+    def probe():
+        """Golden-section points of every bracket and their misfits."""
+        np.subtract(b, a, out=width)
+        np.multiply(_GOLDEN, width, out=step)
+        np.subtract(b, step, out=points[:, 0])
+        np.add(a, step, out=points[:, 1])
+        np.multiply(neg_b[None, None, :], points[:, :, None], out=model)
+        np.exp(model, out=model)
+        np.multiply(amplitude[:, None, None], model, out=model)
+        np.subtract(residual[:, None, :], model, out=model)
+        np.square(model, out=model)
+        model.sum(axis=2, out=values)
 
-    width = b - a
-    points[:, 0] = b - _GOLDEN * width
-    points[:, 1] = a + _GOLDEN * width
-    f1, f2 = misfit()
+    # A row freezes once width <= tol * max(midpoint, d_min). Its b never
+    # grows, so the midpoint never exceeds the starting b, and while every
+    # width exceeds tol * max(starting b, d_min) no row can freeze: those
+    # steps skip the freeze test. An empty batch takes the tested path.
+    sure = bounds.refine_rel_tol * np.maximum(b, bounds.d_min)
+    provably_active = n > 0
+    probe()
     for _ in range(200):
-        # freeze converged rows so results do not depend on batch company
-        active = width > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
-        if not active.any():
-            break
-        shrink_left = active & (f1 > f2)  # minimum lies in [x1, b]
-        shrink_right = active & ~shrink_left
-        a = np.where(shrink_left, points[:, 0], a)
-        b = np.where(shrink_right, points[:, 1], b)
-        width = b - a
-        points[:, 0] = b - _GOLDEN * width
-        points[:, 1] = a + _GOLDEN * width
-        f1, f2 = misfit()
+        provably_active = provably_active and (width > sure).all()
+        if provably_active:
+            np.greater(f1, f2, out=shrink_left)
+            np.logical_not(shrink_left, out=shrink_right)
+        else:
+            # freeze converged rows so results do not depend on batch company
+            active = width > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
+            if not active.any():
+                break
+            np.logical_and(active, f1 > f2, out=shrink_left)
+            np.logical_and(active, ~shrink_left, out=shrink_right)
+        np.copyto(a, points[:, 0], where=shrink_left)
+        np.copyto(b, points[:, 1], where=shrink_right)
+        probe()
 
     dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
     inactive = f <= 0.0
@@ -182,15 +202,16 @@ def _effective_threshold(b_values: np.ndarray, threshold: float):
     one measurement reaches the nominal threshold; designs confined
     entirely below it stay sentinel cases.
     """
-    high = np.unique(b_values[b_values >= threshold])
-    if len(high) >= 2:
+    high = b_values[b_values >= threshold]
+    if high.size == 0:
+        return None, True
+    if high.min() < high.max():  # at least two distinct values
         return threshold, False
-    if len(high) == 0:
+    positive = b_values[b_values > 0.0]
+    if positive.size == 0 or positive.min() == positive.max():
         return None, True
-    positive = np.unique(b_values[b_values > 0.0])
-    if len(positive) < 2:
-        return None, True
-    return float(positive[-2]), True
+    top = positive.max()
+    return float(positive[positive < top].max()), True
 
 
 def segmented_fit_batch(
@@ -233,13 +254,10 @@ def segmented_fit_batch(
     f_clamped = f_raw != f_est
     dstar_est, at_bound = fit_dstar(signals, b_values, s0_est, f_est, d_est, bounds)
 
-    features[ok, 0] = s0_est[ok]
-    features[ok, 1] = f_est[ok]
-    features[ok, 2] = d_est[ok]
-    features[ok, 3] = dstar_est[ok]
+    np.copyto(features, np.column_stack([s0_est, f_est, d_est, dstar_est]), where=ok[:, None])
     flags[:, 0] = deficient | ~ok
-    flags[ok, 1] = f_clamped[ok]
-    flags[ok, 2] = at_bound[ok]
+    flags[:, 1] = f_clamped & ok
+    flags[:, 2] = at_bound & ok
     return features, flags
 
 

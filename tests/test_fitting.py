@@ -8,7 +8,7 @@ two-stage method is not defined, so random draws respect that regime.
 import numpy as np
 import pytest
 
-from qmridesign import AcquisitionProtocol, IvimParams, ScannerConfig, ivim_signal
+from qmridesign import AcquisitionProtocol, IvimParams, ScannerConfig, fitting, ivim_signal
 from qmridesign.fitting import (
     DEFAULT_BOUNDS,
     FitBounds,
@@ -49,6 +49,72 @@ def noisy_batch(n: int, seed: int) -> np.ndarray:
                             rng.uniform(1e-2, 5e-2))
         signals[i] = np.abs(ivim_signal(params, b, te, SCANNER.t2) + rng.normal(0, 0.04, 10))
     return signals
+
+
+#: the published comparison protocols and a clustered design, as in the benchmark
+PANEL = {
+    "adhoc": tuple(ADHOC.b_values),
+    "crlb_mc": (0, 0, 7, 7, 7, 7, 52, 52, 52, 478),
+    "rl_mc": (0, 175, 229, 336, 540, 595, 603, 618, 629, 881),
+    "clustered": (0, 0, 0, 100, 100, 100, 100, 1000, 1000, 1000),
+}
+
+
+def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
+    """The D* search as a plain loop on fresh arrays, with a freeze test every step.
+
+    Returns (dstar, at_bound, starts_at_d); the last marks rows whose
+    golden-section bracket starts at d."""
+    tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
+    residual = signals - tissue
+    amplitude = s0 * f
+
+    grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), bounds.grid_points))
+    basis = np.exp(-b_values[:, None] * grid[None, :])
+    cross = np.einsum("nb,bg->ng", residual, basis)
+    scan = (
+        (residual * residual).sum(axis=1)[:, None]
+        - 2.0 * amplitude[:, None] * cross
+        + (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
+    )
+    scan[grid[None, :] < d[:, None]] = np.inf
+    best = scan.argmin(axis=1)
+    a = np.maximum(grid[np.maximum(best - 1, 0)], d)
+    b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
+    starts_at_d = a == d
+
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    neg_b = -b_values
+    points = np.empty((len(a), 2))
+
+    def misfit():
+        model = amplitude[:, None, None] * np.exp(neg_b[None, None, :] * points[:, :, None])
+        return ((residual[:, None, :] - model) ** 2).sum(axis=2).T
+
+    width = b - a
+    points[:, 0] = b - golden * width
+    points[:, 1] = a + golden * width
+    f1, f2 = misfit()
+    for _ in range(200):
+        active = width > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
+        if not active.any():
+            break
+        shrink_left = active & (f1 > f2)
+        shrink_right = active & ~shrink_left
+        a = np.where(shrink_left, points[:, 0], a)
+        b = np.where(shrink_right, points[:, 1], b)
+        width = b - a
+        points[:, 0] = b - golden * width
+        points[:, 1] = a + golden * width
+        f1, f2 = misfit()
+
+    dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
+    inactive = f <= 0.0
+    dstar = np.where(inactive, d, dstar)
+    edge_tol = 10.0 * bounds.refine_rel_tol
+    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
+    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
+    return dstar, inactive | at_lower | at_upper, starts_at_d
 
 
 class TestFitHighB:
@@ -200,6 +266,50 @@ class TestFitDstar:
         assert interior >= n // 2
 
 
+    @pytest.mark.parametrize("protocol", [*PANEL, "random"])
+    def test_refinement_matches_reference_loop(self, protocol, monkeypatch):
+        """fit_dstar and segmented_fit_batch equal the plain loop bit for bit.
+
+        Covers SNR 5 / 25 / 600, batches of 1 to 500 rows, two grid sizes and
+        three refinement tolerances, with f <= 0 rows, all-zero rows and rows
+        whose bracket starts at d (d moved up to the true D* in a quarter of
+        the rows)."""
+        rng = np.random.default_rng([*PANEL, "random"].index(protocol))
+        all_bounds = [FitBounds(grid_points=g, refine_rel_tol=tol)
+                      for g in (200, 37) for tol in (1e-6, 1e-3, 1e-10)]
+        covered = np.zeros(3, dtype=int)  # f <= 0, zero signal, bracket at d
+        for snr in (5.0, 25.0, 600.0):
+            for n in (1, 7, 62, 500):
+                if protocol in PANEL:
+                    b = np.array(PANEL[protocol], dtype=float)
+                else:
+                    b = np.sort(np.append(rng.integers(0, 1001, 9), 0)).astype(float)
+                te = AcquisitionProtocol(tuple(b)).echo_time(SCANNER)
+                truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
+                                         rng.uniform(5e-3, 8e-2, n)])
+                clean = ivim_signal(truth, b, te, SCANNER.t2)
+                signals = np.abs(clean + rng.normal(0, 1 / snr, clean.shape)
+                                 + 1j * rng.normal(0, 1 / snr, clean.shape))
+                zero = rng.random(n) < 0.1
+                signals[zero] = 0.0
+                s0 = np.exp(-te / SCANNER.t2) * (1.0 + rng.normal(0.0, 0.02, n))
+                f = truth[:, 1] + rng.normal(0.0, 0.1, n)
+                d = np.where(rng.random(n) < 0.25, truth[:, 3], truth[:, 2])
+                for bounds in all_bounds:
+                    expected = reference_fit_dstar(signals, b, s0, f, d, bounds)
+                    dstar, at_bound = fit_dstar(signals, b, s0, f, d, bounds)
+                    np.testing.assert_array_equal(dstar, expected[0])
+                    np.testing.assert_array_equal(at_bound, expected[1])
+                    covered += [np.sum(f <= 0.0), np.sum(zero), np.sum(expected[2] & (f > 0.0))]
+
+                    features, flags = segmented_fit_batch(signals, b, bounds)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(fitting, "fit_dstar", lambda *args: reference_fit_dstar(*args)[:2])
+                        expected_features, expected_flags = segmented_fit_batch(signals, b, bounds)
+                    np.testing.assert_array_equal(features, expected_features)
+                    np.testing.assert_array_equal(flags, expected_flags)
+        assert (covered > 0).all()
+
 class TestSegmentedFit:
     def test_noiseless_roundtrip_reference_class(self):
         # frozen regression values for a healthy-like tuple; the d_star
@@ -252,6 +362,11 @@ class TestSegmentedFit:
         b = np.linspace(10, 900, 10)
         with pytest.raises(NoB0Error):
             fit_one(np.ones(10), b)
+
+    def test_empty_batch(self):
+        features, flags = segmented_fit_batch(np.empty((0, 10)), ADHOC.b_array)
+        assert features.shape == (0, 4)
+        assert flags.shape == (0, 3)
 
     def test_permutation_invariance(self):
         # summation order changes under permutation, so equality holds to
