@@ -10,7 +10,12 @@ a scan of one 200-point log-spaced grid over [d_min, dstar_max], shared
 by every row and computed as a single product with the grid's
 exponential basis, followed by golden-section refinement from each row's
 best point at or above its d, which is deterministic and immune to
-local minima.
+local minima. A row's refinement stops once its bracket is narrower than
+refine_rel_tol * max(midpoint, d_min). The bracket's upper end never
+grows, so the midpoint never exceeds the starting upper end: while every
+width exceeds refine_rel_tol * max(starting upper end, d_min), no row can
+stop, and those steps skip the per-row stopping test. Either way the
+steps run in place on preallocated buffers, with the same arithmetic.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
