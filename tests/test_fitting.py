@@ -265,7 +265,6 @@ class TestFitDstar:
                 assert sse(row, dstar[row]) <= best_on_grid * (1.0 + 1e-12)
         assert interior >= n // 2
 
-
     @pytest.mark.parametrize("protocol", [*PANEL, "random"])
     def test_refinement_matches_reference_loop(self, protocol, monkeypatch):
         """fit_dstar and segmented_fit_batch equal the plain loop bit for bit.
@@ -309,6 +308,7 @@ class TestFitDstar:
                     np.testing.assert_array_equal(features, expected_features)
                     np.testing.assert_array_equal(flags, expected_flags)
         assert (covered > 0).all()
+
 
 class TestSegmentedFit:
     def test_noiseless_roundtrip_reference_class(self):
