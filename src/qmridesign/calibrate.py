@@ -34,6 +34,11 @@ _FIELDS = (
     ("mean_dstar", "std_dstar"),
 )
 
+#: first multiplicative step, halved after each round without improvement
+INITIAL_STEP = 0.15
+#: an AUC cell within this distance of its target counts as reached
+TOLERANCE = 0.02
+
 
 @dataclass
 class CalibrationResult:
@@ -70,18 +75,16 @@ def calibrate_distributions(
     env: SimulationEnv,
     eval_config: EvalConfig,
     master_seed: int,
+    max_rounds: int,
     targets: dict | None = None,
     n_repeats: int = 12,
-    max_rounds: int = 6,
-    initial_step: float = 0.15,
-    tolerance: float = 0.02,
 ) -> CalibrationResult:
     """Coordinate descent on class means/stds toward the AUC targets of the adhoc protocol.
 
     Each round sweeps every (class, parameter, mean/std) coordinate with
     multiplicative perturbations, keeping improvements. Stops early when
-    every cell sits within ``tolerance`` of its target; otherwise returns
-    the best distributions found after the round budget (caller decides
+    every cell sits within TOLERANCE of its target; otherwise returns the
+    best distributions found after ``max_rounds`` rounds (caller decides
     whether to warn).
     """
     targets = DEFAULT_AUC_TARGETS if targets is None else targets
@@ -98,13 +101,13 @@ def calibrate_distributions(
 
     def within_tolerance(matrix) -> bool:
         return all(
-            abs(matrix[task][param][0] - target) <= tolerance
+            abs(matrix[task][param][0] - target) <= TOLERANCE
             for task, params in targets.items()
             for param, target in params.items()
         )
 
     loss, matrix = score(current)
-    step = initial_step
+    step = INITIAL_STEP
     converged = within_tolerance(matrix)
     for _ in range(max_rounds):
         if converged:

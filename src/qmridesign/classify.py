@@ -118,7 +118,6 @@ def knn_predict_batch(
     train_labels: np.ndarray,
     query_features: np.ndarray,
     k: int,
-    n_classes: int,
 ) -> np.ndarray:
     """Deterministic KNN majority vote for a stack of splits.
 
@@ -128,7 +127,8 @@ def knn_predict_batch(
     its own training rows only. Neighbor order is (squared Euclidean
     distance, training row index); a tied vote resolves to the nearest
     neighbor's label. Training rows labelled -1 are padding: they sort
-    after every real row and never vote.
+    after every real row and never vote. Labels are class codes 0..n-1,
+    n one more than the largest training label.
     """
     train_features = np.asarray(train_features, dtype=float)
     query_features = np.asarray(query_features, dtype=float)
@@ -138,6 +138,7 @@ def knn_predict_batch(
         raise ValueError("every split needs a training row")
     n_splits, n_train = train_labels.shape
     k = min(k, n_train)
+    classes = np.arange(train_labels.max() + 1)
 
     predictions = np.empty(query_features.shape[:2], dtype=int)
     block = max(1, int(2**20 // (n_splits * n_train)))  # bound the distance tensor
@@ -147,7 +148,7 @@ def knn_predict_batch(
         dist_sq = np.where(padding[:, None, :], np.inf, np.einsum("sqtf,sqtf->sqt", diff, diff))
         order = np.argsort(dist_sq, axis=2, kind="stable")  # stable: index breaks ties
         top = np.take_along_axis(train_labels[:, None, :], order[:, :, :k], axis=2)
-        counts = (top[..., None] == np.arange(n_classes)).sum(axis=2)
+        counts = (top[..., None] == classes).sum(axis=2)
         winner = counts.argmax(axis=2)
         tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1
         predictions[:, start : start + q.shape[1]] = np.where(tied, top[:, :, 0], winner)
@@ -188,7 +189,6 @@ def cross_val_accuracy(
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    n_classes = int(labels.max()) + 1
 
     # one split per (repeat, fold), repeat-major: the order of the pooled accuracies
     folds = np.stack([stratified_fold_assignments(labels, config.n_folds, rng) for _ in range(n_repeats)])
@@ -213,7 +213,6 @@ def cross_val_accuracy(
         np.where(train, labels, -1),
         np.take_along_axis(z, query[:, :, None], axis=1),
         config.k_neighbors,
-        n_classes,
     )
     hits = (pred == labels[query]) & (np.arange(query.shape[1]) < n_test[:, None])
     fold_accuracies = hits.sum(axis=1) / n_test

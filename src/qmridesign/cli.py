@@ -174,7 +174,6 @@ def cmd_calibrate(args, config: ExperimentConfig, out: Path, digest: str) -> int
         config.validation_env(),
         config.eval,
         config.seed,
-        targets=DEFAULT_AUC_TARGETS,
         max_rounds=args.budget,
     )
     tissue_path = out / "tissue_calibrated.json"
@@ -183,6 +182,7 @@ def cmd_calibrate(args, config: ExperimentConfig, out: Path, digest: str) -> int
         "converged": result.converged,
         "loss": result.loss,
         "evaluations": result.evaluations,
+        "max_rounds": args.budget,
         "achieved": result.achieved,
         "targets": DEFAULT_AUC_TARGETS,
         "config_hash": digest,
@@ -250,7 +250,7 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, digest: str) -> int:
     env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
     rng = derive_rng(config.seed, "optimize-rl")
     result = train(env, config.ppo, rng)
-    protocol = result.best_protocol or AcquisitionProtocol.adhoc()
+    protocol = result.best_protocol
     artifact = out / "protocol_rl.json"
     save_protocol_artifact(
         artifact, protocol, protocol.echo_time(config.scanner), "rl",

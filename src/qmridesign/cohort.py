@@ -111,13 +111,11 @@ class Cohort:
 
 @dataclass
 class Dataset:
-    """Per-subject labels, ground truth, signals and optional fit features."""
+    """Per-subject labels, signals and optional fit features."""
 
     labels: tuple
-    params: np.ndarray        # (n, 4) ground truth (s0, f, d, d_star)
     signals: np.ndarray       # (n, len(protocol))
     b_values: np.ndarray      # shared acquisition b-values, s/mm^2
-    te: float                 # shared echo time, s
     features: np.ndarray | None = None   # (n, 4) fitted (s0, f, d, d_star)
     fit_flags: np.ndarray | None = None  # (n, 3) bool (deficient, f_clamped, dstar_at_bound)
 
@@ -195,7 +193,7 @@ def simulate_dataset(
     scanner: ScannerConfig,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Simulate one noisy acquisition per subject, preserving ground truth.
+    """Simulate one noisy acquisition per subject.
 
     The noise sigma is 1/snr in units of the reference b=0 amplitude (the
     pre-T2-decay s0 = 1 level), so longer echo times reduce the effective
@@ -204,13 +202,10 @@ def simulate_dataset(
     members after it.
     """
     check_params(cohort.params)
-    te = protocol.echo_time(scanner)
     b = protocol.b_array
-    clean = ivim_signal(cohort.params, b, te, scanner.t2)
+    clean = ivim_signal(cohort.params, b, protocol.echo_time(scanner), scanner.t2)
     return Dataset(
         labels=cohort.labels,
-        params=cohort.params.copy(),
         signals=add_rician_noise(clean, scanner.noise_sigma, rng),
         b_values=b,
-        te=te,
     )

@@ -135,7 +135,8 @@ def _certified_regular(fisher: np.ndarray, trace: np.ndarray, ridge: np.ndarray,
 
 
 def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: CrlbConfig):
-    """``cost(b_values, te)``: mean normalized-CRLB cost over the (m, 4) sample rows.
+    """``cost(b_sorted)``: mean normalized-CRLB cost over the (m, 4) sample rows
+    of the sorted b-vector ``b_sorted`` at its minimum echo time.
 
     A row costs SINGULAR_PENALTY if its Fisher matrix F is singular by
     eigvalsh (smallest eigenvalue at most ridge_rel times the largest), else
@@ -144,12 +145,15 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
     does not prove regular. LAPACK works matrix by matrix, so each row gets
     the eigenvalues and inverse it gets in any batch: the cost is bit for
     bit that of running eigvalsh on every row and inverting the regular ones.
+    The cost is a pure function of the b-vector, so each distinct one is
+    costed once.
     """
     scored = config.scored_indices
     theta_sq = sample_params[:, scored] ** 2
+    memo = {}
 
-    def cost(b_values: np.ndarray, te: float) -> float:
-        fisher = fisher_matrix(b_values, te, scanner, sample_params)
+    def evaluate(b_values: np.ndarray) -> float:
+        fisher = fisher_matrix(b_values, min_te(float(b_values[-1]), scanner), scanner, sample_params)
         trace = np.trace(fisher, axis1=1, axis2=2)
         ridge = config.ridge_rel * trace / _N_PARAMS
         inverse, good = _certified_regular(fisher, trace, ridge, config.ridge_rel)
@@ -170,6 +174,12 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
             sample_cost = (diag / theta_sq[good]).sum(axis=1)
             costs[good] = np.where((diag < 0.0).any(axis=1), SINGULAR_PENALTY, sample_cost)
         return float(costs.mean())
+
+    def cost(b_sorted: np.ndarray) -> float:
+        key = b_sorted.tobytes()
+        if key not in memo:
+            memo[key] = evaluate(b_sorted)
+        return memo[key]
 
     return cost
 
@@ -195,59 +205,42 @@ def crlb_objective(
     finite penalty instead of raising, so optimizers always receive a
     defined cost.
     """
-    samples = _checked_samples(tissue_samples)
-    te = protocol.echo_time(scanner)
-    return _sample_cost(samples, scanner, config)(protocol.b_array, te)
+    return _sample_cost(_checked_samples(tissue_samples), scanner, config)(protocol.b_array)
 
 
-def anneal_b_values(
-    cost_fn,
-    n_slots: int,
-    rng: np.random.Generator,
-    iterations: int,
-    t_initial: float,
-    perturb_width: float,
-    t_final_fraction: float = 1.0e-3,
-    duplicate_move_prob: float = 0.25,
-    initial: Sequence[float] | None = None,
-    pin_first_zero: bool = True,
-):
-    """Simulated annealing over integer b-value vectors.
+def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator, config: CrlbConfig):
+    """Simulated annealing over integer b-value vectors, first slot pinned to b = 0.
 
-    ``cost_fn`` maps a sorted float array of b-values to a scalar cost.
-    Each proposal perturbs a single slot, either by a rounded Gaussian
-    step or by copying another slot's value (which lets acquisitions
-    coalesce onto shared support points). Acceptance follows the
-    Metropolis rule under geometric cooling; ``t_initial = 0`` reduces to
-    hill-climbing. Returns (best_b_sorted, best_cost, best_cost_trace).
+    ``cost_fn`` maps a sorted float array of b-values to a scalar cost; the
+    search starts from ``initial`` and keeps its slot count. Each of
+    ``config.iterations`` proposals perturbs a single free slot, either by a
+    rounded Gaussian step or by copying another slot's value (which lets
+    acquisitions coalesce onto shared support points). Acceptance follows
+    the Metropolis rule under geometric cooling; ``t_initial = 0`` reduces
+    to hill-climbing. Returns (best_b_sorted, best_cost, best_cost_trace).
     """
-    if initial is None:
-        state = np.linspace(0.0, B_VALUE_MAX, n_slots).round()
-    else:
-        state = np.asarray(initial, dtype=float).copy()
-        if len(state) != n_slots:
-            raise ValueError(f"initial design must have {n_slots} slots")
-    if pin_first_zero:
-        state[0] = 0.0
+    iterations, t_initial = config.iterations, config.t_initial
+    state = np.asarray(initial, dtype=float).copy()
+    state[0] = 0.0
+    n_slots = len(state)
 
     current_cost = cost_fn(np.sort(state))
     best_state = state.copy()
     best_cost = current_cost
     trace = np.empty(iterations)
 
-    first_free = 1 if pin_first_zero else 0
     for step in range(iterations):
         if t_initial > 0.0 and iterations > 1:
-            temperature = t_initial * t_final_fraction ** (step / (iterations - 1))
+            temperature = t_initial * config.t_final_fraction ** (step / (iterations - 1))
         else:
             temperature = 0.0
-        slot = int(rng.integers(first_free, n_slots))
+        slot = int(rng.integers(1, n_slots))
         proposal = state.copy()
-        if n_slots > 1 and rng.random() < duplicate_move_prob:
+        if rng.random() < config.duplicate_move_prob:
             other = int(rng.integers(0, n_slots))
             proposal[slot] = state[other]
         else:
-            proposal[slot] = np.clip(round(state[slot] + rng.normal(0.0, perturb_width)), 0.0, B_VALUE_MAX)
+            proposal[slot] = np.clip(round(state[slot] + rng.normal(0.0, config.perturb_width)), 0.0, B_VALUE_MAX)
         proposal_cost = cost_fn(np.sort(proposal))
         delta = proposal_cost - current_cost
         accept = delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature))
@@ -267,12 +260,14 @@ def draw_tissue_samples(
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Fixed (n_samples, 4) tissue-sample array spread as evenly as possible across classes."""
+    """Fixed (n_samples, 4) tissue-sample array spread as evenly as possible across
+    classes; with fewer samples than classes, the first n_samples classes get one each."""
     base = n_samples // len(classes)
     counts = {c: base for c in classes}
     for c in list(classes)[: n_samples - base * len(classes)]:
         counts[c] += 1
-    return sample_cohort(distributions, CohortSpec(counts), rng).params
+    spec = CohortSpec({c: n for c, n in counts.items() if n > 0})
+    return sample_cohort(distributions, spec, rng).params
 
 
 def optimize_crlb(
@@ -291,27 +286,6 @@ def optimize_crlb(
     """
     if tissue_samples is None:
         tissue_samples = draw_tissue_samples(classes, distributions, config.n_tissue_samples, rng)
-    sample_params = _checked_samples(tissue_samples)
-
-    cost = _sample_cost(sample_params, scanner, config)
-    memo = {}  # the cost is a pure function of the sorted b-vector
-
-    def cost_fn(b_sorted: np.ndarray) -> float:
-        key = b_sorted.tobytes()
-        if key not in memo:
-            memo[key] = cost(b_sorted, min_te(float(b_sorted[-1]), scanner))
-        return memo[key]
-
-    best_b, best_cost, trace = anneal_b_values(
-        cost_fn,
-        n_slots=len(ADHOC_B_VALUES),
-        rng=rng,
-        iterations=config.iterations,
-        t_initial=config.t_initial,
-        perturb_width=config.perturb_width,
-        t_final_fraction=config.t_final_fraction,
-        duplicate_move_prob=config.duplicate_move_prob,
-        initial=np.asarray(ADHOC_B_VALUES),
-        pin_first_zero=True,
-    )
+    cost = _sample_cost(_checked_samples(tissue_samples), scanner, config)
+    best_b, best_cost, trace = anneal_b_values(cost, ADHOC_B_VALUES, rng, config)
     return AcquisitionProtocol(tuple(best_b)), best_cost, trace

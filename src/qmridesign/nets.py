@@ -89,12 +89,12 @@ class Mlp:
 class Adam:
     """Adaptive-moment gradient descent over a list of parameter arrays."""
 
-    def __init__(self, params, lr: float = 1.0e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1.0e-5):
+    beta1 = 0.9
+    beta2 = 0.999
+
+    def __init__(self, params, lr: float, eps: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]

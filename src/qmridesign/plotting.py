@@ -27,7 +27,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def plot_accuracy_vs_snr(rows, out_path, title: str = "Accuracy vs SNR", comment: str = "") -> None:
+def plot_accuracy_vs_snr(rows, out_path, comment: str = "") -> None:
     """Render report rows (dicts with method/snr/mean/std accuracy) to SVG.
 
     Rows sharing a method form one series ordered by SNR. A method
@@ -70,7 +70,7 @@ def plot_accuracy_vs_snr(rows, out_path, title: str = "Accuracy vs SNR", comment
     parts.append(f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="white"/>')
     parts.append(
         f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>'
+        'font-size="16">Accuracy vs SNR</text>'
     )
 
     axis_y = _MARGIN_TOP + plot_h

@@ -262,7 +262,7 @@ def test_c05_knn_auc_oracles():
         x = np.round(rng.normal(size=(n, 4)), 1)
         y = rng.integers(0, 3, size=n)
         q = np.round(rng.normal(size=4), 1)
-        predicted = knn_predict_batch(x[None], y[None], q[None, None, :], 5, int(y.max()) + 1)[0, 0]
+        predicted = knn_predict_batch(x[None], y[None], q[None, None, :], 5)[0, 0]
         assert predicted == brute_knn(x, y, q, 5)
         a = np.round(rng.normal(size=rng.integers(2, 15)), 1)
         b = np.round(rng.normal(size=rng.integers(2, 15)), 1)

@@ -39,8 +39,7 @@ def brute_force_knn(train_x, train_y, query, k):
 def knn_predict_one(train_x, train_y, query, k):
     """Predicted label of one query point: one split, one query of knn_predict_batch."""
     train_y = np.asarray(train_y)
-    return int(knn_predict_batch(train_x[None], train_y[None], query[None, None, :], k,
-                                 int(train_y.max()) + 1)[0, 0])
+    return int(knn_predict_batch(train_x[None], train_y[None], query[None, None, :], k)[0, 0])
 
 
 def zscore_knn_reference(features, labels, folds, k, n_classes):
@@ -110,7 +109,7 @@ class TestKnn:
         x = rng.normal(size=(40, 4))
         y = rng.integers(0, 2, size=40)
         queries = rng.normal(size=(25, 4))
-        batch = knn_predict_batch(x[None], y[None], queries[None], 5, 2)[0]
+        batch = knn_predict_batch(x[None], y[None], queries[None], 5)[0]
         for i, q in enumerate(queries):
             assert batch[i] == knn_predict_one(x, y, q, 5)
 
@@ -122,7 +121,7 @@ class TestKnn:
         y[1, 4:] = -1  # a split with 4 real rows, fewer than k
         y[2, ::2] = -1
         queries = rng.normal(size=(3, 12, 4))
-        stacked = knn_predict_batch(x, y, queries, 5, 3)
+        stacked = knn_predict_batch(x, y, queries, 5)
         for s in range(3):
             real = y[s] >= 0
             for i, q in enumerate(queries[s]):
@@ -132,7 +131,7 @@ class TestKnn:
         y = np.zeros((2, 5), dtype=int)
         y[1] = -1
         with pytest.raises(ValueError):
-            knn_predict_batch(np.zeros((2, 5, 4)), y, np.zeros((2, 1, 4)), 5, 1)
+            knn_predict_batch(np.zeros((2, 5, 4)), y, np.zeros((2, 1, 4)), 5)
 
 
 class TestStratifiedFolds:

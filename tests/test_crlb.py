@@ -218,8 +218,8 @@ class TestAnnealing:
         assert brute == pytest.approx(1.0 / d_true, abs=1.0)
 
         best_b, best_cost, _ = anneal_b_values(
-            cost_fn, n_slots=2, rng=np.random.default_rng(25), iterations=4000,
-            t_initial=1.0, perturb_width=150.0,
+            cost_fn, initial=np.linspace(0, 1000, 2).round(), rng=np.random.default_rng(25),
+            config=CrlbConfig(iterations=4000, t_initial=1.0, perturb_width=150.0),
         )
         assert best_b[0] == 0.0
         assert best_b[1] == pytest.approx(brute, abs=10.0)
@@ -231,7 +231,8 @@ class TestAnnealing:
             return float(((b_sorted - 500.0) ** 2).sum())
 
         _, _, trace = anneal_b_values(
-            cost_fn, n_slots=5, rng=rng, iterations=500, t_initial=2.0, perturb_width=100.0
+            cost_fn, initial=np.linspace(0, 1000, 5).round(), rng=rng,
+            config=CrlbConfig(iterations=500, t_initial=2.0, perturb_width=100.0),
         )
         assert np.all(np.diff(trace) <= 0.0)
 
@@ -245,7 +246,8 @@ class TestAnnealing:
             return c
 
         best_b, best_cost, trace = anneal_b_values(
-            cost_fn, n_slots=3, rng=rng, iterations=800, t_initial=0.0, perturb_width=80.0
+            cost_fn, initial=np.linspace(0, 1000, 3).round(), rng=rng,
+            config=CrlbConfig(iterations=800, t_initial=0.0, perturb_width=80.0),
         )
         assert np.all(np.diff(trace) <= 0.0)
         assert best_cost <= costs[0]
@@ -289,6 +291,19 @@ class TestOptimizeCrlb:
         )
         assert protocol_a.b_values == protocol_b.b_values
         assert cost_a == cost_b
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_fewer_samples_than_classes(self, setup, n_samples):
+        """Each of the first n_samples classes gives one sample; the rest none."""
+        dists, scanner, _ = setup
+        config = CrlbConfig(iterations=50, n_tissue_samples=n_samples)
+        samples = draw_tissue_samples(tuple(TissueClass), dists, n_samples, np.random.default_rng(32))
+        assert samples.shape == (n_samples, 4)
+        protocol, cost, trace = optimize_crlb(
+            tuple(TissueClass), dists, scanner, config, np.random.default_rng(32)
+        )
+        assert protocol.b_values[0] == 0.0
+        assert cost == trace[-1] == crlb_objective(protocol, samples, scanner, config)
 
     def test_concentrated_support_structure(self, setup):
         """The annealer converges to a few clustered support values plus a
@@ -334,11 +349,7 @@ def reference_anneal(samples, scanner, config, rng):
     def cost_fn(b_sorted):
         return reference_cost(b_sorted, min_te(float(b_sorted[-1]), scanner), samples, scanner, config)
 
-    return anneal_b_values(
-        cost_fn, n_slots=10, rng=rng, iterations=config.iterations, t_initial=config.t_initial,
-        perturb_width=config.perturb_width, t_final_fraction=config.t_final_fraction,
-        duplicate_move_prob=config.duplicate_move_prob, initial=np.asarray(ADHOC_B_VALUES),
-    )
+    return anneal_b_values(cost_fn, ADHOC_B_VALUES, rng, config)
 
 
 def probe_protocols(rng, n_each):
@@ -406,7 +417,7 @@ class TestCostCertificate:
             eigvals = np.linalg.eigvalsh(fisher)
             singular = eigvals[:, 0] <= config.ridge_rel * eigvals[:, -1]
             assert not (regular & singular).any(), b
-            assert cost(b, te) == reference_cost(b, te, all_class_samples, scanner, config), b
+            assert cost(b) == reference_cost(b, te, all_class_samples, scanner, config), b
             certified += regular.sum()
             near_singular += (singular & (eigvals[:, 0] > 1e-3 * config.ridge_rel * eigvals[:, -1])).sum()
         # the probes exercise both sides: most rows certified, and many rows
@@ -431,7 +442,7 @@ class TestCostCertificate:
         for b in probe_protocols(np.random.default_rng(46), 20):
             te = min_te(float(b[-1]), scanner)
             calls.clear()
-            got = outcome(_sample_cost(all_class_samples, scanner, config), b, te)
+            got = outcome(_sample_cost(all_class_samples, scanner, config), b)
             assert calls[0] == len(all_class_samples)
             # without a ridge, inverting a barely regular row can raise: it
             # must raise exactly where the reference does
@@ -455,7 +466,7 @@ class TestCostCertificate:
                 return inv(a)
 
             monkeypatch.setattr(np.linalg, "inv", failing_first)
-            got = _sample_cost(all_class_samples, scanner, config)(b, te)
+            got = _sample_cost(all_class_samples, scanner, config)(b)
             monkeypatch.setattr(np.linalg, "inv", inv)
             assert got == reference_cost(b, te, all_class_samples, scanner, config)
             assert calls[0] == len(all_class_samples)
@@ -470,7 +481,7 @@ class TestCostCertificate:
         assert not fisher.any()
         trace = np.trace(fisher, axis1=1, axis2=2)
         assert _certified_regular(fisher, trace, trace, 1e-12)[0] is None
-        assert _sample_cost(all_class_samples, scanner, CrlbConfig())(b, te) == SINGULAR_PENALTY
+        assert _sample_cost(all_class_samples, scanner, CrlbConfig())(b) == SINGULAR_PENALTY
 
     def test_repeated_protocols_are_costed_once(self, all_class_samples, monkeypatch):
         """The anneal revisits protocols; each distinct sorted one is costed once."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmridesign import AcquisitionProtocol, EvalConfig, Task, TissueClass
+from qmridesign.calibrate import CalibrationResult
 from qmridesign.cli import main
 from qmridesign.config import (
     ExperimentConfig,
@@ -336,6 +337,28 @@ class TestCli:
         main(["optimize", "--config", str(snapshot), "--out", str(runs["snapshot"])])
         artifact = (runs["budget"] / "protocol_crlb.json").read_bytes()
         assert (runs["snapshot"] / "protocol_crlb.json").read_bytes() == artifact
+
+    def test_calibration_report_records_the_budget(self, tiny_config, tmp_path, monkeypatch):
+        """``calibrate --budget`` is not a config field, so the hash and seed
+        alone do not say which budget wrote the tissue file: the report does.
+        The descent is stubbed; only what the command records is under test."""
+        rounds = []
+
+        def descent(distributions, env, eval_config, master_seed, max_rounds):
+            rounds.append(max_rounds)
+            return CalibrationResult(distributions, {}, 0.0, True, 1)
+
+        monkeypatch.setattr("qmridesign.cli.calibrate_distributions", descent)
+        reports = {}
+        for budget in (1, 6):
+            out = tmp_path / f"budget{budget}"
+            main(["calibrate", "--config", str(tiny_config), "--budget", str(budget),
+                  "--out", str(out)])
+            reports[budget] = json.loads((out / "calibration_report.json").read_text())
+        assert rounds == [1, 6]
+        assert reports[1]["config_hash"] == reports[6]["config_hash"]
+        assert reports[1]["seed"] == reports[6]["seed"]
+        assert (reports[1]["max_rounds"], reports[6]["max_rounds"]) == (1, 6)
 
     def test_evaluate_writes_report(self, run_cli, tiny_config, tmp_path):
         result = run_cli(

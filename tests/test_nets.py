@@ -79,7 +79,7 @@ def test_adam_matches_reference_formula():
     """One step against the textbook bias-corrected update."""
     p = np.array([1.0, -2.0])
     g = np.array([0.5, 0.25])
-    opt = Adam([p], lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-5)
+    opt = Adam([p], lr=1e-2, eps=1e-5)
     opt.step([g])
     m = 0.1 * g
     v = 0.001 * g**2
@@ -90,7 +90,7 @@ def test_adam_matches_reference_formula():
 def test_adam_descends_quadratic():
     rng = np.random.default_rng(5)
     p = rng.normal(size=(8,)) * 3.0
-    opt = Adam([p], lr=0.05)
+    opt = Adam([p], lr=0.05, eps=1e-5)
     for _ in range(800):
         opt.step([2.0 * p])
     assert float(np.abs(p).max()) < 1e-2
