@@ -67,10 +67,6 @@ class Task(Enum):
                 return task
         raise ValueError(f"unknown task {token!r}; expected one of {[t.token for t in cls]}")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -138,7 +134,8 @@ def knn_predict_batch(
         raise ValueError("every split needs a training row")
     n_splits, n_train = train_labels.shape
     k = min(k, n_train)
-    classes = np.arange(train_labels.max() + 1)
+    labels = train_labels[:, None, :]
+    n_classes = train_labels.max() + 1
 
     predictions = np.empty(query_features.shape[:2], dtype=int)
     block = max(1, int(2**20 // (n_splits * n_train)))  # bound the distance tensor
@@ -146,12 +143,19 @@ def knn_predict_batch(
         q = query_features[:, start : start + block]
         diff = q[:, :, None, :] - train_features[:, None, :, :]
         dist_sq = np.where(padding[:, None, :], np.inf, np.einsum("sqtf,sqtf->sqt", diff, diff))
-        order = np.argsort(dist_sq, axis=2, kind="stable")  # stable: index breaks ties
-        top = np.take_along_axis(train_labels[:, None, :], order[:, :, :k], axis=2)
-        counts = (top[..., None] == classes).sum(axis=2)
+        # the k nearest under the (distance, index) order without a sort: every
+        # row closer than the k-th distance, then the lowest-index rows tied at it
+        kth = np.partition(dist_sq, k - 1, axis=2)[:, :, k - 1 : k]
+        closer = dist_sq < kth
+        at_kth = dist_sq == kth
+        room = k - closer.sum(axis=2, keepdims=True)
+        top = closer | (at_kth & (np.cumsum(at_kth, axis=2) <= room))
+        counts = np.stack([(top & (labels == c)).sum(axis=2) for c in range(n_classes)], axis=2)
         winner = counts.argmax(axis=2)
         tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1
-        predictions[:, start : start + q.shape[1]] = np.where(tied, top[:, :, 0], winner)
+        # argmin returns the lowest index among equal distances
+        nearest = np.take_along_axis(labels, dist_sq.argmin(axis=2, keepdims=True), axis=2)[:, :, 0]
+        predictions[:, start : start + q.shape[1]] = np.where(tied, nearest, winner)
     return predictions
 
 

@@ -38,17 +38,23 @@ class Mlp:
 
     Hidden weights use orthogonal init with gain sqrt(2); the head gain is
     caller-chosen (small for policy logits, 1 for value heads). All weights
-    and biases are views into one flat ``params`` vector laid out as
-    (W0, b0, W1, b1, ...); ``backward`` returns gradients in that layout.
+    and biases are views into the caller's flat ``params`` vector of
+    ``n_params(sizes)`` entries, laid out as (W0, b0, W1, b1, ...);
+    ``backward`` writes gradients in that layout.
     """
 
-    def __init__(self, sizes, rng: np.random.Generator, out_gain: float = 1.0):
+    def __init__(self, sizes, params: np.ndarray, rng: np.random.Generator, out_gain: float = 1.0):
         self.sizes = tuple(int(s) for s in sizes)
-        self.params = np.zeros(sum(o * (i + 1) for i, o in zip(self.sizes[:-1], self.sizes[1:])))
+        self.params = params
         self.weights, self.biases = self._split(self.params)
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
             w[...] = orthogonal(rng, *w.shape, out_gain if i == last else np.sqrt(2.0))
+
+    @staticmethod
+    def n_params(sizes) -> int:
+        """Length of the parameter vector of a net with these layer sizes."""
+        return sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
 
     def _split(self, flat: np.ndarray):
         """(weights, biases) as views into a vector laid out like ``params``."""
@@ -72,9 +78,9 @@ class Mlp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, activations, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient of the loss w.r.t. ``params`` for d(loss)/d(output) = grad_out."""
-        grad = np.empty_like(self.params)
+    def backward(self, activations, grad_out: np.ndarray, grad: np.ndarray) -> None:
+        """Write into ``grad`` (laid out like ``params``) the gradient of the
+        loss w.r.t. ``params`` for d(loss)/d(output) = grad_out."""
         d_weights, d_biases = self._split(grad)
         delta = np.atleast_2d(grad_out)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -83,30 +89,45 @@ class Mlp:
             if i > 0:
                 # tanh'(z) = 1 - tanh(z)^2, read from the cached activation
                 delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)
-        return grad
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a list of parameter arrays."""
+    """Adaptive-moment gradient descent (Kingma & Ba 2015) on one parameter
+    vector, stepped in place: the textbook update's elementwise operations,
+    in its order, on two preallocated scratch vectors."""
 
     beta1 = 0.9
     beta2 = 0.999
 
-    def __init__(self, params, lr: float, eps: float):
-        self.params = list(params)
+    def __init__(self, params: np.ndarray, lr: float, eps: float):
+        self.params = params
         self.lr = lr
         self.eps = eps
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, grads) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g**2
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self.m, self.v
+        a, b = self._scratch
+        # m = beta1 * m + (1 - beta1) * g
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, grad, out=a)
+        m += a
+        # v = beta2 * v + (1 - beta2) * g^2
+        v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, bc1, out=b)
+        b *= self.lr
+        b /= a
+        self.params -= b

@@ -43,7 +43,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class PpoNanError(RuntimeError):
@@ -74,7 +74,8 @@ class PpoConfig:
 
 
 class PpoAgent:
-    """Actor/critic pair sharing nothing but their input."""
+    """Actor/critic pair sharing nothing but their input. Both are views
+    into one ``params`` vector (actor then critic) that the optimizer steps."""
 
     def __init__(
         self,
@@ -87,12 +88,14 @@ class PpoAgent:
         self.n_actions = n_actions
         self.config = config
         h = config.hidden_size
+        actor_sizes = (observation_size, h, h, n_actions)
+        critic_sizes = (observation_size, h, h, 1)
+        self.n_actor_params = Mlp.n_params(actor_sizes)
+        self.params = np.zeros(self.n_actor_params + Mlp.n_params(critic_sizes))
         # small-gain head keeps the initial policy near uniform
-        self.actor = Mlp((observation_size, h, h, n_actions), rng, out_gain=0.01)
-        self.critic = Mlp((observation_size, h, h, 1), rng, out_gain=1.0)
-        self.optimizer = Adam(
-            [self.actor.params, self.critic.params], lr=config.learning_rate, eps=config.adam_eps
-        )
+        self.actor = Mlp(actor_sizes, self.params[: self.n_actor_params], rng, out_gain=0.01)
+        self.critic = Mlp(critic_sizes, self.params[self.n_actor_params :], rng, out_gain=1.0)
+        self.optimizer = Adam(self.params, lr=config.learning_rate, eps=config.adam_eps)
 
     def policy_forward(self, observation: np.ndarray):
         """(action probabilities, value estimate) for a single observation."""
@@ -109,9 +112,8 @@ class PpoAgent:
         return int(np.argmax(probs))
 
     def check_finite(self) -> None:
-        for p in (self.actor.params, self.critic.params):
-            if not np.isfinite(p).all():
-                raise PpoNanError("non-finite network weights after update")
+        if not np.isfinite(self.params).all():
+            raise PpoNanError("non-finite network weights after update")
 
 
 class RolloutBuffer:
@@ -160,22 +162,23 @@ class RolloutBuffer:
         return advantages, returns
 
 
-def _clip_global_norm(grads, max_norm: float):
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads))
+def _clip_global_norm(grad: np.ndarray, n_actor_params: int, max_norm: float) -> None:
+    # scales in place; actor and critic sums of squares added as two floats: one sum over the
+    # whole vector would group the additions differently and round differently
+    actor, critic = grad[:n_actor_params], grad[n_actor_params:]
+    total = np.sqrt(float((actor**2).sum()) + float((critic**2).sum()))
     if max_norm > 0.0 and total > max_norm:
-        scale = max_norm / total
-        grads = [g * scale for g in grads]
-    return grads
+        grad *= max_norm / total
 
 
 def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, config: PpoConfig):
     """Clipped-surrogate loss of one minibatch and its gradient.
 
-    Returns (losses, [actor_grad, critic_grad]): ``losses`` maps
-    policy_loss, value_loss, entropy and approx_kl to floats; the total
-    minimized is policy_loss + vf_coef * value_loss - ent_coef * entropy,
-    and each gradient is laid out like its network's ``params``. Raises
-    PpoNanError if the total is non-finite.
+    Returns (losses, grad): ``losses`` maps policy_loss, value_loss,
+    entropy and approx_kl to floats; the total minimized is
+    policy_loss + vf_coef * value_loss - ent_coef * entropy, and ``grad``
+    is laid out like ``agent.params``. Raises PpoNanError if the total is
+    non-finite.
     """
     batch = len(actions)
     logits, actor_cache = agent.actor.forward(obs)
@@ -218,8 +221,10 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
         "entropy": float(entropy),
         "approx_kl": float((logp_old - logp_act).mean()),
     }
-    grads = [agent.actor.backward(actor_cache, dlogits), agent.critic.backward(critic_cache, dvalues)]
-    return losses, grads
+    grad = np.empty_like(agent.params)
+    agent.actor.backward(actor_cache, dlogits, grad[: agent.n_actor_params])
+    agent.critic.backward(critic_cache, dvalues, grad[agent.n_actor_params :])
+    return losses, grad
 
 
 def ppo_update(agent: PpoAgent, buffer: RolloutBuffer, last_value: float,
@@ -245,11 +250,12 @@ def ppo_update(agent: PpoAgent, buffer: RolloutBuffer, last_value: float,
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             idx = order[start : start + config.minibatch_size]
-            losses, grads = ppo_loss(
+            losses, grad = ppo_loss(
                 agent, observations[idx], actions[idx], log_probs_old[idx], advantages[idx],
                 returns[idx], config,
             )
-            agent.optimizer.step(_clip_global_norm(grads, config.max_grad_norm))
+            _clip_global_norm(grad, agent.n_actor_params, config.max_grad_norm)
+            agent.optimizer.step(grad)
             agent.check_finite()
             for key, value in losses.items():
                 stats[key].append(value)
@@ -334,15 +340,7 @@ def rollout_greedy(agent: PpoAgent, env):
 
 def _checkpoint_arrays(agent: PpoAgent) -> dict:
     """Checkpoint entry name -> the agent array it holds; save reads them, load fills them."""
-    optimizer = agent.optimizer
-    return {
-        "actor": agent.actor.params,
-        "critic": agent.critic.params,
-        "adam_m_actor": optimizer.m[0],
-        "adam_m_critic": optimizer.m[1],
-        "adam_v_actor": optimizer.v[0],
-        "adam_v_critic": optimizer.v[1],
-    }
+    return {"params": agent.params, "adam_m": agent.optimizer.m, "adam_v": agent.optimizer.v}
 
 
 def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None = None) -> None:

@@ -186,21 +186,19 @@ def test_c03_ppo_gradient_check():
         value = float(((values - returns) ** 2).mean())
         return policy + config.vf_coef * value - config.ent_coef * entropy
 
-    _, grads = ppo_loss(agent, obs, actions, logp_old, advantages, returns, config)
-    analytic = np.concatenate(grads)
+    _, analytic = ppo_loss(agent, obs, actions, logp_old, advantages, returns, config)
 
-    numeric = []
+    params = agent.params
+    numeric = np.empty_like(params)
     h = 2e-6
-    for params in (agent.actor.params, agent.critic.params):
-        for i in range(params.size):
-            saved = params[i]
-            params[i] = saved + h
-            loss_up = loss_value()
-            params[i] = saved - h
-            loss_down = loss_value()
-            params[i] = saved
-            numeric.append((loss_up - loss_down) / (2 * h))
-    numeric = np.array(numeric)
+    for i in range(params.size):
+        saved = params[i]
+        params[i] = saved + h
+        loss_up = loss_value()
+        params[i] = saved - h
+        loss_down = loss_value()
+        params[i] = saved
+        numeric[i] = (loss_up - loss_down) / (2 * h)
 
     scale = max(np.abs(numeric).max(), 1e-12)
     worst = float(np.abs(analytic - numeric).max() / scale)

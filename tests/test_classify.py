@@ -42,6 +42,19 @@ def knn_predict_one(train_x, train_y, query, k):
     return int(knn_predict_batch(train_x[None], train_y[None], query[None, None, :], k)[0, 0])
 
 
+def sorted_knn_reference(train_features, train_labels, query_features, k):
+    """knn_predict_batch by a full stable sort of every query's candidate rows."""
+    padding = train_labels < 0
+    k = min(k, train_labels.shape[1])
+    diff = query_features[:, :, None, :] - train_features[:, None, :, :]
+    dist_sq = np.where(padding[:, None, :], np.inf, np.einsum("sqtf,sqtf->sqt", diff, diff))
+    order = np.argsort(dist_sq, axis=2, kind="stable")  # stable: index breaks ties
+    top = np.take_along_axis(train_labels[:, None, :], order[:, :, :k], axis=2)
+    counts = (top[..., None] == np.arange(train_labels.max() + 1)).sum(axis=2)
+    tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1
+    return np.where(tied, top[:, :, 0], counts.argmax(axis=2))
+
+
 def zscore_knn_reference(features, labels, folds, k, n_classes):
     """Per-fold accuracies of one fold assignment, one split at a time.
 
@@ -126,6 +139,32 @@ class TestKnn:
             real = y[s] >= 0
             for i, q in enumerate(queries[s]):
                 assert stacked[s, i] == brute_force_knn(x[s][real], y[s][real], q, 5)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_equals_sorted_reference(self, k):
+        """Partial selection predicts exactly what a full stable sort does,
+        with ties at the k-th distance, padding rows and fewer real rows than k."""
+        rng = np.random.default_rng(40 + k)
+        ties_at_kth = 0
+        for case in range(12):
+            n_splits, n_train, n_classes = 3, int(rng.integers(4, 25)), int(rng.integers(2, 4))
+            x = rng.integers(-2, 3, size=(n_splits, n_train, 2)).astype(float)  # coarse: ties
+            y = rng.integers(0, n_classes, size=(n_splits, n_train))
+            y[rng.random((n_splits, n_train)) < 0.3] = -1
+            y[:, 0] = rng.integers(0, n_classes, size=n_splits)  # a real row per split
+            if case % 4 == 0:
+                y[0, 2:] = -1  # at most 2 real rows
+            queries = rng.integers(-2, 3, size=(n_splits, 9, 2)).astype(float)
+            np.testing.assert_array_equal(
+                knn_predict_batch(x, y, queries, k), sorted_knn_reference(x, y, queries, k)
+            )
+            diff = queries[:, :, None, :] - x[:, None, :, :]
+            dist = np.where(y[:, None, :] < 0, np.inf, (diff**2).sum(axis=3))
+            ordered = np.sort(dist, axis=2)
+            if k < n_train:
+                real = np.isfinite(ordered[:, :, k])
+                ties_at_kth += int((real & (ordered[:, :, k - 1] == ordered[:, :, k])).sum())
+        assert ties_at_kth > 0
 
     def test_split_without_training_rows_rejected(self):
         y = np.zeros((2, 5), dtype=int)

@@ -70,6 +70,18 @@ class TestAgent:
         actions = [agent.act(np.zeros(3), rng)[0] for _ in range(200)]
         assert set(actions) == {0, 1, 2, 3}
 
+    def test_networks_are_views_of_one_vector(self):
+        """Actor then critic parameters fill ``agent.params``, and one optimizer
+        step on that vector moves both networks."""
+        agent = PpoAgent(3, 4, np.random.default_rng(2), small_config())
+        assert agent.params.size == agent.actor.params.size + agent.critic.params.size
+        assert np.shares_memory(agent.actor.params, agent.params)
+        assert np.shares_memory(agent.critic.params, agent.params)
+        actor, critic = agent.actor.params.copy(), agent.critic.params.copy()
+        agent.optimizer.step(np.ones_like(agent.params))
+        assert np.all(agent.actor.params != actor)
+        assert np.all(agent.critic.params != critic)
+
 
 class TestGae:
     def test_single_episode_terminal_reward(self):
@@ -126,18 +138,18 @@ def ppo_loss_value(agent, batch, config):
 
 
 def numeric_gradient(agent, loss, h=2e-6):
-    """Central differences of ``loss()`` over the actor then the critic params."""
-    numeric = []
-    for params in (agent.actor.params, agent.critic.params):
-        for i in range(params.size):
-            saved = params[i]
-            params[i] = saved + h
-            loss_up = loss()
-            params[i] = saved - h
-            loss_down = loss()
-            params[i] = saved
-            numeric.append((loss_up - loss_down) / (2.0 * h))
-    return np.array(numeric)
+    """Central differences of ``loss()`` over ``agent.params`` (actor, then critic)."""
+    params = agent.params
+    numeric = np.empty_like(params)
+    for i in range(params.size):
+        saved = params[i]
+        params[i] = saved + h
+        loss_up = loss()
+        params[i] = saved - h
+        loss_down = loss()
+        params[i] = saved
+        numeric[i] = (loss_up - loss_down) / (2.0 * h)
+    return numeric
 
 
 class TestGradientCheck:
@@ -158,8 +170,7 @@ class TestGradientCheck:
         returns = rng.normal(size=n)
         batch = (obs, actions, logp_old, advantages, returns)
 
-        _, grads = ppo_loss(agent, *batch, config)
-        analytic = np.concatenate(grads)
+        _, analytic = ppo_loss(agent, *batch, config)
         numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch, config))
 
         scale = np.abs(numeric).max()
@@ -179,8 +190,7 @@ class TestGradientCheck:
         logp_old = log_softmax(agent.actor(obs))[np.arange(n), actions]
         batch = (obs, actions, logp_old, np.zeros(n), np.zeros(n))
 
-        _, grads = ppo_loss(agent, *batch, config)
-        analytic = np.concatenate(grads)
+        _, analytic = ppo_loss(agent, *batch, config)
         numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch, config))
 
         scale = np.abs(numeric).max()
@@ -197,10 +207,11 @@ class TestPpoUpdate:
         buffer = fill_buffer(agent, rng)
         n = buffer.size
         batch = (buffer.observations, buffer.actions, buffer.log_probs)
-        actor_grad, _ = ppo_loss(agent, *batch, np.zeros(n), buffer.rewards, config)[1]
-        assert np.all(actor_grad == 0.0)
-        actor_grad, _ = ppo_loss(agent, *batch, np.ones(n), buffer.rewards, config)[1]
-        assert np.any(actor_grad != 0.0)
+        actor = slice(agent.n_actor_params)
+        grad = ppo_loss(agent, *batch, np.zeros(n), buffer.rewards, config)[1]
+        assert np.all(grad[actor] == 0.0)
+        grad = ppo_loss(agent, *batch, np.ones(n), buffer.rewards, config)[1]
+        assert np.any(grad[actor] != 0.0)
 
     def test_clipping_definition(self):
         """A sample whose ratio exceeds 1 + clip under a positive advantage
@@ -213,11 +224,12 @@ class TestPpoUpdate:
         logp_act = log_softmax(agent.actor(obs))[np.arange(2), actions]
         logp_old = logp_act - np.log([2.0, 1.0])  # ratios 2 and 1
         returns = np.zeros(2)
-        losses, (actor_grad, _) = ppo_loss(agent, obs, actions, logp_old, np.ones(2), returns, config)
+        actor = slice(agent.n_actor_params)
+        losses, grad = ppo_loss(agent, obs, actions, logp_old, np.ones(2), returns, config)
         assert losses["policy_loss"] == pytest.approx(-(1.2 + 1.0) / 2)
-        _, (without_first, _) = ppo_loss(agent, obs, actions, logp_old, np.array([0.0, 1.0]),
-                                         returns, config)
-        np.testing.assert_array_equal(actor_grad, without_first)
+        _, without_first = ppo_loss(agent, obs, actions, logp_old, np.array([0.0, 1.0]),
+                                    returns, config)
+        np.testing.assert_array_equal(grad[actor], without_first[actor])
 
     def test_update_returns_stats_and_keeps_simplex(self):
         rng = np.random.default_rng(9)
@@ -304,9 +316,8 @@ class TestGreedyAndCheckpoint:
         )
         # optimizer moments restored too
         assert restored.optimizer.t == result.agent.optimizer.t
-        for a, b in zip(restored.optimizer.m + restored.optimizer.v,
-                        result.agent.optimizer.m + result.agent.optimizer.v):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(restored.optimizer.m, result.agent.optimizer.m)
+        np.testing.assert_array_equal(restored.optimizer.v, result.agent.optimizer.v)
 
     def test_version_one_checkpoint_refused(self, tmp_path):
         path = tmp_path / "old.npz"
@@ -314,15 +325,32 @@ class TestGreedyAndCheckpoint:
         with pytest.raises(ValueError, match="checkpoint version 1 not supported"):
             load_checkpoint(path)
 
+    def test_version_two_checkpoint_refused(self, tmp_path):
+        """The per-network layout (actor, critic and their moments as six
+        entries) is format version 2; it is refused, not misread."""
+        path = tmp_path / "old.npz"
+        np.savez(path, meta=np.array(json.dumps({"checkpoint_version": 2})),
+                 actor=np.zeros(3), critic=np.zeros(3))
+        with pytest.raises(ValueError, match="checkpoint version 2 not supported"):
+            load_checkpoint(path)
+
+    def test_checkpoint_entries(self, tmp_path):
+        path = tmp_path / "agent.npz"
+        agent = PpoAgent(3, 2, np.random.default_rng(17), small_config())
+        save_checkpoint(path, agent, steps_done=0)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["adam_m", "adam_v", "meta", "params"]
+            assert data["params"].shape == agent.params.shape
+
     def test_wrong_shaped_entry_rejected(self, tmp_path):
         path = tmp_path / "agent.npz"
         agent = PpoAgent(3, 2, np.random.default_rng(17), small_config())
         save_checkpoint(path, agent, steps_done=0)
         with np.load(path) as data:
             entries = dict(data)
-        entries["adam_m_actor"] = np.zeros(1)
+        entries["adam_m"] = np.zeros(1)
         np.savez(path, **entries)
-        with pytest.raises(ValueError, match="adam_m_actor"):
+        with pytest.raises(ValueError, match="adam_m"):
             load_checkpoint(path)
 
 
