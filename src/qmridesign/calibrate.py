@@ -11,6 +11,7 @@ deterministic, so descent always terminates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -58,16 +59,16 @@ def auc_loss(matrix: dict, targets: dict) -> float:
     return total
 
 
-def _valid_proposal(dist: TissueDistribution) -> bool:
+def _valid_proposal(class_label, mean_f, std_f, mean_d, std_d, mean_dstar, std_dstar) -> bool:
     # keep sampling well-posed: f comfortably inside (0, 1), positive
-    # scales, and the perfusion compartment clearly faster than tissue
-    if not 0.01 <= dist.mean_f <= 0.9:
+    # scales, and the perfusion compartment clearly faster than tissue.
+    # Takes TissueDistribution's fields, not an instance: its constructor
+    # raises on some of the values rejected here (mean_f >= 1).
+    if not 0.01 <= mean_f <= 0.9:
         return False
-    if dist.std_f < 1.0e-4 or dist.std_d < 1.0e-7 or dist.std_dstar < 1.0e-5:
+    if std_f < 1.0e-4 or std_d < 1.0e-7 or std_dstar < 1.0e-5:
         return False
-    if dist.mean_d <= 0 or dist.mean_dstar < 2.0 * dist.mean_d:
-        return False
-    return True
+    return not (mean_d <= 0 or mean_dstar < 2.0 * mean_d)
 
 
 def calibrate_distributions(
@@ -83,9 +84,9 @@ def calibrate_distributions(
 
     Each round sweeps every (class, parameter, mean/std) coordinate with
     multiplicative perturbations, keeping improvements. Stops early when
-    every cell sits within TOLERANCE of its target; otherwise returns the
-    best distributions found after ``max_rounds`` rounds (caller decides
-    whether to warn).
+    every cell sits within TOLERANCE of its target (tested after each
+    mean/std pair); otherwise returns the best distributions found after
+    ``max_rounds`` rounds (caller decides whether to warn).
     """
     targets = DEFAULT_AUC_TARGETS if targets is None else targets
     protocol = AcquisitionProtocol.adhoc()
@@ -108,38 +109,26 @@ def calibrate_distributions(
 
     loss, matrix = score(current)
     step = INITIAL_STEP
-    converged = within_tolerance(matrix)
     for _ in range(max_rounds):
-        if converged:
+        if step < 0.02 or within_tolerance(matrix):
             break
         improved = False
-        for label in list(current):
-            for mean_field, std_field in _FIELDS:
-                for field_name in (mean_field, std_field):
-                    base = current[label]
-                    for factor in (1.0 + step, 1.0 - step):
-                        candidate = replace(base, **{field_name: getattr(base, field_name) * factor})
-                        if not _valid_proposal(candidate):
-                            continue
-                        trial = dict(current)
-                        trial[label] = candidate
-                        trial_loss, trial_matrix = score(trial)
-                        if trial_loss < loss:
-                            current, loss, matrix = trial, trial_loss, trial_matrix
-                            improved = True
-                            break  # next field; re-proposing from the new base
-                if converged := within_tolerance(matrix):
-                    break
-            if converged:
+        for label, pair in itertools.product(list(current), _FIELDS):
+            for field_name in pair:
+                base = vars(current[label])
+                for factor in (1.0 + step, 1.0 - step):
+                    values = {**base, field_name: base[field_name] * factor}
+                    if not _valid_proposal(**values):
+                        continue
+                    trial = {**current, label: TissueDistribution(**values)}
+                    trial_loss, trial_matrix = score(trial)
+                    if trial_loss < loss:
+                        current, loss, matrix = trial, trial_loss, trial_matrix
+                        improved = True
+                        break  # next field, proposed from the new base
+            if within_tolerance(matrix):
                 break
         if not improved:
             step *= 0.5
-            if step < 0.02:
-                break
-    return CalibrationResult(
-        distributions=current,
-        achieved=matrix,
-        loss=loss,
-        converged=converged,
-        evaluations=evaluations,
-    )
+    return CalibrationResult(distributions=current, achieved=matrix, loss=loss,
+                             converged=within_tolerance(matrix), evaluations=evaluations)

@@ -270,15 +270,16 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, digest: str) -> int:
 
 def cmd_plot(args, config: ExperimentConfig, out: Path, digest: str) -> int:
     rows = read_report(args.report)
-    if not rows:
-        raise SystemExit(f"report {args.report} has no rows")
     path = out / "accuracy_vs_snr.svg"
     # stamp the plotted rows' own provenance, not the config given to plot
     stamp = " ".join(
         f"{key}=" + ",".join(str(value) for value in sorted({row[key] for row in rows}))
         for key in ("config_hash", "seed")
     )
-    plot_accuracy_vs_snr(rows, path, comment=stamp)
+    try:
+        plot_accuracy_vs_snr(rows, path, comment=stamp)
+    except ValueError as err:  # an empty report, or two results for one cell
+        raise SystemExit(f"cannot plot {args.report}: {err}") from err
     print(f"wrote {path}")
     return 0
 

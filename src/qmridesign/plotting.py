@@ -1,14 +1,16 @@
 """Accuracy-versus-SNR chart emitted as standalone SVG markup.
 
 The SVG is assembled directly with fixed number formatting, so a given
-report produces byte-identical markup on every run and platform, which
-keeps the output golden-testable. One series per method, error bars from
-the reported standard deviations, gaps where a method is missing an SNR
-that other methods cover.
+report produces byte-identical markup on every run and platform; tests
+pin the sha256 of the markup for fixed inputs. One series per method,
+error bars from the reported standard deviations, gaps where a method is
+missing an SNR that other methods cover. A report holding two different
+values for one (method, SNR) cell is refused rather than drawn.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from pathlib import Path
 
@@ -19,6 +21,9 @@ logger = logging.getLogger(__name__)
 _WIDTH, _HEIGHT = 640.0, 440.0
 _MARGIN_LEFT, _MARGIN_RIGHT = 70.0, 30.0
 _MARGIN_TOP, _MARGIN_BOTTOM = 40.0, 60.0
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_AXIS_Y = _MARGIN_TOP + _PLOT_H
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -27,12 +32,25 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "black", extra: str = "") -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}"{extra}/>')
+
+
+def _text(x: str, y: str, label: str, size: int = 12,
+          anchor: str = ' text-anchor="middle"', extra: str = "") -> str:
+    # anchor and extra are raw attribute strings, placed before and after the font attributes
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"'
+            f'{extra}>{label}</text>')
+
+
 def plot_accuracy_vs_snr(rows, out_path, comment: str = "") -> None:
     """Render report rows (dicts with method/snr/mean/std accuracy) to SVG.
 
-    Rows sharing a method form one series ordered by SNR. A method
-    missing one of the union's SNR values is drawn with a gap there and a
-    warning is logged.
+    Rows sharing a method form one series ordered by SNR. A method missing
+    one of the union's SNR values is drawn with a gap there and a warning
+    is logged. A row repeating a (method, snr) cell with another mean or
+    std raises ``ValueError`` before anything is written.
     """
     rows = list(rows)
     if not rows:
@@ -40,106 +58,70 @@ def plot_accuracy_vs_snr(rows, out_path, comment: str = "") -> None:
 
     series: dict = {}
     for row in rows:
-        series.setdefault(row["method"], {})[float(row["snr"])] = (
-            float(row["mean_accuracy"]),
-            float(row["std_accuracy"]),
-        )
+        method, snr = row["method"], float(row["snr"])
+        cell = (float(row["mean_accuracy"]), float(row["std_accuracy"]))
+        held = series.setdefault(method, {}).setdefault(snr, cell)
+        if held != cell:
+            raise ValueError(f"two results for method {method!r} at snr {snr:g}: {held} and {cell}")
     all_snrs = sorted({float(row["snr"]) for row in rows})
-    methods = sorted(series)
 
     x_lo, x_hi = min(all_snrs), max(all_snrs)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    y_lo, y_hi = 0.0, 1.0
-    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    pad = float(x_hi == x_lo)  # a single SNR gets a unit of axis either side
+    x_lo, x_hi = x_lo - pad, x_hi + pad
 
     def x_px(snr: float) -> float:
-        return _MARGIN_LEFT + (snr - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (snr - x_lo) / (x_hi - x_lo) * _PLOT_W
 
     def y_px(acc: float) -> float:
-        return _MARGIN_TOP + (y_hi - acc) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + (1.0 - acc) * _PLOT_H
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" '
-        f'viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
-    ]
+    size = f'width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}"'
+    mid_y = _fmt(_MARGIN_TOP + _PLOT_H / 2)
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" {size} viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">']
     if comment:
         parts.append(f"<!-- {comment} -->")
-    parts.append(f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="white"/>')
-    parts.append(
-        f'<text x="{_WIDTH / 2:.2f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        'font-size="16">Accuracy vs SNR</text>'
-    )
-
-    axis_y = _MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT:.2f}" y1="{axis_y:.2f}" x2="{_MARGIN_LEFT + plot_w:.2f}" '
-        f'y2="{axis_y:.2f}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT:.2f}" y1="{_MARGIN_TOP:.2f}" x2="{_MARGIN_LEFT:.2f}" '
-        f'y2="{axis_y:.2f}" stroke="black"/>'
-    )
+    parts += [
+        f'<rect {size} fill="white"/>',
+        _text(_fmt(_WIDTH / 2), "24", "Accuracy vs SNR", 16),
+        _line(_MARGIN_LEFT, _AXIS_Y, _MARGIN_LEFT + _PLOT_W, _AXIS_Y),
+        _line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, _AXIS_Y),
+    ]
     for snr in all_snrs:
         x = x_px(snr)
-        parts.append(f'<line x1="{_fmt(x)}" y1="{axis_y:.2f}" x2="{_fmt(x)}" y2="{axis_y + 5:.2f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{axis_y + 20:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{snr:g}</text>'
-        )
+        parts += [_line(x, _AXIS_Y, x, _AXIS_Y + 5), _text(_fmt(x), _fmt(_AXIS_Y + 20), f"{snr:g}")]
     for tick in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
         y = y_px(tick)
-        parts.append(f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{_fmt(y)}" x2="{_MARGIN_LEFT:.2f}" y2="{_fmt(y)}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 10:.2f}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{tick:.1f}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 15:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">SNR</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.2f})">Accuracy</text>'
-    )
+        parts += [_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y),
+                  _text(_fmt(_MARGIN_LEFT - 10), _fmt(y + 4), f"{tick:.1f}", anchor=' text-anchor="end"')]
+    parts += [_text(_fmt(_MARGIN_LEFT + _PLOT_W / 2), _fmt(_HEIGHT - 15), "SNR", 13),
+              _text("20", mid_y, "Accuracy", 13, extra=f' transform="rotate(-90 20 {mid_y})"')]
 
-    for m_idx, method in enumerate(methods):
+    legend_x = _MARGIN_LEFT + _PLOT_W - 150
+    for m_idx, method in enumerate(sorted(series)):
         color = _PALETTE[m_idx % len(_PALETTE)]
         points = series[method]
-        # split into contiguous runs over the union grid so gaps stay gaps
-        segments, current = [], []
-        for snr in all_snrs:
-            if snr in points:
-                current.append(snr)
-            else:
-                logger.warning("method %r has no row at snr %g; drawing a gap", method, snr)
-                if current:
-                    segments.append(current)
-                current = []
-        if current:
-            segments.append(current)
-        for segment in segments:
-            if len(segment) > 1:
-                path = " ".join(f"{_fmt(x_px(s))},{_fmt(y_px(points[s][0]))}" for s in segment)
+        # contiguous runs over the union grid, so gaps stay gaps
+        for present, run in itertools.groupby(all_snrs, key=points.__contains__):
+            run = list(run)
+            if not present:
+                for snr in run:
+                    logger.warning("method %r has no row at snr %g; drawing a gap", method, snr)
+            elif len(run) > 1:
+                path = " ".join(f"{_fmt(x_px(s))},{_fmt(y_px(points[s][0]))}" for s in run)
                 parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="2"/>')
-        for snr in sorted(points):
-            mean, std = points[snr]
+        for snr, (mean, std) in sorted(points.items()):
             x, y = x_px(snr), y_px(mean)
             y_top, y_bot = y_px(min(mean + std, 1.0)), y_px(max(mean - std, 0.0))
-            parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y_top)}" x2="{_fmt(x)}" y2="{_fmt(y_bot)}" stroke="{color}"/>')
-            parts.append(f'<line x1="{_fmt(x - 4)}" y1="{_fmt(y_top)}" x2="{_fmt(x + 4)}" y2="{_fmt(y_top)}" stroke="{color}"/>')
-            parts.append(f'<line x1="{_fmt(x - 4)}" y1="{_fmt(y_bot)}" x2="{_fmt(x + 4)}" y2="{_fmt(y_bot)}" stroke="{color}"/>')
-            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="{color}"/>')
+            parts += [
+                _line(x, y_top, x, y_bot, color),
+                _line(x - 4, y_top, x + 4, y_top, color),
+                _line(x - 4, y_bot, x + 4, y_bot, color),
+                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="{color}"/>',
+            ]
         legend_y = _MARGIN_TOP + 10 + 18 * m_idx
-        legend_x = _MARGIN_LEFT + plot_w - 150
-        parts.append(f'<line x1="{_fmt(legend_x)}" y1="{_fmt(legend_y)}" x2="{_fmt(legend_x + 24)}" y2="{_fmt(legend_y)}" stroke="{color}" stroke-width="2"/>')
-        parts.append(
-            f'<text x="{_fmt(legend_x + 30)}" y="{_fmt(legend_y + 4)}" font-family="sans-serif" '
-            f'font-size="12">{method}</text>'
-        )
+        parts += [_line(legend_x, legend_y, legend_x + 24, legend_y, color, ' stroke-width="2"'),
+                  _text(_fmt(legend_x + 30), _fmt(legend_y + 4), method, anchor="")]
 
     parts.append("</svg>")
     out_path = Path(out_path)

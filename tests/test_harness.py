@@ -1,7 +1,9 @@
 """Config/report/plot/CLI layer: schemas, persistence, determinism."""
 
 import dataclasses
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -247,11 +249,33 @@ class TestPlot:
         assert svg.count("<polyline") == 2
         assert svg.count("<circle") == 7  # every present point still marked
 
-    def test_golden_markup_stable(self, tmp_path):
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        plot_accuracy_vs_snr(self.rows(), a, comment="config_hash=x seed=1")
-        plot_accuracy_vs_snr(self.rows(), b, comment="config_hash=x seed=1")
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("drop_rl_15, comment, digest", [
+        (False, "config_hash=x seed=1",
+         "08bad97f9ae4103456d3408055d2554ba916d8a20e1e64872f48843ab4aa2be2"),
+        (True, "", "9e7c9ca93ef33f66f57e33ce2a32ef6df2ba20bebc50609d1a9754613a27e82c"),
+    ], ids=["full", "gap-no-comment"])
+    def test_golden_markup_pinned(self, drop_rl_15, comment, digest, tmp_path):
+        """The markup's sha256 is pinned, so any byte that moves between
+        versions fails here, not only one that moves between two renders."""
+        rows = [r for r in self.rows() if not (drop_rl_15 and r["method"] == "rl" and r["snr"] == 15.0)]
+        path = tmp_path / "golden.svg"
+        plot_accuracy_vs_snr(rows, path, comment=comment)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_conflicting_cell_refused(self, tmp_path):
+        rows = self.rows()
+        held = (rows[1]["mean_accuracy"], rows[1]["std_accuracy"])
+        rows.append({**rows[1], "mean_accuracy": 0.6, "std_accuracy": 0.01})
+        path = tmp_path / "conflict.svg"
+        with pytest.raises(ValueError, match=re.escape(f"'adhoc' at snr 15: {held} and (0.6, 0.01)")):
+            plot_accuracy_vs_snr(rows, path)
+        assert not path.exists()
+
+    def test_identical_duplicate_cell_drawn_once(self, tmp_path):
+        once, twice = tmp_path / "once.svg", tmp_path / "twice.svg"
+        plot_accuracy_vs_snr(self.rows(), once)
+        plot_accuracy_vs_snr(self.rows() + [dict(self.rows()[1])], twice)
+        assert once.read_bytes() == twice.read_bytes()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -305,6 +329,29 @@ class TestCli:
                 check=True)
         svg = (tmp_path / "fig" / "accuracy_vs_snr.svg").read_text()
         assert f"<!-- config_hash=0000,{row['config_hash']} seed=10,424242 -->" in svg
+
+    def test_plot_refuses_a_report_with_two_results_for_one_cell(self, run_cli, tiny_config, tmp_path):
+        """Two tasks evaluated with one method into one report give two
+        results per (method, snr) cell: plot exits non-zero, names the cell
+        and both values, and writes no chart. An empty report takes the same
+        path."""
+        for task in ("multiclass", "active-chronic"):
+            run_cli(["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc",
+                     "--task", task, "--snr", "15,25"], tmp_path, check=True)
+        report = tmp_path / "out" / "report.csv"
+        first = read_report(report)[0]
+        plot = run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path)
+        assert plot.returncode != 0
+        assert "'adhoc' at snr 15" in plot.stderr
+        assert str((first["mean_accuracy"], first["std_accuracy"])) in plot.stderr
+        assert not (tmp_path / "fig" / "accuracy_vs_snr.svg").exists()
+
+        empty = tmp_path / "empty.csv"
+        append_report_rows(empty, [])
+        plot = run_cli(["plot", "--report", str(empty), "--out", str(tmp_path / "fig")], tmp_path)
+        assert plot.returncode != 0
+        assert "no report rows to plot" in plot.stderr
+        assert not (tmp_path / "fig" / "accuracy_vs_snr.svg").exists()
 
     def test_config_snapshot_drives_a_command(self, run_cli, tiny_config, tmp_path):
         run_cli(["optimize", "--config", str(tiny_config), "--optimizer", "crlb"], tmp_path,
@@ -432,6 +479,14 @@ class TestCli:
         )
         assert plot.returncode == 0, plot.stderr
         assert (tmp_path / "out" / "accuracy_vs_snr.svg").exists()
+        # re-running one cell with the same method appends an identical row:
+        # still one point per cell
+        run_cli(["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc", "--snr", "15"],
+                tmp_path, check=True)
+        assert len(read_report(tmp_path / "out" / "report.csv")) == 3
+        run_cli(["plot", "--config", str(tiny_config), "--report",
+                 str(tmp_path / "out" / "report.csv")], tmp_path, check=True)
+        assert (tmp_path / "out" / "accuracy_vs_snr.svg").read_text().count("<circle") == 2
         report = run_cli(["report", "--report", str(tmp_path / "out" / "report.csv")], tmp_path)
         assert report.returncode == 0
         assert "adhoc" in report.stdout
