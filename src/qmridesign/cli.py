@@ -86,9 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("evaluate", cmd_evaluate, "accuracy of a protocol at the requested SNRs",
             (*common, "task", "snr", "optimizer"), aliases=["sweep-snr"])
-    p.add_argument("--protocol", help=f"literal protocol: {PROTOCOL_LENGTH} comma-separated b-values")
-    p.add_argument("--protocol-file", type=Path, help="stored protocol artifact (JSON)")
-    p.add_argument("--checkpoint", type=Path, help="agent checkpoint; evaluates its greedy protocol")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--protocol", help=f"literal protocol: {PROTOCOL_LENGTH} comma-separated b-values")
+    source.add_argument("--protocol-file", type=Path, help="stored protocol artifact (JSON)")
+    source.add_argument("--checkpoint", type=Path, help="agent checkpoint; evaluates its greedy protocol")
     p.add_argument("--label", help="method label for report rows")
 
     p = add("optimize", cmd_optimize, "search for a protocol (crlb or rl)",
@@ -302,7 +303,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if "config" not in args:
         return args.run(args)
-    config = _resolve_config(args)
+    try:
+        config = _resolve_config(args)
+    except (ValueError, TypeError, OSError) as err:
+        raise SystemExit(f"invalid configuration: {err}") from err
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return args.run(args, config, out, config_hash(config))

@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_CHOICES}, got {self.optimizer!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not all(snr > 1 for snr in self.snr_list):
+            raise ValueError(f"every snr_list entry must exceed 1, got {list(self.snr_list)}")
 
     def resolved_tissue_file(self) -> Path:
         return Path(self.tissue_file) if self.tissue_file else default_tissue_path()

@@ -9,6 +9,8 @@ entropy bonus off by default (a config knob, since very wide action
 spaces may need it). All gradients are computed by explicit reverse
 accumulation in nets.Mlp; the test suite checks them against central
 finite differences, which is the load-bearing numerical test here.
+Each round stores its steps in one record array (rollout_arrays); the
+last round is shorter when rollout_steps does not divide the budget.
 
 Environments are duck-typed: ``reset() -> obs``,
 ``step(action) -> (obs, reward, done, info)``, plus ``observation_size``
@@ -33,7 +35,8 @@ from .nets import Adam, Mlp, log_softmax, softmax
 __all__ = [
     "PpoConfig",
     "PpoAgent",
-    "RolloutBuffer",
+    "rollout_arrays",
+    "gae",
     "PpoNanError",
     "ppo_loss",
     "ppo_update",
@@ -116,50 +119,31 @@ class PpoAgent:
             raise PpoNanError("non-finite network weights after update")
 
 
-class RolloutBuffer:
-    """Fixed-capacity on-policy storage with GAE post-processing."""
+def rollout_arrays(n: int, observation_size: int) -> np.ndarray:
+    """One round's step records, written ``rollout[t] = (obs, action, log_prob,
+    reward, value, done)`` and read by field name."""
+    return np.empty(n, dtype=[("obs", float, (observation_size,)), ("action", int), ("log_prob", float),
+                              ("reward", float), ("value", float), ("done", bool)])
 
-    def __init__(self, capacity: int, observation_size: int):
-        self.capacity = capacity
-        self.observations = np.empty((capacity, observation_size))
-        self.actions = np.empty(capacity, dtype=int)
-        self.log_probs = np.empty(capacity)
-        self.rewards = np.empty(capacity)
-        self.values = np.empty(capacity)
-        self.dones = np.empty(capacity, dtype=bool)
-        self.size = 0
 
-    def add(self, obs, action, log_prob, reward, value, done) -> None:
-        i = self.size
-        if i >= self.capacity:
-            raise IndexError("rollout buffer full")
-        self.observations[i] = obs
-        self.actions[i] = action
-        self.log_probs[i] = log_prob
-        self.rewards[i] = reward
-        self.values[i] = value
-        self.dones[i] = done
-        self.size = i + 1
+def gae(rewards, values, dones, last_value: float, gamma: float, gae_lambda: float):
+    """Backward generalized-advantage recursion; returns (advantages, returns).
 
-    def compute_advantages(self, last_value: float, gamma: float, gae_lambda: float):
-        """Backward GAE recursion; returns (advantages, returns).
-
-        ``last_value`` bootstraps the state following the final stored
-        step; it is masked out when that step ended its episode.
-        """
-        n = self.size
-        advantages = np.zeros(n)
-        gae = 0.0
-        for t in range(n - 1, -1, -1):
-            non_terminal = 0.0 if self.dones[t] else 1.0
-            next_value = last_value if t == n - 1 else self.values[t + 1]
-            delta = self.rewards[t] + gamma * next_value * non_terminal - self.values[t]
-            gae = delta + gamma * gae_lambda * non_terminal * gae
-            advantages[t] = gae
-        returns = advantages + self.values[:n]
-        if not (np.isfinite(advantages).all() and np.isfinite(returns).all()):
-            raise PpoNanError("non-finite advantages in rollout")
-        return advantages, returns
+    ``last_value`` bootstraps the state following the final step; it is
+    masked out when that step ended its episode.
+    """
+    advantages = np.zeros(len(rewards))
+    next_values = np.append(values[1:], last_value)
+    running = 0.0
+    for t in reversed(range(len(rewards))):
+        non_terminal = 0.0 if dones[t] else 1.0
+        delta = rewards[t] + gamma * next_values[t] * non_terminal - values[t]
+        running = delta + gamma * gae_lambda * non_terminal * running
+        advantages[t] = running
+    returns = advantages + values
+    if not (np.isfinite(advantages).all() and np.isfinite(returns).all()):
+        raise PpoNanError("non-finite advantages in rollout")
+    return advantages, returns
 
 
 def _clip_global_norm(grad: np.ndarray, n_actor_params: int, max_norm: float) -> None:
@@ -227,39 +211,36 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
     return losses, grad
 
 
-def ppo_update(agent: PpoAgent, buffer: RolloutBuffer, last_value: float,
+def ppo_update(agent: PpoAgent, rollout: np.ndarray, last_value: float,
                rng: np.random.Generator, config: PpoConfig):
-    """One full optimization phase over a collected rollout.
+    """One full optimization phase over a round's step records (see rollout_arrays).
 
     Runs n_epochs of shuffled minibatches with one Adam step each and
     returns mean loss statistics. Raises PpoNanError if any loss or
     weight goes non-finite.
     """
-    n = buffer.size
+    n = len(rollout)
     if n == 0:
         raise ValueError("cannot update from an empty rollout")
-    advantages, returns = buffer.compute_advantages(last_value, config.gamma, config.gae_lambda)
+    advantages, returns = gae(rollout["reward"], rollout["value"], rollout["done"], last_value,
+                              config.gamma, config.gae_lambda)
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1.0e-8)
 
-    observations = buffer.observations[:n]
-    actions = buffer.actions[:n]
-    log_probs_old = buffer.log_probs[:n]
-
-    stats = {"policy_loss": [], "value_loss": [], "entropy": [], "approx_kl": []}
+    minibatch_losses = []
     for _ in range(config.n_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             idx = order[start : start + config.minibatch_size]
             losses, grad = ppo_loss(
-                agent, observations[idx], actions[idx], log_probs_old[idx], advantages[idx],
-                returns[idx], config,
+                agent, rollout["obs"][idx], rollout["action"][idx], rollout["log_prob"][idx],
+                advantages[idx], returns[idx], config,
             )
             _clip_global_norm(grad, agent.n_actor_params, config.max_grad_norm)
             agent.optimizer.step(grad)
             agent.check_finite()
-            for key, value in losses.items():
-                stats[key].append(value)
-    return {key: float(np.mean(values)) for key, values in stats.items()}
+            minibatch_losses.append(losses)
+    return {key: float(np.mean([losses[key] for losses in minibatch_losses]))
+            for key in minibatch_losses[0]}
 
 
 @dataclass
@@ -278,7 +259,8 @@ def _protocol_from_info(info: dict) -> AcquisitionProtocol | None:
 
 
 def train(env, config: PpoConfig, rng: np.random.Generator, agent: PpoAgent | None = None) -> TrainResult:
-    """Rollout/update loop until the step budget is exhausted.
+    """Rounds of ``rollout_steps`` env steps, each followed by one update,
+    until the step budget is spent; each curve row is taken at a round's end.
 
     Tracks the best terminal reward ever seen (and its protocol, when the
     environment reports one). A zero-step budget returns the freshly
@@ -286,25 +268,20 @@ def train(env, config: PpoConfig, rng: np.random.Generator, agent: PpoAgent | No
     """
     if agent is None:
         agent = PpoAgent(env.observation_size, env.n_actions, rng, config)
-    result = TrainResult(
-        agent=agent,
-        best_reward=-np.inf,
-        best_protocol=getattr(env, "initial_protocol", None),
-    )
+    result = TrainResult(agent, best_reward=-np.inf, best_protocol=getattr(env, "initial_protocol", None))
     if config.total_steps == 0:
         return result
 
     obs = env.reset()
-    steps_done = 0
     episode_return = 0.0
-    while steps_done < config.total_steps:
-        horizon = min(config.rollout_steps, config.total_steps - steps_done)
-        buffer = RolloutBuffer(horizon, env.observation_size)
+    for start in range(0, config.total_steps, config.rollout_steps):
+        horizon = min(config.rollout_steps, config.total_steps - start)
+        rollout = rollout_arrays(horizon, env.observation_size)
         episode_rewards = []
-        for _ in range(horizon):
+        for t in range(horizon):
             action, log_prob, value = agent.act(obs, rng)
             next_obs, reward, done, info = env.step(action)
-            buffer.add(obs, action, log_prob, reward, value, done)
+            rollout[t] = (obs, action, log_prob, reward, value, done)
             episode_return += reward
             if done:
                 result.episodes += 1
@@ -318,11 +295,10 @@ def train(env, config: PpoConfig, rng: np.random.Generator, agent: PpoAgent | No
                 next_obs = env.reset()
             obs = next_obs
         _, last_value = agent.policy_forward(obs)
-        result.update_stats.append(ppo_update(agent, buffer, last_value, rng, config))
-        steps_done += horizon
+        result.update_stats.append(ppo_update(agent, rollout, last_value, rng, config))
         mean_reward = float(np.mean(episode_rewards)) if episode_rewards else np.nan
         best = result.best_reward if np.isfinite(result.best_reward) else np.nan
-        result.curve.append((steps_done, mean_reward, best))
+        result.curve.append((start + horizon, mean_reward, best))
     return result
 
 

@@ -430,6 +430,39 @@ class TestCli:
         assert bad.returncode != 0
         assert "malformed" in bad.stderr
 
+    def test_evaluate_refuses_two_protocol_sources(self, run_cli, tiny_config, tmp_path):
+        """--protocol, --protocol-file and --checkpoint exclude each other: a
+        command naming several is a usage error, before any file is opened."""
+        result = run_cli(
+            ["evaluate", "--config", str(tiny_config),
+             "--protocol", "0,10,20,30,50,80,100,200,400,800",
+             "--protocol-file", str(tmp_path / "missing.json"),
+             "--checkpoint", str(tmp_path / "missing.npz")],
+            tmp_path,
+        )
+        assert result.returncode == 2
+        assert "not allowed with argument" in result.stderr
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["evaluate", "--snr", "5,abc"], None),
+        (["optimize", "--optimizer", "crlb", "--budget", "0"], None),
+        (["evaluate"], {"eval": {"k_neighbours": 3}}),
+        (["evaluate", "--snr", "0.5"], None),
+    ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one"])
+    def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
+        """A config value the program cannot use ends the command with a
+        one-line message, before the output directory is made."""
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "run"
+        result = run_cli([*argv, "--out", str(out)], tmp_path)
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert "invalid configuration" in result.stderr
+        assert not out.exists()
+
     def test_optimize_crlb_and_rl_artifacts(self, run_cli, tiny_config, tmp_path):
         crlb = run_cli(
             ["optimize", "--config", str(tiny_config), "--optimizer", "crlb"], tmp_path

@@ -15,10 +15,11 @@ from qmridesign.ppo import (
     PpoAgent,
     PpoConfig,
     PpoNanError,
-    RolloutBuffer,
+    gae,
     load_checkpoint,
     ppo_loss,
     ppo_update,
+    rollout_arrays,
     rollout_greedy,
     save_checkpoint,
     train,
@@ -83,15 +84,28 @@ class TestAgent:
         assert np.all(agent.critic.params != critic)
 
 
+def reference_gae(rewards, values, dones, last_value, gamma, gae_lambda):
+    """The backward GAE loop as the rollout buffer class wrote it, kept as
+    the reference that ``gae`` must equal bit for bit."""
+    n = len(rewards)
+    advantages = np.zeros(n)
+    gae = 0.0
+    for t in range(n - 1, -1, -1):
+        non_terminal = 0.0 if dones[t] else 1.0
+        next_value = last_value if t == n - 1 else values[t + 1]
+        delta = rewards[t] + gamma * next_value * non_terminal - values[t]
+        gae = delta + gamma * gae_lambda * non_terminal * gae
+        advantages[t] = gae
+    return advantages, advantages + values[:n]
+
+
 class TestGae:
     def test_single_episode_terminal_reward(self):
         """Hand-computed backward recursion on a 3-step episode."""
-        buffer = RolloutBuffer(3, 1)
-        values = [0.5, 0.4, 0.3]
-        for t in range(3):
-            buffer.add(np.zeros(1), 0, -0.1, 0.0 if t < 2 else 1.0, values[t], t == 2)
+        values = np.array([0.5, 0.4, 0.3])
         gamma, lam = 0.9, 0.8
-        advantages, returns = buffer.compute_advantages(99.0, gamma, lam)  # bootstrap masked
+        advantages, returns = gae(np.array([0.0, 0.0, 1.0]), values, np.array([False, False, True]),
+                                  99.0, gamma, lam)  # bootstrap masked
         delta2 = 1.0 - 0.3
         delta1 = 0.9 * 0.3 - 0.4
         delta0 = 0.9 * 0.4 - 0.5
@@ -102,23 +116,44 @@ class TestGae:
         np.testing.assert_allclose(returns, advantages + values, rtol=1e-12)
 
     def test_bootstrap_used_when_truncated(self):
-        buffer = RolloutBuffer(2, 1)
-        buffer.add(np.zeros(1), 0, -0.1, 0.0, 0.2, False)
-        buffer.add(np.zeros(1), 0, -0.1, 0.0, 0.1, False)
-        advantages, _ = buffer.compute_advantages(0.7, gamma=1.0, gae_lambda=1.0)
+        advantages, _ = gae(np.zeros(2), np.array([0.2, 0.1]), np.zeros(2, dtype=bool), 0.7,
+                            gamma=1.0, gae_lambda=1.0)
         assert advantages[1] == pytest.approx(0.7 - 0.1)
         assert advantages[0] == pytest.approx((0.1 - 0.2) + (0.7 - 0.1))
 
+    @pytest.mark.parametrize("dones", ["scattered", "none", "all", "truncated"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_reference_loop(self, dones, seed):
+        """On random step records ``gae`` equals the reference loop with ``==``:
+        dones scattered (the last step among them), absent, on every step, or
+        scattered with the last step cut off mid-episode."""
+        rng = np.random.default_rng(seed)
+        rollout = rollout_arrays(97, 2)
+        rollout["reward"] = rng.normal(size=97)
+        rollout["value"] = rng.normal(size=97)
+        rollout["done"] = {
+            "scattered": rng.random(97) < 0.2,
+            "none": np.zeros(97, dtype=bool),
+            "all": np.ones(97, dtype=bool),
+            "truncated": rng.random(97) < 0.2,
+        }[dones]
+        rollout["done"][-1] = dones in ("scattered", "all")
+        args = (rollout["reward"], rollout["value"], rollout["done"], float(rng.normal()), 0.99, 0.95)
+        advantages, returns = gae(*args)
+        expected_advantages, expected_returns = reference_gae(*args)
+        np.testing.assert_array_equal(advantages, expected_advantages)
+        np.testing.assert_array_equal(returns, expected_returns)
 
-def fill_buffer(agent, rng, n=32, n_actions=5, obs_dim=4):
-    buffer = RolloutBuffer(n, obs_dim)
+
+def fill_rollout(agent, rng, n=32, n_actions=5, obs_dim=4):
+    rollout = rollout_arrays(n, obs_dim)
     for t in range(n):
         obs = rng.normal(size=obs_dim)
         action = int(rng.integers(0, n_actions))
         probs, value = agent.policy_forward(obs)
-        buffer.add(obs, action, float(np.log(probs[action])), float(rng.normal()), value,
-                   t % 8 == 7)
-    return buffer
+        rollout[t] = (obs, action, float(np.log(probs[action])), float(rng.normal()), value,
+                      t % 8 == 7)
+    return rollout
 
 
 def ppo_loss_value(agent, batch, config):
@@ -204,13 +239,13 @@ class TestPpoUpdate:
         rng = np.random.default_rng(8)
         config = small_config(vf_coef=0.0, ent_coef=0.0)
         agent = PpoAgent(4, 5, rng, config)
-        buffer = fill_buffer(agent, rng)
-        n = buffer.size
-        batch = (buffer.observations, buffer.actions, buffer.log_probs)
+        rollout = fill_rollout(agent, rng)
+        n = len(rollout)
+        batch = (rollout["obs"], rollout["action"], rollout["log_prob"])
         actor = slice(agent.n_actor_params)
-        grad = ppo_loss(agent, *batch, np.zeros(n), buffer.rewards, config)[1]
+        grad = ppo_loss(agent, *batch, np.zeros(n), rollout["reward"], config)[1]
         assert np.all(grad[actor] == 0.0)
-        grad = ppo_loss(agent, *batch, np.ones(n), buffer.rewards, config)[1]
+        grad = ppo_loss(agent, *batch, np.ones(n), rollout["reward"], config)[1]
         assert np.any(grad[actor] != 0.0)
 
     def test_clipping_definition(self):
@@ -235,8 +270,8 @@ class TestPpoUpdate:
         rng = np.random.default_rng(9)
         config = small_config(total_steps=0)
         agent = PpoAgent(4, 5, rng, config)
-        buffer = fill_buffer(agent, rng)
-        stats = ppo_update(agent, buffer, last_value=0.0, rng=rng, config=config)
+        rollout = fill_rollout(agent, rng)
+        stats = ppo_update(agent, rollout, last_value=0.0, rng=rng, config=config)
         assert set(stats) == {"policy_loss", "value_loss", "entropy", "approx_kl"}
         probs, _ = agent.policy_forward(np.zeros(4))
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
@@ -246,10 +281,35 @@ class TestPpoUpdate:
         rng = np.random.default_rng(10)
         config = small_config()
         agent = PpoAgent(4, 5, rng, config)
-        buffer = fill_buffer(agent, rng)
-        buffer.rewards[3] = np.nan
+        rollout = fill_rollout(agent, rng)
+        rollout["reward"][3] = np.nan
         with pytest.raises(PpoNanError):
-            ppo_update(agent, buffer, last_value=0.0, rng=rng, config=config)
+            ppo_update(agent, rollout, last_value=0.0, rng=rng, config=config)
+
+    def test_one_update_pinned(self):
+        """One update of a tiny agent on a fixed seeded rollout: the returned
+        statistics and a few weights, as the buffer-class implementation gave
+        them. Three minibatches per epoch (the last one short), entropy bonus
+        on, gradient clipping active. A change to the update's arithmetic
+        moves these, while a one-round train digest, taken before any update
+        acts, does not."""
+        rng = np.random.default_rng(21)
+        config = small_config(ent_coef=0.01)
+        agent = PpoAgent(4, 5, rng, config)
+        rollout = fill_rollout(agent, rng, n=40)
+        stats = ppo_update(agent, rollout, last_value=0.3, rng=rng, config=config)
+        assert stats == pytest.approx({
+            "policy_loss": 0.019767700343872777,
+            "value_loss": 2.991759318033052,
+            "entropy": 1.6092940213361566,
+            "approx_kl": -0.002058737241520953,
+        }, rel=1e-9)
+        assert agent.optimizer.t == 9
+        assert agent.n_actor_params == 157 and agent.params.size == 278
+        pinned = {0: 0.18763359211480993, 7: -0.20102862137004016, 156: -0.0010736665979218171,
+                  157: -0.9640283449975452, 277: 0.020534010725630908}
+        assert {i: agent.params[i] for i in pinned} == pytest.approx(pinned, rel=1e-9)
+        assert agent.params.sum() == pytest.approx(-3.422101219833816, rel=1e-9)
 
 
 class TestTraining:
@@ -275,6 +335,16 @@ class TestTraining:
             probs, _ = result.agent.policy_forward(env.reset())
             wins += probs[0] >= 0.9
         assert wins >= 9
+
+    def test_short_last_round(self):
+        """A budget that rollout_steps does not divide ends with a shorter
+        round: 100 steps at 64 per round give rounds of 64 and 36."""
+        env = TwoArmedBandit()
+        result = train(env, small_config(total_steps=100, rollout_steps=64),
+                       np.random.default_rng(19))
+        assert [row[0] for row in result.curve] == [64, 100]
+        assert len(result.update_stats) == 2
+        assert result.episodes == 100
 
     def test_best_seen_curve_monotone(self):
         env = TwoArmedBandit()
