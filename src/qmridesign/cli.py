@@ -2,16 +2,17 @@
 
 Subcommands: validate, calibrate, evaluate (alias sweep-snr), optimize,
 plot, report. Each takes only the flags it reads. Every command but
-report resolves one JSON config (flags override individual fields) once,
-with its output directory and hash, and writes artifacts stamped with the
-config hash and master seed into that directory. Concurrent invocations
-must target distinct output directories.
+report resolves one JSON config (flags override individual fields) once;
+``main`` pairs its hash with the master seed in the run's one provenance
+stamp. A command computes its result, then one writer per format stamps
+and writes it, making the output directory. A refused command or an
+unreadable input file ends in one line and leaves no directory behind.
+Concurrent invocations must target distinct output directories.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 import warnings
@@ -22,6 +23,7 @@ import numpy as np
 
 from .calibrate import DEFAULT_AUC_TARGETS, calibrate_distributions
 from .classify import Task
+from .cohort import MissingDistributionError
 from .config import (
     ExperimentConfig,
     OPTIMIZER_CHOICES,
@@ -43,6 +45,7 @@ from .reports import (
     load_protocol_artifact,
     read_report,
     save_protocol_artifact,
+    write_csv,
     write_curve,
 )
 from .seeds import derive_rng
@@ -130,15 +133,24 @@ def _parse_protocol_literal(text: str) -> AcquisitionProtocol:
         raise SystemExit(f"invalid protocol {text!r}: {err}") from err
 
 
+def _read(load, path):
+    """``load(path)``; a file that is missing or not of the expected kind ends
+    the command with one line naming it."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as err:
+        raise SystemExit(f"cannot read {path}: {err}") from err
+
+
 def _protocol_source(args, config: ExperimentConfig):
     """Resolve (protocol, method_label) from the CLI source flags."""
     if args.protocol:
         return _parse_protocol_literal(args.protocol), args.label or "custom"
     if args.protocol_file:
-        protocol, payload = load_protocol_artifact(args.protocol_file)
+        protocol, payload = _read(load_protocol_artifact, args.protocol_file)
         return protocol, args.label or payload.get("method", "artifact")
     if args.checkpoint:
-        agent, _, _ = load_checkpoint(args.checkpoint)
+        agent, _, _ = _read(load_checkpoint, args.checkpoint)
         env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
         protocol, _, _ = rollout_greedy(agent, env)
         return protocol, args.label or "rl"
@@ -149,19 +161,16 @@ def _protocol_source(args, config: ExperimentConfig):
     )
 
 
-def cmd_validate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
+def cmd_validate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
     started = time.perf_counter()
     matrix = auc_matrix(AcquisitionProtocol.adhoc(), config.validation_env(), config.eval, config.seed)
     elapsed = time.perf_counter() - started
 
     path = out / "auc_report.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["task", "param", "mean_auc", "std_auc", "n_repeats", "config_hash", "seed"])
-        writer.writerows(
-            [task_token, param, repr(mean), repr(std), config.eval.n_repeats_report, digest, config.seed]
-            for task_token, params in matrix.items() for param, (mean, std) in params.items()
-        )
+    write_csv(path, ["task", "param", "mean_auc", "std_auc", "n_repeats", *stamp], (
+        [task_token, param, repr(mean), repr(std), config.eval.n_repeats_report, *stamp.values()]
+        for task_token, params in matrix.items() for param, (mean, std) in params.items()
+    ))
     for task_token, params in matrix.items():
         cells = "  ".join(f"{p}={mean:.2f}+/-{std:.2f}" for p, (mean, std) in params.items())
         print(f"{task_token:16s} {cells}")
@@ -169,14 +178,9 @@ def cmd_validate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
     return 0
 
 
-def cmd_calibrate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
-    result = calibrate_distributions(
-        config.distributions(),
-        config.validation_env(),
-        config.eval,
-        config.seed,
-        max_rounds=args.budget,
-    )
+def cmd_calibrate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
+    result = calibrate_distributions(config.distributions(), config.validation_env(), config.eval,
+                                     config.seed, max_rounds=args.budget)
     tissue_path = out / "tissue_calibrated.json"
     save_tissue_distributions(tissue_path, result.distributions)
     write_json(out / "calibration_report.json", {
@@ -186,8 +190,7 @@ def cmd_calibrate(args, config: ExperimentConfig, out: Path, digest: str) -> int
         "max_rounds": args.budget,
         "achieved": result.achieved,
         "targets": DEFAULT_AUC_TARGETS,
-        "config_hash": digest,
-        "seed": config.seed,
+        **stamp,
     })
     if not result.converged:
         warnings.warn("calibration budget exhausted before reaching targets; wrote best found")
@@ -195,7 +198,7 @@ def cmd_calibrate(args, config: ExperimentConfig, out: Path, digest: str) -> int
     return 0
 
 
-def cmd_evaluate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
+def cmd_evaluate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
     protocol, label = _protocol_source(args, config)
     rows = []
     for snr in config.snrs():
@@ -203,82 +206,57 @@ def cmd_evaluate(args, config: ExperimentConfig, out: Path, digest: str) -> int:
         started = time.perf_counter()
         mean, std = evaluate_accuracy(protocol, config.task, env, config.eval, config.seed)
         elapsed = time.perf_counter() - started
-        rows.append(
-            ReportRow(
-                task=config.task.token,
-                method=label,
-                protocol_id=protocol_id(protocol),
-                b_values=protocol.b_values,
-                te_s=protocol.echo_time(env.scanner),
-                snr=float(snr),
-                mean_accuracy=mean,
-                std_accuracy=std,
-                n_repeats=config.eval.n_repeats_report,
-                config_hash=digest,
-                seed=config.seed,
-                wall_clock_s=elapsed,
-            )
-        )
+        rows.append(ReportRow(
+            task=config.task.token, method=label, protocol_id=protocol_id(protocol),
+            b_values=protocol.b_values, te_s=protocol.echo_time(env.scanner), snr=float(snr),
+            mean_accuracy=mean, std_accuracy=std, n_repeats=config.eval.n_repeats_report,
+            **stamp, wall_clock_s=elapsed,
+        ))
     path = out / "report.csv"
     append_report_rows(path, rows)
     for row in rows:
-        print(
-            f"{row.task} {row.method} snr={row.snr:g}: "
-            f"{row.mean_accuracy:.3f} +/- {row.std_accuracy:.3f} (n={row.n_repeats})"
-        )
+        print(f"{row.task} {row.method} snr={row.snr:g}: "
+              f"{row.mean_accuracy:.3f} +/- {row.std_accuracy:.3f} (n={row.n_repeats})")
     print(f"appended {len(rows)} row(s) to {path}")
     return 0
 
 
-def cmd_optimize(args, config: ExperimentConfig, out: Path, digest: str) -> int:
-    if config.optimizer not in ("crlb", "rl"):
+def cmd_optimize(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
+    method = config.optimizer
+    if method not in ("crlb", "rl"):
         raise SystemExit("optimize requires --optimizer crlb or --optimizer rl")
 
+    rng = derive_rng(config.seed, f"optimize-{method}")
+    if method == "crlb":
+        protocol, objective, _ = optimize_crlb(config.task.classes, config.distributions(), config.scanner,
+                                               config.crlb, rng)
+        extra, summary = {}, f"cost={objective:.4g}"
+    else:
+        env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
+        result = train(env, config.ppo, rng)
+        protocol, objective = result.best_protocol, result.best_reward
+        extra = {"episodes": result.episodes, "total_steps": config.ppo.total_steps}
+        summary = f"best_reward={objective:.3f} ({result.episodes} episodes)"
+        write_curve(out / "curve.csv", result.curve)
+        save_checkpoint(out / "checkpoint.npz", result.agent, config.ppo.total_steps, extra=stamp)
     write_json(out / "config_snapshot.json", config.to_dict())
-    if config.optimizer == "crlb":
-        rng = derive_rng(config.seed, "optimize-crlb")
-        protocol, cost, _ = optimize_crlb(
-            config.task.classes, config.distributions(), config.scanner, config.crlb, rng
-        )
-        artifact = out / "protocol_crlb.json"
-        save_protocol_artifact(
-            artifact, protocol, protocol.echo_time(config.scanner), "crlb",
-            protocol_id(protocol), digest, config.seed, objective_value=cost,
-        )
-        print(f"crlb protocol {list(protocol.b_values)} cost={cost:.4g}; wrote {artifact}")
-        return 0
-
-    env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
-    rng = derive_rng(config.seed, "optimize-rl")
-    result = train(env, config.ppo, rng)
-    protocol = result.best_protocol
-    artifact = out / "protocol_rl.json"
-    save_protocol_artifact(
-        artifact, protocol, protocol.echo_time(config.scanner), "rl",
-        protocol_id(protocol), digest, config.seed,
-        objective_value=result.best_reward if np.isfinite(result.best_reward) else None,
-        extra={"episodes": result.episodes, "total_steps": config.ppo.total_steps},
-    )
-    write_curve(out / "curve.csv", result.curve)
-    save_checkpoint(out / "checkpoint.npz", result.agent, config.ppo.total_steps,
-                    extra={"config_hash": digest, "seed": config.seed})
-    print(
-        f"rl protocol {list(protocol.b_values)} best_reward={result.best_reward:.3f} "
-        f"({result.episodes} episodes); wrote {artifact}"
-    )
+    artifact = out / f"protocol_{method}.json"
+    save_protocol_artifact(artifact, protocol, method, config.scanner, stamp,
+                           objective if np.isfinite(objective) else None, extra)
+    print(f"{method} protocol {list(protocol.b_values)} {summary}; wrote {artifact}")
     return 0
 
 
-def cmd_plot(args, config: ExperimentConfig, out: Path, digest: str) -> int:
-    rows = read_report(args.report)
+def cmd_plot(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
+    rows = _read(read_report, args.report)
     path = out / "accuracy_vs_snr.svg"
-    # stamp the plotted rows' own provenance, not the config given to plot
-    stamp = " ".join(
+    # the plotted rows' own provenance, under the stamp's keys, not the config given to plot
+    provenance = " ".join(
         f"{key}=" + ",".join(str(value) for value in sorted({row[key] for row in rows}))
-        for key in ("config_hash", "seed")
+        for key in stamp
     )
     try:
-        plot_accuracy_vs_snr(rows, path, comment=stamp)
+        plot_accuracy_vs_snr(rows, path, comment=provenance)
     except ValueError as err:  # an empty report, or two results for one cell
         raise SystemExit(f"cannot plot {args.report}: {err}") from err
     print(f"wrote {path}")
@@ -286,16 +264,14 @@ def cmd_plot(args, config: ExperimentConfig, out: Path, digest: str) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_report(args.report)
+    rows = _read(read_report, args.report)
     if not rows:
         print("report is empty")
         return 0
     print(f"{'task':16s} {'method':10s} {'snr':>6s} {'accuracy':>16s} {'n':>4s}")
     for row in sorted(rows, key=lambda r: (r["task"], r["method"], r["snr"])):
-        print(
-            f"{row['task']:16s} {row['method']:10s} {row['snr']:6g} "
-            f"{row['mean_accuracy']:.3f} +/- {row['std_accuracy']:.3f} {row['n_repeats']:4d}"
-        )
+        print(f"{row['task']:16s} {row['method']:10s} {row['snr']:6g} "
+              f"{row['mean_accuracy']:.3f} +/- {row['std_accuracy']:.3f} {row['n_repeats']:4d}")
     return 0
 
 
@@ -307,9 +283,11 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
     except (ValueError, TypeError, OSError) as err:
         raise SystemExit(f"invalid configuration: {err}") from err
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return args.run(args, config, out, config_hash(config))
+    stamp = {"config_hash": config_hash(config), "seed": config.seed}
+    try:
+        return args.run(args, config, Path(config.out_dir), stamp)
+    except MissingDistributionError as err:  # the command samples a class the config lacks
+        raise SystemExit(f"{args.command}: {err.args[0]}") from err
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ class CohortSpec:
 
     def restricted(self, classes: Sequence[TissueClass]) -> "CohortSpec":
         """Spec containing only the named classes (order preserved)."""
-        missing = [c for c in classes if c not in self.counts]
+        missing = [c.value for c in classes if c not in self.counts]
         if missing:
             raise MissingDistributionError(f"no subject counts for classes: {missing}")
         return CohortSpec({c: self.counts[c] for c in classes})

@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if not all(snr > 1 for snr in self.snr_list):
             raise ValueError(f"every snr_list entry must exceed 1, got {list(self.snr_list)}")
+        short = {label.value: n for label, n in self.cohort.counts.items() if n < self.eval.n_folds}
+        if short:
+            raise ValueError(f"cohort classes {short} have fewer subjects than eval.n_folds = {self.eval.n_folds}")
 
     def resolved_tissue_file(self) -> Path:
         return Path(self.tissue_file) if self.tissue_file else default_tissue_path()

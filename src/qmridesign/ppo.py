@@ -337,6 +337,7 @@ def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None =
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
         for name in sorted(arrays):
             buffer = io.BytesIO()
@@ -347,7 +348,10 @@ def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None =
 
 def load_checkpoint(path):
     """Rebuild (agent, steps_done, meta) from a checkpoint file."""
-    with np.load(path, allow_pickle=False) as data:
+    data = np.load(path, allow_pickle=False)
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a single .npy array
+        raise ValueError(f"{path} is not an npz archive")
+    with data:
         meta = json.loads(str(data["meta"]))
         if meta["checkpoint_version"] != CHECKPOINT_VERSION:
             raise ValueError(

@@ -1,10 +1,12 @@
-"""Report CSV schema and protocol artifacts.
+"""Report CSV schema, protocol artifacts and the other CSV writers.
 
 The report schema is versioned; appending to a file whose header does not
 match the current schema is refused rather than silently mixed. Its
 columns are the fields of ``ReportRow``, which both the writer and the
 reader walk. Floats are written with full repr precision so re-runs are
 byte-comparable (wall-clock is the one intentionally varying column).
+A protocol artifact's id and echo time are derived here from the protocol
+and the scanner. Every writer makes its file's directory.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .config import write_json
-from .ivim import AcquisitionProtocol
+from .experiments import protocol_id
+from .ivim import AcquisitionProtocol, ScannerConfig
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -26,6 +29,7 @@ __all__ = [
     "read_report",
     "save_protocol_artifact",
     "load_protocol_artifact",
+    "write_csv",
     "write_curve",
 ]
 
@@ -117,45 +121,42 @@ def read_report(path):
 ARTIFACT_SCHEMA_VERSION = 1
 
 
-def save_protocol_artifact(
-    path,
-    protocol: AcquisitionProtocol,
-    te_s: float,
-    method: str,
-    protocol_id: str,
-    config_hash: str,
-    seed: int,
-    objective_value: float | None = None,
-    extra: dict | None = None,
-) -> None:
-    payload = {
+def save_protocol_artifact(path, protocol: AcquisitionProtocol, method: str, scanner: ScannerConfig,
+                           stamp: dict, objective_value: float | None, extra: dict) -> None:
+    """Write ``protocol`` with its id, its echo time on ``scanner``, the method
+    that chose it, its objective value, the run's provenance ``stamp``
+    (config hash and seed) and the method's ``extra`` fields."""
+    write_json(path, {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "protocol_id": protocol_id,
+        "protocol_id": protocol_id(protocol),
         "method": method,
         "b_values": list(protocol.b_values),
-        "te_s": te_s,
+        "te_s": protocol.echo_time(scanner),
         "objective_value": objective_value,
-        "config_hash": config_hash,
-        "seed": seed,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+        **stamp,
+        **extra,
+    })
 
 
 def load_protocol_artifact(path):
     payload = json.loads(Path(path).read_text())
-    if payload.get("schema_version") != ARTIFACT_SCHEMA_VERSION:
-        raise ValueError(f"protocol artifact schema {payload.get('schema_version')} not supported")
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != ARTIFACT_SCHEMA_VERSION:
+        raise ValueError(f"protocol artifact schema {version} not supported")
     return AcquisitionProtocol(tuple(payload["b_values"])), payload
 
 
-def write_curve(path, curve) -> None:
-    """Training curve rows (step, mean_episode_reward, best_reward) as CSV."""
+def write_csv(path, header, rows) -> None:
+    """A CSV artifact: ``header``, then one line per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["step", "mean_episode_reward", "best_reward"])
-        for step, mean_reward, best in curve:
-            writer.writerow([step, repr(float(mean_reward)), repr(float(best))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_curve(path, curve) -> None:
+    """Training curve rows (step, mean_episode_reward, best_reward) as CSV."""
+    write_csv(path, ["step", "mean_episode_reward", "best_reward"],
+              ([step, repr(float(mean_reward)), repr(float(best))] for step, mean_reward, best in curve))

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmridesign import AcquisitionProtocol, EvalConfig, Task, TissueClass
+from qmridesign import (
+    AcquisitionProtocol,
+    CohortSpec,
+    EvalConfig,
+    PpoAgent,
+    PpoConfig,
+    ScannerConfig,
+    Task,
+    TissueClass,
+)
 from qmridesign.calibrate import CalibrationResult
 from qmridesign.cli import main
 from qmridesign.config import (
@@ -20,9 +29,11 @@ from qmridesign.config import (
     load_tissue_distributions,
     save_tissue_distributions,
     with_file_values,
+    write_json,
 )
 from qmridesign.experiments import protocol_id
 from qmridesign.plotting import plot_accuracy_vs_snr
+from qmridesign.ppo import load_checkpoint, save_checkpoint
 from qmridesign.reports import (
     ReportRow,
     SchemaMismatchError,
@@ -30,6 +41,7 @@ from qmridesign.reports import (
     load_protocol_artifact,
     read_report,
     save_protocol_artifact,
+    write_csv,
     write_curve,
 )
 
@@ -145,6 +157,15 @@ class TestConfig:
         snapshot.write_text(json.dumps(config.to_dict()))
         assert load_experiment_config(snapshot).to_dict() == config.to_dict()
 
+    def test_cohort_class_smaller_than_the_folds_refused(self):
+        """Stratified CV deals each class across ``eval.n_folds`` folds, so a
+        class with fewer subjects than folds is refused with the config."""
+        with pytest.raises(ValueError, match=r"\{'active': 20\} have fewer subjects than eval.n_folds = 21"):
+            ExperimentConfig(eval=EvalConfig(n_folds=21))
+        with pytest.raises(ValueError, match="'healthy': 4"):
+            ExperimentConfig(cohort=CohortSpec({TissueClass.ACTIVE: 5, TissueClass.HEALTHY: 4}))
+        assert ExperimentConfig(eval=EvalConfig(n_folds=20)).eval.n_folds == 20
+
     def test_validation_env_uses_knob(self):
         config = ExperimentConfig(eval=EvalConfig(validation_snr=200.0))
         assert config.validation_env().scanner.snr == 200.0
@@ -202,14 +223,34 @@ class TestReports:
     def test_protocol_artifact_roundtrip(self, tmp_path):
         protocol = AcquisitionProtocol((0, 0, 143, 329, 364, 551, 631, 635, 664, 784))
         path = tmp_path / "protocol.json"
-        save_protocol_artifact(
-            path, protocol, te_s=0.07, method="crlb", protocol_id=protocol_id(protocol),
-            config_hash="deadbeef", seed=3, objective_value=1.25,
-        )
+        scanner = ScannerConfig()
+        save_protocol_artifact(path, protocol, "crlb", scanner, {"config_hash": "deadbeef", "seed": 3},
+                               1.25, {"iterations": 9})
         loaded, payload = load_protocol_artifact(path)
         assert loaded == protocol
         assert payload["method"] == "crlb"
         assert payload["objective_value"] == 1.25
+        assert payload["te_s"] == protocol.echo_time(scanner)
+        assert payload["protocol_id"] == protocol_id(protocol)
+        assert (payload["config_hash"], payload["seed"], payload["iterations"]) == ("deadbeef", 3, 9)
+
+    @pytest.mark.parametrize("writer", [
+        lambda path: write_json(path, {}),
+        lambda path: save_tissue_distributions(path, load_tissue_distributions(default_tissue_path())),
+        lambda path: append_report_rows(path, [TestReports().row()]),
+        lambda path: write_csv(path, ["a"], [[1]]),
+        lambda path: write_curve(path, [(1, 0.5, 0.5)]),
+        lambda path: save_protocol_artifact(path, AcquisitionProtocol.adhoc(), "adhoc", ScannerConfig(), {},
+                                            None, {}),
+        lambda path: save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0),
+        lambda path: plot_accuracy_vs_snr(TestPlot().rows(), path),
+    ], ids=["write_json", "save_tissue_distributions", "append_report_rows", "write_csv",
+            "write_curve", "save_protocol_artifact", "save_checkpoint", "plot_accuracy_vs_snr"])
+    def test_every_writer_makes_its_directory(self, writer, tmp_path):
+        """The CLI makes no output directory of its own: each writer makes its file's."""
+        directory = tmp_path / "new" / "nested"
+        writer(directory / "artifact")
+        assert len(list(directory.iterdir())) == 1
 
     def test_curve_io(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -449,7 +490,9 @@ class TestCli:
         (["optimize", "--optimizer", "crlb", "--budget", "0"], None),
         (["evaluate"], {"eval": {"k_neighbours": 3}}),
         (["evaluate", "--snr", "0.5"], None),
-    ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one"])
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 30}}),
+    ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
+            "fewer-subjects-than-folds"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made."""
@@ -462,6 +505,74 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert "invalid configuration" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["report", "--report", "{missing}.csv"], "{missing}.csv"),
+        (["report", "--report", "{foreign_csv}"], "{foreign_csv}"),
+        (["plot", "--report", "{missing}.csv"], "{missing}.csv"),
+        (["plot", "--report", "{foreign_csv}"], "{foreign_csv}"),
+        (["evaluate", "--protocol-file", "{missing}.json"], "{missing}.json"),
+        (["evaluate", "--protocol-file", "{foreign_csv}"], "{foreign_csv}"),
+        (["evaluate", "--checkpoint", "{missing}.npz"], "{missing}.npz"),
+        (["evaluate", "--checkpoint", "{foreign_json}"], "{foreign_json}"),
+        (["evaluate", "--protocol-file", "{json_list}"], "{json_list}"),
+        (["evaluate", "--checkpoint", "{npy}"], "{npy}"),
+        (["optimize", "--optimizer", "adhoc"], "optimize requires --optimizer crlb or --optimizer rl"),
+    ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
+            "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
+            "checkpoint-foreign", "protocol-file-not-an-object", "checkpoint-npy", "optimize-adhoc"])
+    def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
+        """A missing input file, or one of another kind (an ``auc_report.csv``,
+        a config file, a JSON list, a bare ``.npy`` array), ends the command
+        with one line naming it; like a refused command, it leaves no output
+        directory."""
+        names = {"missing": str(tmp_path / "missing"),
+                 "foreign_csv": str(tmp_path / "auc_report.csv"),
+                 "foreign_json": str(tmp_path / "config.json"),
+                 "json_list": str(tmp_path / "list.json"),
+                 "npy": str(tmp_path / "array.npy")}
+        (tmp_path / "auc_report.csv").write_text(
+            "task,param,mean_auc,std_auc,n_repeats,config_hash,seed\nactive-chronic,f,0.5,0.1,3,abc,1\n")
+        (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
+        (tmp_path / "list.json").write_text(json.dumps([0, 10, 20]))
+        np.save(tmp_path / "array.npy", np.zeros(3))
+        out = tmp_path / "run"
+        outputs = [] if argv[0] == "report" else ["--out", str(out)]
+        result = run_cli([arg.format(**names) for arg in argv] + outputs, tmp_path)
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert needle.format(**names) in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_command_sampling_a_class_the_cohort_lacks_exits_cleanly(self, run_cli, tmp_path):
+        """``validate`` scores all three binary tasks, so a cohort without
+        healthy subjects cannot run it: one line naming the class, no
+        output directory."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"task": "active-chronic", "cohort": {"active": 20, "chronic": 21},
+                                      "eval": {"n_repeats_report": 1}}))
+        out = tmp_path / "run"
+        result = run_cli(["validate", "--config", str(config), "--out", str(out)], tmp_path)
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert result.stderr.strip() == "validate: no subject counts for classes: ['healthy']"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["crlb", "rl"])
+    def test_protocol_artifact_fields_come_from_the_run(self, run_cli, method, tiny_config, tmp_path):
+        """The writer derives the echo time and id from the protocol and the
+        scanner, and stamps the run's config hash and seed, as the checkpoint
+        does."""
+        run_cli(["optimize", "--config", str(tiny_config), "--optimizer", method], tmp_path, check=True)
+        protocol, payload = load_protocol_artifact(tmp_path / "out" / f"protocol_{method}.json")
+        config = dataclasses.replace(load_experiment_config(tiny_config), optimizer=method)
+        assert payload["te_s"] == protocol.echo_time(config.scanner)
+        assert payload["protocol_id"] == protocol_id(protocol)
+        stamp = {"config_hash": config_hash(config), "seed": 424242}
+        assert {key: payload[key] for key in stamp} == stamp
+        if method == "rl":
+            assert load_checkpoint(tmp_path / "out" / "checkpoint.npz")[2]["extra"] == stamp
 
     def test_optimize_crlb_and_rl_artifacts(self, run_cli, tiny_config, tmp_path):
         crlb = run_cli(
