@@ -172,7 +172,7 @@ def stratified_fold_assignments(
         idx = np.flatnonzero(labels == value)
         if len(idx) < n_folds:
             raise InsufficientSubjectsError(
-                f"class {value!r} has {len(idx)} subjects, fewer than {n_folds} folds"
+                f"class {value.item()} has {len(idx)} subjects, fewer than {n_folds} folds"
             )
         idx = rng.permutation(idx)
         folds[idx] = np.arange(len(idx)) % n_folds

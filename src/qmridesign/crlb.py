@@ -8,11 +8,19 @@ unbiased estimator, so summing the normalized diagonal terms
 CRLB(theta)/theta^2 over the parameters of interest scores how precisely a
 protocol can measure them, independent of any downstream task.
 
-Tissue samples travel as an (m, 4) array of (s0, f, d, d_star) rows: the
-jacobian is (m, n_b, 4) and the Fisher matrices (m, 4, 4), so the cost of
-a protocol over all samples is a handful of array operations. Rows whose
-ridged inverse proves them regular skip the eigendecomposition that the
-singularity test needs (see _certified_regular), without changing a bit.
+Tissue samples travel as an (m, 4) array of (s0, f, d, d_star) rows, and
+the cost of a protocol over all samples is a few dozen array operations.
+The jacobian is computed as four (n_b, m) planes of one (4, n_b, m) array
+(signal_jacobian returns its (m, n_b, 4) transpose). The symmetric Fisher
+matrix has 10 distinct entries: fisher_matrix multiplies the 10 plane
+pairs and sums the products over b, then mirrors them into (m, 4, 4).
+That sum is an explicit loop from zero, b by b, because that is the
+order in which einsum("mbi,mbj->mij") adds, so every bit matches it:
+numpy's own sum over the b axis adds pairwise when m = 1 and n_b >= 8,
+and a loop started from the first product would give -0.0 for an
+all-zero b-vector, where the einsum gives +0.0. Rows whose ridged inverse
+proves them regular skip the eigendecomposition that the singularity
+test needs (see _certified_regular), without changing a bit.
 
 The optimizer anneals the ten b-values over the integer grid [0, 1000]
 (first slot pinned to b = 0) against that score averaged over a fixed set
@@ -78,34 +86,52 @@ class CrlbConfig:
         return np.array([PARAM_NAMES.index(p) for p in self.scored_params], dtype=int)
 
 
-def signal_jacobian(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
-    """Analytic partials (dS/ds0, dS/df, dS/dd, dS/dd_star) for every
-    (sample, acquisition) pair of an (m, 4) parameter array: (m, n_b, 4)."""
-    s0 = params[:, 0][:, None]
-    f = params[:, 1][:, None]
-    d = params[:, 2][:, None]
-    dstar = params[:, 3][:, None]
-    b = b_values[None, :]
+def _jacobian_planes(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
+    """The four partials (dS/ds0, dS/df, dS/dd, dS/dd_star) as (n_b, m) planes
+    of one (4, n_b, m) array, for an (m, 4) parameter array."""
+    s0, f, d, dstar = np.ascontiguousarray(params.T)
+    b = b_values[:, None]
     decay = np.exp(-te / t2)
     e_star = np.exp(-b * dstar)
     e_tissue = np.exp(-b * d)
-    return np.stack(
-        [
-            decay * (f * e_star + (1.0 - f) * e_tissue),
-            s0 * decay * (e_star - e_tissue),
-            -b * s0 * decay * (1.0 - f) * e_tissue,
-            -b * s0 * decay * f * e_star,
-        ],
-        axis=-1,
-    )
+    scaled_b = -b * s0 * decay
+    tissue_fraction = 1.0 - f
+    planes = np.empty((_N_PARAMS,) + e_star.shape)
+    np.multiply(decay, f * e_star + tissue_fraction * e_tissue, out=planes[0])
+    np.multiply(s0 * decay, e_star - e_tissue, out=planes[1])
+    np.multiply(scaled_b * tissue_fraction, e_tissue, out=planes[2])
+    np.multiply(scaled_b * f, e_star, out=planes[3])
+    return planes
+
+
+def signal_jacobian(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
+    """Analytic partials (dS/ds0, dS/df, dS/dd, dS/dd_star) for every
+    (sample, acquisition) pair of an (m, 4) parameter array: (m, n_b, 4)."""
+    return _jacobian_planes(b_values, te, t2, params).T
+
+
+#: the 10 entries (i, j), i <= j, of a symmetric 4x4 matrix, and for every
+#: (i, j) the index of its entry among them
+_UPPER_I, _UPPER_J = np.triu_indices(_N_PARAMS)
+_MIRROR = np.empty((_N_PARAMS, _N_PARAMS), dtype=int)
+_MIRROR[_UPPER_I, _UPPER_J] = _MIRROR[_UPPER_J, _UPPER_I] = np.arange(len(_UPPER_I))
 
 
 def fisher_matrix(
     b_values: np.ndarray, te: float, scanner: ScannerConfig, params: np.ndarray
 ) -> np.ndarray:
     """Gaussian-noise Fisher information per row of an (m, 4) parameter array: (m, 4, 4)."""
-    jac = signal_jacobian(b_values, te, scanner.t2, params)
-    return np.einsum("mbi,mbj->mij", jac, jac) / scanner.noise_sigma**2
+    planes = _jacobian_planes(b_values, te, scanner.t2, params)
+    n_b, m = planes.shape[1:]
+    # b-major, so that each b's 10 products are one contiguous block
+    products = np.empty((n_b, len(_UPPER_I), m))
+    np.multiply(planes[_UPPER_I], planes[_UPPER_J], out=products.transpose(1, 0, 2))
+    # from zero, b by b: einsum's order of addition (see the module docstring)
+    upper = np.zeros((len(_UPPER_I), m))
+    for block in products:
+        upper += block
+    upper /= scanner.noise_sigma**2
+    return np.ascontiguousarray(upper.T)[:, _MIRROR]
 
 
 #: slack of the regularity certificate beyond 2 * ridge_rel, relative to
@@ -145,8 +171,9 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
     does not prove regular. LAPACK works matrix by matrix, so each row gets
     the eigenvalues and inverse it gets in any batch: the cost is bit for
     bit that of running eigvalsh on every row and inverting the regular ones.
-    The cost is a pure function of the b-vector, so each distinct one is
-    costed once.
+    Rows are costed in place and the singular ones masked to the penalty, so
+    no subset of rows is copied. The cost is a pure function of the b-vector,
+    so each distinct one is costed once.
     """
     scored = config.scored_indices
     theta_sq = sample_params[:, scored] ** 2
@@ -164,15 +191,13 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
                 eigvals[:, -1] <= 0.0
             )
             good[uncertain] = ~singular
-        costs = np.full(len(fisher), SINGULAR_PENALTY)
-        if good.any():
-            if inverse is None:
-                crlb = np.linalg.inv(fisher[good] + ridge[good, None, None] * _IDENTITY)
-            else:
-                crlb = inverse[good]
-            diag = np.diagonal(crlb, axis1=1, axis2=2)[:, scored]
-            sample_cost = (diag / theta_sq[good]).sum(axis=1)
-            costs[good] = np.where((diag < 0.0).any(axis=1), SINGULAR_PENALTY, sample_cost)
+        if inverse is None:
+            inverse = np.zeros_like(fisher)
+            inverse[good] = np.linalg.inv(fisher[good] + ridge[good, None, None] * _IDENTITY)
+        diag = np.diagonal(inverse, axis1=1, axis2=2)[:, scored]
+        # only regular rows are divided: a singular one may hold theta = 0 (f = 0)
+        ratios = np.divide(diag, theta_sq, out=np.zeros(diag.shape), where=good[:, None])
+        costs = np.where(good & ~(diag < 0.0).any(axis=1), ratios.sum(axis=1), SINGULAR_PENALTY)
         return float(costs.mean())
 
     def cost(b_sorted: np.ndarray) -> float:
@@ -240,7 +265,7 @@ def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator,
             other = int(rng.integers(0, n_slots))
             proposal[slot] = state[other]
         else:
-            proposal[slot] = np.clip(round(state[slot] + rng.normal(0.0, config.perturb_width)), 0.0, B_VALUE_MAX)
+            proposal[slot] = min(max(round(state[slot] + rng.normal(0.0, config.perturb_width)), 0.0), B_VALUE_MAX)
         proposal_cost = cost_fn(np.sort(proposal))
         delta = proposal_cost - current_cost
         accept = delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature))

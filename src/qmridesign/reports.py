@@ -143,7 +143,12 @@ def load_protocol_artifact(path):
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != ARTIFACT_SCHEMA_VERSION:
         raise ValueError(f"protocol artifact schema {version} not supported")
-    return AcquisitionProtocol(tuple(payload["b_values"])), payload
+    b_values = payload.get("b_values")
+    if not isinstance(b_values, list) or not all(
+        isinstance(b, (int, float)) and not isinstance(b, bool) for b in b_values
+    ):
+        raise ValueError(f"protocol artifact b_values must be a list of numbers, got {b_values!r}")
+    return AcquisitionProtocol(tuple(b_values)), payload
 
 
 def write_csv(path, header, rows) -> None:

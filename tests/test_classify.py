@@ -188,6 +188,12 @@ class TestStratifiedFolds:
         with pytest.raises(InsufficientSubjectsError):
             stratified_fold_assignments(labels, 5, np.random.default_rng(0))
 
+    def test_insufficient_subjects_message_names_the_class_code(self):
+        labels = np.array([0] * 4 + [1] * 4)
+        with pytest.raises(InsufficientSubjectsError) as err:
+            stratified_fold_assignments(labels, 5, np.random.default_rng(0))
+        assert str(err.value) == "class 0 has 4 subjects, fewer than 5 folds"
+
 
 class TestCrossVal:
     def test_perfectly_separated_classes(self):

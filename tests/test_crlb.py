@@ -1,6 +1,8 @@
 """Variance-bound machinery: analytic jacobians vs finite differences,
 Fisher matrix properties, objective behavior, annealing contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,35 @@ def numeric_jacobian(params, b, te, t2, rel_step=1e-7):
         s_lo = ivim_signal(IvimParams(*lo), b, te, t2)
         out[i] = (s_hi - s_lo) / (2.0 * h)
     return out
+
+
+def reference_jacobian(b_values, te, t2, params):
+    """The jacobian as first written: four (m, n_b) partials stacked on the
+    last axis. signal_jacobian must equal it bit for bit."""
+    s0 = params[:, 0][:, None]
+    f = params[:, 1][:, None]
+    d = params[:, 2][:, None]
+    dstar = params[:, 3][:, None]
+    b = b_values[None, :]
+    decay = np.exp(-te / t2)
+    e_star = np.exp(-b * dstar)
+    e_tissue = np.exp(-b * d)
+    return np.stack(
+        [
+            decay * (f * e_star + (1.0 - f) * e_tissue),
+            s0 * decay * (e_star - e_tissue),
+            -b * s0 * decay * (1.0 - f) * e_tissue,
+            -b * s0 * decay * f * e_star,
+        ],
+        axis=-1,
+    )
+
+
+def reference_fisher(b_values, te, scanner, params):
+    """The Fisher matrices as first written, one einsum over the reference
+    jacobian. fisher_matrix must equal it bit for bit."""
+    jac = reference_jacobian(b_values, te, scanner.t2, params)
+    return np.einsum("mbi,mbj->mij", jac, jac) / scanner.noise_sigma**2
 
 
 class TestSignalJacobian:
@@ -133,6 +164,31 @@ class TestFisherMatrix:
         jac = np.array([numeric_jacobian(p, float(b), te, scanner.t2) for b in protocol.b_values])
         expected = jac.T @ jac / scanner.noise_sigma**2
         np.testing.assert_allclose(fisher_of(p, protocol, scanner), expected, rtol=1e-6)
+
+
+class TestKernelBits:
+    """The plane jacobian and the 10-entry Fisher sum keep every bit of the
+    stacked jacobian and the einsum."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 100])
+    @pytest.mark.parametrize("n_b", [1, 2, 10, 17])
+    def test_equal_to_reference_kernels(self, m, n_b):
+        rng = np.random.default_rng(1000 * m + n_b)
+        scanner = ScannerConfig()
+        zero_b = np.zeros(n_b)
+        cases = [zero_b] + [rng.integers(0, 1001, n_b).astype(float) for _ in range(5)]
+        for b in cases:
+            params = np.array([random_params(rng).as_array() for _ in range(m)])
+            te = float(rng.uniform(0.02, 0.09))
+            assert signal_jacobian(b, te, scanner.t2, params).tobytes() == \
+                reference_jacobian(b, te, scanner.t2, params).tobytes(), b
+            assert fisher_matrix(b, te, scanner, params).tobytes() == \
+                reference_fisher(b, te, scanner, params).tobytes(), b
+        # at b = 0 the f, d and d_star partials are zeros, two of them -0.0;
+        # the sums of their products must come out +0.0, as the einsum's do
+        fisher = fisher_matrix(zero_b, 0.05, scanner, params)
+        assert (fisher == 0.0).sum() == 15 * m
+        assert not np.signbit(fisher).any()
 
 
 class TestCrlbObjective:
@@ -324,10 +380,11 @@ class TestOptimizeCrlb:
 
 
 def reference_cost(b_values, te, samples, scanner, config):
-    """The cost by its definition: eigvalsh on every row, then the ridged
-    inverse of the regular rows. The annealer's cost must equal it bit for bit."""
+    """The cost by its definition, on the reference Fisher matrices: eigvalsh
+    on every row, then the ridged inverse of the regular rows. The annealer's
+    cost must equal it bit for bit."""
     scored = config.scored_indices
-    fisher = fisher_matrix(b_values, te, scanner, samples)
+    fisher = reference_fisher(b_values, te, scanner, samples)
     eigvals = np.linalg.eigvalsh(fisher)
     singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (
         eigvals[:, -1] <= 0.0
@@ -482,6 +539,20 @@ class TestCostCertificate:
         trace = np.trace(fisher, axis1=1, axis2=2)
         assert _certified_regular(fisher, trace, trace, 1e-12)[0] is None
         assert _sample_cost(all_class_samples, scanner, CrlbConfig())(b) == SINGULAR_PENALTY
+
+    def test_zero_perfusion_fraction_costs_the_penalty_without_warnings(self, all_class_samples):
+        """A sample with f = 0 has a singular Fisher matrix and theta_f = 0:
+        it costs the penalty, and its row is never divided by theta^2."""
+        scanner = ScannerConfig()
+        config = CrlbConfig()
+        samples = all_class_samples.copy()
+        samples[::7, 1] = 0.0
+        cost = _sample_cost(samples, scanner, config)
+        for b in probe_protocols(np.random.default_rng(49), 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cost(b)
+            assert got == reference_cost(b, min_te(float(b[-1]), scanner), samples, scanner, config)
 
     def test_repeated_protocols_are_costed_once(self, all_class_samples, monkeypatch):
         """The anneal revisits protocols; each distinct sorted one is costed once."""

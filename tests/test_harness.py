@@ -234,6 +234,14 @@ class TestReports:
         assert payload["protocol_id"] == protocol_id(protocol)
         assert (payload["config_hash"], payload["seed"], payload["iterations"]) == ("deadbeef", 3, 9)
 
+    @pytest.mark.parametrize("b_values", [5, "0,10,20", ["0", 10], [True] * 10, {"b": 0}, None])
+    def test_protocol_artifact_without_a_list_of_numbers_refused(self, tmp_path, b_values):
+        path = tmp_path / "protocol.json"
+        payload = {"schema_version": 1} if b_values is None else {"schema_version": 1, "b_values": b_values}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="b_values must be a list of numbers"):
+            load_protocol_artifact(path)
+
     @pytest.mark.parametrize("writer", [
         lambda path: write_json(path, {}),
         lambda path: save_tissue_distributions(path, load_tissue_distributions(default_tissue_path())),
@@ -516,25 +524,30 @@ class TestCli:
         (["evaluate", "--checkpoint", "{missing}.npz"], "{missing}.npz"),
         (["evaluate", "--checkpoint", "{foreign_json}"], "{foreign_json}"),
         (["evaluate", "--protocol-file", "{json_list}"], "{json_list}"),
+        (["evaluate", "--protocol-file", "{scalar_b_values}"], "{scalar_b_values}"),
         (["evaluate", "--checkpoint", "{npy}"], "{npy}"),
         (["optimize", "--optimizer", "adhoc"], "optimize requires --optimizer crlb or --optimizer rl"),
     ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
-            "checkpoint-foreign", "protocol-file-not-an-object", "checkpoint-npy", "optimize-adhoc"])
+            "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
+            "checkpoint-npy", "optimize-adhoc"])
     def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
         """A missing input file, or one of another kind (an ``auc_report.csv``,
-        a config file, a JSON list, a bare ``.npy`` array), ends the command
+        a config file, a JSON list, a protocol artifact whose ``b_values`` is
+        not a list, a bare ``.npy`` array), ends the command
         with one line naming it; like a refused command, it leaves no output
         directory."""
         names = {"missing": str(tmp_path / "missing"),
                  "foreign_csv": str(tmp_path / "auc_report.csv"),
                  "foreign_json": str(tmp_path / "config.json"),
                  "json_list": str(tmp_path / "list.json"),
+                 "scalar_b_values": str(tmp_path / "scalar.json"),
                  "npy": str(tmp_path / "array.npy")}
         (tmp_path / "auc_report.csv").write_text(
             "task,param,mean_auc,std_auc,n_repeats,config_hash,seed\nactive-chronic,f,0.5,0.1,3,abc,1\n")
         (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
         (tmp_path / "list.json").write_text(json.dumps([0, 10, 20]))
+        (tmp_path / "scalar.json").write_text(json.dumps({"schema_version": 1, "b_values": 5}))
         np.save(tmp_path / "array.npy", np.zeros(3))
         out = tmp_path / "run"
         outputs = [] if argv[0] == "report" else ["--out", str(out)]
