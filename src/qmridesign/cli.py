@@ -151,6 +151,11 @@ def _protocol_source(args, config: ExperimentConfig):
         return protocol, args.label or payload.get("method", "artifact")
     if args.checkpoint:
         agent, _, _ = _read(load_checkpoint, args.checkpoint)
+        shape = (agent.observation_size, agent.n_actions)
+        expected = (ProtocolEnv.observation_size, ProtocolEnv.n_actions)
+        if shape != expected:
+            raise SystemExit(f"cannot use {args.checkpoint}: its agent has (observation_size, n_actions) "
+                             f"= {shape}, the protocol environment needs {expected}")
         env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
         protocol, _, _ = rollout_greedy(agent, env)
         return protocol, args.label or "rl"

@@ -76,6 +76,16 @@ class CrlbConfig:
             raise ValueError("iterations must be >= 1")
         if self.n_tissue_samples < 1:
             raise ValueError("n_tissue_samples must be >= 1")
+        if not self.t_initial >= 0.0:
+            raise ValueError(f"t_initial must be >= 0, got {self.t_initial}")
+        if not 0.0 < self.t_final_fraction <= 1.0:
+            raise ValueError(f"t_final_fraction must be in (0, 1], got {self.t_final_fraction}")
+        if not self.perturb_width >= 0.0:
+            raise ValueError(f"perturb_width must be >= 0, got {self.perturb_width}")
+        if not 0.0 <= self.duplicate_move_prob <= 1.0:
+            raise ValueError(f"duplicate_move_prob must be in [0, 1], got {self.duplicate_move_prob}")
+        if not self.ridge_rel >= 0.0:
+            raise ValueError(f"ridge_rel must be >= 0, got {self.ridge_rel}")
         object.__setattr__(self, "scored_params", tuple(self.scored_params))
         unknown = set(self.scored_params) - set(PARAM_NAMES)
         if unknown:

@@ -69,6 +69,17 @@ class FitBounds:
     grid_points: int = 200
     refine_rel_tol: float = 1.0e-6
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.d_min < self.d_max:
+            raise ValueError(f"fit bounds need 0 < d_min < d_max, got d_min={self.d_min}, d_max={self.d_max}")
+        if not self.d_min < self.dstar_max:
+            raise ValueError(f"fit bounds need d_min < dstar_max, got d_min={self.d_min}, "
+                             f"dstar_max={self.dstar_max}")
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not self.refine_rel_tol > 0.0:
+            raise ValueError(f"refine_rel_tol must be > 0, got {self.refine_rel_tol}")
+
 
 DEFAULT_BOUNDS = FitBounds()
 

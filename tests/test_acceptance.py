@@ -11,7 +11,7 @@ than one reading.
 """
 
 import dataclasses
-import json
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -42,7 +42,6 @@ from qmridesign.fitting import segmented_fit_batch
 from qmridesign.nets import log_softmax
 from qmridesign.ppo import PpoAgent, ppo_loss
 from qmridesign.protocol_env import ProtocolEnv
-from qmridesign.reports import read_report
 from qmridesign import CrlbConfig
 
 MASTER_SEED = 1234
@@ -276,59 +275,20 @@ def test_c05_knn_auc_oracles():
     assert ok
 
 
-def normalized_report(path: Path) -> list:
-    rows = read_report(path)
-    for row in rows:
-        row["wall_clock_s"] = 0.0
-    return rows
+#: the one definition of C06's determinism check: config, commands, artifacts, masks
+ARTIFACT_DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
 
 
-def test_c06_command_determinism(run_cli, tmp_path):
+def test_c06_command_determinism(run_cli, tmp_path_factory):
     """Every command, run twice with the same seed, reproduces its artifacts
-    bit-exactly (wall-clock columns excluded per the report contract)."""
-    config_payload = {
-        "seed": 777,
-        "task": "active-chronic",
-        "eval": {"n_repeats_report": 3, "n_repeats_reward": 1, "validation_snr": 600.0},
-        "crlb": {"iterations": 120, "n_tissue_samples": 8},
-        "ppo": {"total_steps": 54, "rollout_steps": 27, "minibatch_size": 16,
-                "n_epochs": 2, "hidden_size": 8},
-        "snr_list": [15.0, 25.0],
-    }
-    failures = []
-    for run in ("a", "b"):
-        out = tmp_path / run
-        config = dict(config_payload, out_dir=str(out))
-        config_path = tmp_path / f"config_{run}.json"
-        config_path.write_text(json.dumps(config))
-        run_cli(["validate", "--config", str(config_path)], tmp_path, check=True)
-        run_cli(["calibrate", "--config", str(config_path), "--budget", "0"], tmp_path,
-                check=True)
-        run_cli(["evaluate", "--config", str(config_path), "--optimizer", "adhoc"], tmp_path,
-                check=True)
-        run_cli(["sweep-snr", "--config", str(config_path), "--optimizer", "adhoc",
-                 "--label", "sweep"], tmp_path, check=True)
-        run_cli(["optimize", "--config", str(config_path), "--optimizer", "crlb"], tmp_path,
-                check=True)
-        run_cli(["optimize", "--config", str(config_path), "--optimizer", "rl"], tmp_path,
-                check=True)
-        run_cli(["plot", "--config", str(config_path), "--report", str(out / "report.csv")],
-                tmp_path, check=True)
-
-    a, b = tmp_path / "a", tmp_path / "b"
-    for name in ("auc_report.csv", "tissue_calibrated.json", "calibration_report.json",
-                 "protocol_crlb.json", "protocol_rl.json",
-                 "curve.csv", "checkpoint.npz", "accuracy_vs_snr.svg"):
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            failures.append(name)
-    if normalized_report(a / "report.csv") != normalized_report(b / "report.csv"):
-        failures.append("report.csv")
-    stdout_a = run_cli(["report", "--report", str(a / "report.csv")], tmp_path,
-                       check=True).stdout
-    stdout_b = run_cli(["report", "--report", str(b / "report.csv")], tmp_path,
-                       check=True).stdout
-    if stdout_a != stdout_b:
-        failures.append("report stdout")
+    and its stdout bit-exactly, as ``tools/artifact_digests.py`` digests them
+    (wall-clock fields and run paths masked)."""
+    spec = importlib.util.spec_from_file_location("artifact_digests", ARTIFACT_DIGESTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = [tool.digest_lines(lambda args, cwd: run_cli(args, cwd, check=True).stdout,
+                              tmp_path_factory.mktemp(f"c06_{name}")) for name in "ab"]
+    failures = [line_a.split()[-1] for line_a, line_b in zip(*runs) if line_a != line_b]
     ok = not failures
     report_line("C06 determinism", ok, "all artifacts bit-identical" if ok else f"differs: {failures}")
     assert ok

@@ -499,8 +499,22 @@ class TestCli:
         (["evaluate"], {"eval": {"k_neighbours": 3}}),
         (["evaluate", "--snr", "0.5"], None),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 30}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"t_initial": -1.0}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"t_final_fraction": -0.5}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"t_final_fraction": 1.5}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"perturb_width": -3.0}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"duplicate_move_prob": 1.5}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"ridge_rel": -1e-12}}),
+        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"grid_points": 0}}),
+        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.0}}),
+        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.01}}),
+        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-6}}),
+        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"refine_rel_tol": 0.0}}),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
-            "fewer-subjects-than-folds"])
+            "fewer-subjects-than-folds", "negative-t-initial", "negative-t-final-fraction",
+            "t-final-fraction-above-one", "negative-perturb-width", "duplicate-move-prob-above-one",
+            "negative-ridge-rel", "zero-grid-points", "zero-d-min", "d-min-above-d-max",
+            "dstar-max-below-d-min", "zero-refine-tol"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made."""
@@ -526,29 +540,34 @@ class TestCli:
         (["evaluate", "--protocol-file", "{json_list}"], "{json_list}"),
         (["evaluate", "--protocol-file", "{scalar_b_values}"], "{scalar_b_values}"),
         (["evaluate", "--checkpoint", "{npy}"], "{npy}"),
+        (["evaluate", "--checkpoint", "{small_agent}"],
+         "cannot use {small_agent}: its agent has (observation_size, n_actions) = (3, 2), "
+         "the protocol environment needs (12, 1001)"),
         (["optimize", "--optimizer", "adhoc"], "optimize requires --optimizer crlb or --optimizer rl"),
     ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
-            "checkpoint-npy", "optimize-adhoc"])
+            "checkpoint-npy", "checkpoint-other-shape", "optimize-adhoc"])
     def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
         """A missing input file, or one of another kind (an ``auc_report.csv``,
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
-        not a list, a bare ``.npy`` array), ends the command
-        with one line naming it; like a refused command, it leaves no output
-        directory."""
+        not a list, a bare ``.npy`` array, the checkpoint of an agent shaped
+        for another environment), ends the command with one line naming it;
+        like a refused command, it leaves no output directory."""
         names = {"missing": str(tmp_path / "missing"),
                  "foreign_csv": str(tmp_path / "auc_report.csv"),
                  "foreign_json": str(tmp_path / "config.json"),
                  "json_list": str(tmp_path / "list.json"),
                  "scalar_b_values": str(tmp_path / "scalar.json"),
-                 "npy": str(tmp_path / "array.npy")}
+                 "npy": str(tmp_path / "array.npy"),
+                 "small_agent": str(tmp_path / "small.npz")}
         (tmp_path / "auc_report.csv").write_text(
             "task,param,mean_auc,std_auc,n_repeats,config_hash,seed\nactive-chronic,f,0.5,0.1,3,abc,1\n")
         (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
         (tmp_path / "list.json").write_text(json.dumps([0, 10, 20]))
         (tmp_path / "scalar.json").write_text(json.dumps({"schema_version": 1, "b_values": 5}))
         np.save(tmp_path / "array.npy", np.zeros(3))
+        save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0)
         out = tmp_path / "run"
         outputs = [] if argv[0] == "report" else ["--out", str(out)]
         result = run_cli([arg.format(**names) for arg in argv] + outputs, tmp_path)

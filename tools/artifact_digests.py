@@ -1,14 +1,14 @@
 """Print one sha256 per artifact of the determinism check's command sequence.
 
-Runs the commands of acceptance criterion C06 (validate, calibrate,
-evaluate, sweep-snr, optimize crlb, optimize rl, plot, report) with C06's
-config in a temporary directory, using the ``qmridesign`` that
-``python -m qmridesign`` imports, then prints ``<sha256>  <artifact>`` per
-artifact. Two checkouts that print the same lines wrote the same bytes.
-What legitimately varies between runs is masked before hashing:
+This tool defines acceptance criterion C06, which runs ``digest_lines``
+twice and compares the lines. It runs validate, calibrate, evaluate,
+sweep-snr, optimize crlb, optimize rl, plot and report with C06's config in
+a work directory, then gives ``<sha256>  <artifact>`` per artifact and one
+line for the combined stdout; runs that give the same lines wrote the same
+bytes. What legitimately varies between runs is masked before hashing:
 ``report.csv``'s ``wall_clock_s`` column, ``config_snapshot.json``'s
-``out_dir``, and in the combined stdout the run directory and elapsed
-times. Point PYTHONPATH at the checkout under test:
+``out_dir``, and in the stdout the work directory and elapsed times. Point
+PYTHONPATH at the checkout under test:
 
     PYTHONPATH=src python tools/artifact_digests.py
 """
@@ -25,7 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: the config of tests/test_acceptance.py::test_c06_command_determinism
+#: C06's config
 CONFIG = {
     "seed": 777,
     "task": "active-chronic",
@@ -70,21 +70,29 @@ def masked(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def digest_lines(run, work: Path) -> list:
+    """The digest lines of the command sequence run in ``work``, an existing
+    empty directory; ``run(args, cwd)`` returns the stdout of ``qmridesign
+    <args>`` run in ``cwd`` and fails on a non-zero exit."""
+    out = work / "out"
+    config = work / "config.json"
+    config.write_text(json.dumps({**CONFIG, "out_dir": str(out)}))
+    stdout = "".join(run(args, work) for args in commands(config, out))
+    stdout = re.sub(r"\(\d+\.\d+s\)", "(<s>)", stdout.replace(str(work), "<tmp>"))
+    return [*(f"{hashlib.sha256(masked(out / name)).hexdigest()}  {name}" for name in ARTIFACTS),
+            f"{hashlib.sha256(stdout.encode()).hexdigest()}  stdout"]
+
+
 def main() -> int:
+    def run(args: list, cwd: Path) -> str:
+        # the child keeps this process's directory, where a relative PYTHONPATH resolves
+        done = subprocess.run([sys.executable, "-m", "qmridesign", *args], capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"qmridesign {' '.join(args)} exited with {done.returncode}:\n{done.stderr}")
+        return done.stdout
+
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps({**CONFIG, "out_dir": str(out)}))
-        stdout = []
-        for args in commands(config, out):
-            run = subprocess.run([sys.executable, "-m", "qmridesign", *args],
-                                 capture_output=True, text=True)
-            if run.returncode != 0:
-                sys.exit(f"qmridesign {' '.join(args)} exited with {run.returncode}:\n{run.stderr}")
-            stdout.append(re.sub(r"\(\d+\.\d+s\)", "(<s>)", run.stdout.replace(tmp, "<tmp>")))
-        for name in ARTIFACTS:
-            print(f"{hashlib.sha256(masked(out / name)).hexdigest()}  {name}")
-        print(f"{hashlib.sha256(''.join(stdout).encode()).hexdigest()}  stdout")
+        print(*digest_lines(run, Path(tmp)), sep="\n")
     return 0
 
 
