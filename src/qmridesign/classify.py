@@ -135,13 +135,17 @@ def knn_predict_batch(
     n_splits, n_train = train_labels.shape
     k = min(k, n_train)
     labels = train_labels[:, None, :]
-    n_classes = train_labels.max() + 1
+    # (split, train row, class) indicator; a padding row's is all zero
+    one_hot = (train_labels[:, :, None] == np.arange(train_labels.max() + 1)).astype(int)
 
     predictions = np.empty(query_features.shape[:2], dtype=int)
     block = max(1, int(2**20 // (n_splits * n_train)))  # bound the distance tensor
     for start in range(0, query_features.shape[1], block):
         q = query_features[:, start : start + block]
-        diff = q[:, :, None, :] - train_features[:, None, :, :]
+        # filled one feature at a time, so each subtraction runs over the training rows
+        diff = np.empty(q.shape[:2] + train_features.shape[1:])
+        for f in range(diff.shape[3]):
+            np.subtract(q[:, :, None, f], train_features[:, None, :, f], out=diff[..., f])
         dist_sq = np.where(padding[:, None, :], np.inf, np.einsum("sqtf,sqtf->sqt", diff, diff))
         # the k nearest under the (distance, index) order without a sort: every
         # row closer than the k-th distance, then the lowest-index rows tied at it
@@ -150,7 +154,7 @@ def knn_predict_batch(
         at_kth = dist_sq == kth
         room = k - closer.sum(axis=2, keepdims=True)
         top = closer | (at_kth & (np.cumsum(at_kth, axis=2) <= room))
-        counts = np.stack([(top & (labels == c)).sum(axis=2) for c in range(n_classes)], axis=2)
+        counts = top.astype(int) @ one_hot  # (split, query, class) votes, an exact integer product
         winner = counts.argmax(axis=2)
         tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1
         # argmin returns the lowest index among equal distances

@@ -286,9 +286,9 @@ def main(argv=None) -> int:
         return args.run(args)
     try:
         config = _resolve_config(args)
-    except (ValueError, TypeError, OSError) as err:
+        stamp = {"config_hash": config_hash(config), "seed": config.seed}  # reads the tissue file
+    except (ValueError, TypeError, OSError, KeyError) as err:
         raise SystemExit(f"invalid configuration: {err}") from err
-    stamp = {"config_hash": config_hash(config), "seed": config.seed}
     try:
         return args.run(args, config, Path(config.out_dir), stamp)
     except MissingDistributionError as err:  # the command samples a class the config lacks

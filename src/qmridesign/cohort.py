@@ -146,7 +146,6 @@ def _redraw_truncated(
 ) -> np.ndarray:
     """Gaussian draws redrawn until inside [low, high] (low exclusive if strict)."""
     x = rng.normal(mean, std, size=n)
-    low = np.broadcast_to(np.asarray(low, dtype=float), (n,))
     for _ in range(_MAX_REDRAW_ROUNDS):
         bad = (x <= low) if strict_low else (x < low)
         bad = bad | (x > high)

@@ -174,19 +174,29 @@ def _tissue_records(distributions: Mapping[TissueClass, TissueDistribution]) -> 
 
 
 def load_tissue_distributions(path) -> dict:
-    """Read a tissue-distribution file into {TissueClass: TissueDistribution}."""
-    raw = json.loads(Path(path).read_text())
-    version = raw.get("schema_version")
-    if version != TISSUE_SCHEMA_VERSION:
-        raise ValueError(
-            f"tissue file schema version {version} not supported (expected {TISSUE_SCHEMA_VERSION})"
-        )
-    return {
-        TissueClass(label): TissueDistribution(
-            TissueClass(label), **{name: block[name] for name in _TISSUE_FIELDS}
-        )
-        for label, block in raw["classes"].items()
-    }
+    """Read a tissue-distribution file into {TissueClass: TissueDistribution}.
+
+    A file that is not JSON, has another schema version, lacks a field or
+    holds an invalid value raises ValueError naming the file.
+    """
+    text = Path(path).read_text()
+    try:
+        raw = json.loads(text)
+        version = raw.get("schema_version")
+        if version != TISSUE_SCHEMA_VERSION:
+            raise ValueError(
+                f"schema version {version} not supported (expected {TISSUE_SCHEMA_VERSION})"
+            )
+        return {
+            TissueClass(label): TissueDistribution(
+                TissueClass(label), **{name: block[name] for name in _TISSUE_FIELDS}
+            )
+            for label, block in raw["classes"].items()
+        }
+    except KeyError as err:
+        raise ValueError(f"tissue file {path} lacks the key {err}") from err
+    except (ValueError, TypeError, AttributeError) as err:
+        raise ValueError(f"tissue file {path}: {err}") from err
 
 
 def write_json(path, payload) -> None:

@@ -161,12 +161,11 @@ class AcquisitionProtocol:
             raise ValueError(
                 f"protocol must contain exactly {PROTOCOL_LENGTH} b-values, got {len(values)}"
             )
+        for b in values:  # written so that a NaN, which sorted() leaves in place, fails
+            if not 0.0 <= b <= B_VALUE_MAX:
+                raise ValueError(f"b-values must lie within [0, {B_VALUE_MAX:g}], got {b}")
         if values[0] != 0.0:
             raise ValueError("protocol must contain at least one b = 0 measurement")
-        if values[-1] > B_VALUE_MAX:
-            raise ValueError(
-                f"b-values must lie within [0, {B_VALUE_MAX:g}], got max {values[-1]}"
-            )
         object.__setattr__(self, "b_values", values)
 
     @classmethod

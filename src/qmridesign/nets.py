@@ -67,12 +67,19 @@ class Mlp:
         return weights, biases
 
     def forward(self, x: np.ndarray):
-        """Returns (output, activations); x is (batch, in_dim)."""
-        activations = [np.atleast_2d(np.asarray(x, dtype=float))]
+        """Returns (output, activations); x is a (batch, in_dim) float array.
+
+        Each layer's product takes the bias and the tanh in place, the same
+        arithmetic as ``tanh(x @ w.T + b)`` without its temporaries.
+        """
+        activations = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w.T + b
-            activations.append(z if i == last else np.tanh(z))
+            z = activations[-1] @ w.T
+            z += b
+            if i != last:
+                np.tanh(z, out=z)
+            activations.append(z)
         return activations[-1], activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -82,10 +89,10 @@ class Mlp:
         """Write into ``grad`` (laid out like ``params``) the gradient of the
         loss w.r.t. ``params`` for d(loss)/d(output) = grad_out."""
         d_weights, d_biases = self._split(grad)
-        delta = np.atleast_2d(grad_out)
+        delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            d_weights[i][...] = delta.T @ activations[i]
-            d_biases[i][...] = delta.sum(axis=0)
+            np.matmul(delta.T, activations[i], out=d_weights[i])
+            delta.sum(axis=0, out=d_biases[i])
             if i > 0:
                 # tanh'(z) = 1 - tanh(z)^2, read from the cached activation
                 delta = (delta @ self.weights[i]) * (1.0 - activations[i] ** 2)

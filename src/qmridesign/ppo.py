@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .ivim import AcquisitionProtocol
-from .nets import Adam, Mlp, log_softmax, softmax
+from .nets import Adam, Mlp, softmax
 
 __all__ = [
     "PpoConfig",
@@ -74,6 +74,20 @@ class PpoConfig:
             raise ValueError("total_steps must be >= 0")
         if self.rollout_steps < 1 or self.minibatch_size < 1 or self.n_epochs < 1:
             raise ValueError("rollout_steps, minibatch_size and n_epochs must be >= 1")
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        if not self.learning_rate >= 0.0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not self.adam_eps > 0.0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not self.clip_range > 0.0:
+            raise ValueError(f"clip_range must be > 0, got {self.clip_range}")
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("vf_coef", "ent_coef", "max_grad_norm"):  # max_grad_norm 0 turns clipping off
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class PpoAgent:
@@ -101,13 +115,21 @@ class PpoAgent:
         self.optimizer = Adam(self.params, lr=config.learning_rate, eps=config.adam_eps)
 
     def policy_forward(self, observation: np.ndarray):
-        """(action probabilities, value estimate) for a single observation."""
-        return softmax(self.actor(observation))[0], float(self.critic(observation)[0, 0])
+        """(action probabilities, value estimate) for a single observation vector."""
+        x = observation[None, :]
+        return softmax(self.actor(x))[0], float(self.critic(x)[0, 0])
 
     def act(self, observation: np.ndarray, rng: np.random.Generator):
-        """Sample an action; returns (action, log_probability, value)."""
+        """Sample an action; returns (action, log_probability, value).
+
+        The draw inverts the normalized cumulative distribution at one
+        uniform double, as ``rng.choice(n_actions, p=probs)`` does, so it
+        takes the same action and consumes the same stream.
+        """
         probs, value = self.policy_forward(observation)
-        action = int(rng.choice(self.n_actions, p=probs))
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        action = int(cdf.searchsorted(rng.random(), side="right"))
         return action, float(np.log(probs[action])), value
 
     def greedy_action(self, observation: np.ndarray) -> int:
@@ -165,9 +187,12 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
     non-finite.
     """
     batch = len(actions)
-    logits, actor_cache = agent.actor.forward(obs)
-    logp_all = log_softmax(logits)
+    # log_softmax, then its exp, on two buffers: the logits become logp_all
+    logp_all, actor_cache = agent.actor.forward(obs)
+    logp_all -= logp_all.max(axis=1, keepdims=True)
     probs = np.exp(logp_all)
+    logp_all -= np.log(probs.sum(axis=1, keepdims=True))
+    np.exp(logp_all, out=probs)
     rows = np.arange(batch)
     logp_act = logp_all[rows, actions]
     ratio = np.exp(logp_act - logp_old)
@@ -175,7 +200,8 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
     clipped = np.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * advantages
     policy_loss = -np.minimum(unclipped, clipped).mean()
 
-    entropy_per = -(probs * logp_all).sum(axis=1)
+    buffer = probs * logp_all
+    entropy_per = -buffer.sum(axis=1)
     entropy = entropy_per.mean()
 
     values, critic_cache = agent.critic.forward(obs)
@@ -191,7 +217,7 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
     # d(policy_loss)/d(logp_act): the clipped branch has zero slope
     active = unclipped <= clipped
     dlogp_act = np.where(active, ratio * advantages, 0.0) * (-1.0 / batch)
-    dlogits = -probs * dlogp_act[:, None]
+    dlogits = np.multiply(probs, (-dlogp_act)[:, None], out=buffer)  # == -probs * dlogp_act
     dlogits[rows, actions] += dlogp_act
     if config.ent_coef != 0.0:
         # dH/dlogits = -p * (logp + H)

@@ -331,6 +331,30 @@ class TestPlot:
             plot_accuracy_vs_snr([], tmp_path / "x.svg")
 
 
+#: PpoConfig fields and values it refuses
+_BAD_PPO_VALUES = (
+    ("hidden_size", 0), ("learning_rate", -0.001), ("learning_rate", float("nan")), ("adam_eps", 0.0),
+    ("clip_range", -0.2), ("gamma", 1.5), ("gae_lambda", -3.0), ("vf_coef", -1.0),
+    ("ent_coef", -0.01), ("max_grad_norm", -1.0),
+)
+
+
+def _edited_tissue_file(edit) -> str:
+    """The shipped tissue file's text after ``edit`` changed its parsed JSON."""
+    raw = json.loads(default_tissue_path().read_text())
+    edit(raw)
+    return json.dumps(raw)
+
+
+#: malformed tissue files, by file name
+_BAD_TISSUE_FILES = {
+    "schema-9.json": _edited_tissue_file(lambda raw: raw.update(schema_version=9)),
+    "no-std-d.json": _edited_tissue_file(lambda raw: raw["classes"]["chronic"].pop("std_d")),
+    "mean-f-1.5.json": _edited_tissue_file(lambda raw: raw["classes"]["active"].update(mean_f=1.5)),
+    "not-json.json": "active: 0.15\n",
+}
+
+
 class TestCli:
     @pytest.mark.parametrize("argv", [
         ["optimize", "--optimizer", "crlb", "--snr", "15"],
@@ -478,6 +502,14 @@ class TestCli:
         )
         assert bad.returncode != 0
         assert "malformed" in bad.stderr
+        nan = run_cli(
+            ["evaluate", "--config", str(tiny_config), "--protocol", "0,nan,10,20,30,50,80,100,200,800",
+             "--out", str(tmp_path / "nan")], tmp_path
+        )
+        assert nan.returncode != 0
+        assert "Traceback" not in nan.stderr
+        assert "b-values must lie within [0, 1000], got nan" in nan.stderr
+        assert not (tmp_path / "nan").exists()
 
     def test_evaluate_refuses_two_protocol_sources(self, run_cli, tiny_config, tmp_path):
         """--protocol, --protocol-file and --checkpoint exclude each other: a
@@ -510,14 +542,22 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.01}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-6}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"refine_rel_tol": 0.0}}),
+        *((["optimize", "--optimizer", "rl", "--budget", "36"], {"ppo": {name: value}})
+          for name, value in _BAD_PPO_VALUES),
+        *((["evaluate", "--optimizer", "adhoc"], {"tissue_file": name}) for name in _BAD_TISSUE_FILES),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
             "fewer-subjects-than-folds", "negative-t-initial", "negative-t-final-fraction",
             "t-final-fraction-above-one", "negative-perturb-width", "duplicate-move-prob-above-one",
             "negative-ridge-rel", "zero-grid-points", "zero-d-min", "d-min-above-d-max",
-            "dstar-max-below-d-min", "zero-refine-tol"])
+            "dstar-max-below-d-min", "zero-refine-tol",
+            *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
+            *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES)])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
-        one-line message, before the output directory is made."""
+        one-line message, before the output directory is made. A malformed
+        tissue file is named in that message."""
+        for name, text in _BAD_TISSUE_FILES.items():
+            (tmp_path / name).write_text(text)
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             argv = [*argv, "--config", str(tmp_path / "config.json")]
@@ -526,6 +566,9 @@ class TestCli:
         assert result.returncode != 0
         assert "Traceback" not in result.stderr
         assert "invalid configuration" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        if config and "tissue_file" in config:
+            assert config["tissue_file"] in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, needle", [

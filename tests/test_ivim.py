@@ -16,7 +16,7 @@ from qmridesign import (
     simulate_dataset,
 )
 from qmridesign.cohort import Cohort
-from qmridesign.ivim import ADHOC_B_VALUES
+from qmridesign.ivim import ADHOC_B_VALUES, B_VALUE_MAX
 
 
 def simulate_one(params, protocol, scanner, rng):
@@ -111,6 +111,26 @@ class TestProtocol:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             AcquisitionProtocol((0, 10, 20, 30, 50, 80, 100, 200, 400, 1001))
+
+    @pytest.mark.parametrize("bad, shown", [
+        (float("nan"), "got nan"),
+        (-5.0, "got -5.0"),
+        (1000.5, "got 1000.5"),
+        (float("inf"), "got inf"),
+    ])
+    @pytest.mark.parametrize("slot", [1, 5, 9])
+    def test_every_value_range_checked_by_name(self, bad, shown, slot):
+        """Each b-value must lie in [0, B_VALUE_MAX], the message naming it:
+        a NaN, which sorting leaves in place, passed a check of the first and
+        last sorted values only, and a negative value was refused as a
+        missing b = 0."""
+        values = list(ADHOC_B_VALUES)
+        values[slot] = bad
+        with pytest.raises(ValueError, match=f"within \\[0, 1000\\], {shown}$"):
+            AcquisitionProtocol(tuple(values))
+
+    def test_b_value_max_itself_accepted(self):
+        assert AcquisitionProtocol((0,) * 9 + (B_VALUE_MAX,)).b_max == B_VALUE_MAX
 
     def test_te_recomputed_from_max_b(self, scanner):
         p = AcquisitionProtocol.adhoc()

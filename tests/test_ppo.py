@@ -5,6 +5,7 @@ The finite-difference check of the full loss on a tiny agent is the
 load-bearing test here: every other property rides on those gradients.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -359,6 +360,32 @@ class TestTraining:
         rng = np.random.default_rng(13)
         result = train(env, small_config(total_steps=256), rng)
         result.agent.check_finite()
+
+    def test_two_round_train_digest_pinned(self):
+        """Two 256-step rounds at the default network sizes (12 -> 64 -> 64 ->
+        1001) on a seeded protocol environment: one sha256 over the bytes of
+        the parameters and both Adam moments, and the repr of the update
+        statistics, the curve and the best reward. Unlike the first-round
+        digests, taken before any update acts, this sees every bit of the
+        act, loss, backward, clipping and Adam arithmetic of both updates."""
+        from qmridesign import CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
+        from qmridesign.config import default_tissue_path, load_tissue_distributions
+        from qmridesign.protocol_env import ProtocolEnv
+
+        sim_env = SimulationEnv(
+            distributions=load_tissue_distributions(default_tissue_path()),
+            cohort_spec=CohortSpec(),
+            scanner=ScannerConfig(),
+        )
+        env = ProtocolEnv(sim_env, Task.MULTICLASS, EvalConfig(), master_seed=31)
+        result = train(env, PpoConfig(total_steps=512, rollout_steps=256), np.random.default_rng(32))
+        agent = result.agent
+        assert agent.actor.sizes == (12, 64, 64, 1001) and len(result.update_stats) == 2
+        digest = hashlib.sha256()
+        for array in (agent.params, agent.optimizer.m, agent.optimizer.v):
+            digest.update(array.tobytes())
+        digest.update(repr((result.update_stats, result.curve, result.best_reward)).encode())
+        assert digest.hexdigest() == "a85ea0ca95aff0734e012ce28ac4ae6bbfddf8192db912f77108de3b16db83b9"
 
 
 class TestGreedyAndCheckpoint:
