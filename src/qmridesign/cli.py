@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         stamp = {"config_hash": config_hash(config), "seed": config.seed}  # reads the tissue file
-    except (ValueError, TypeError, OSError, KeyError) as err:
+    except (ValueError, TypeError, OSError) as err:
         raise SystemExit(f"invalid configuration: {err}") from err
     try:
         return args.run(args, config, Path(config.out_dir), stamp)

@@ -67,3 +67,29 @@ def test_spread_wider_than_the_bound_is_unresolved(tool):
 def test_seed_range(tool):
     assert tool.seed_range("101-110") == list(range(101, 111))
     assert tool.seed_range("7") == [7]
+
+
+def run_record(correct=True, failed=0, digest="47e0d99a484ddb47"):
+    return {"protocols_per_s": 170.0, "correct": correct, "failed": failed, "digest": digest}
+
+
+def test_faults_forbid_a_gain(tool):
+    clean = [{"seed": seed, "parent": run_record(), "change": run_record()} for seed in range(101, 111)]
+    assert tool.pair_faults(clean) == []
+    faulty = [
+        {"seed": 101, "parent": run_record(), "change": run_record(correct=False, failed=227)},
+        {"seed": 102, "parent": run_record(correct=False), "change": run_record()},
+        {"seed": 103, "parent": run_record(failed=2), "change": run_record(failed=2)},
+        {"seed": 104, "parent": run_record(), "change": run_record(digest="dcf56ec4bd317462")},
+    ]
+    assert tool.pair_faults(faulty) == [
+        "seed 101: change output check failed",
+        "seed 101: change failed 227 operations, parent 0",
+        "seed 102: parent output check failed",
+        "seed 104: first-round digest 47e0d99a484ddb47 -> dcf56ec4bd317462",
+    ]
+    change = [p * 1.14 for p in PARENT]
+    assert tool.verdict(PARENT, change, "higher", 0.25, sound=True)["verdict"] == "gain"
+    assert tool.verdict(PARENT, change, "higher", 0.25, sound=False)["verdict"] == "not worse"
+    # a fault does not hide a loss
+    assert tool.verdict(PARENT, [p * 0.7 for p in PARENT], "higher", 0.25, sound=False)["verdict"] == "worse"

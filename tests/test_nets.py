@@ -26,6 +26,25 @@ def test_softmax_normalized():
     np.testing.assert_allclose(np.log(p), log_softmax(logits), atol=1e-12)
 
 
+def test_forward_is_tanh_of_affine_bit_for_bit():
+    """The in-place forward gives the bytes of ``tanh(x @ w.T + b)`` on every
+    hidden layer and of ``x @ w.T + b`` at the head, for a batch and for the
+    ``(1, n)`` view a single observation takes."""
+    rng = np.random.default_rng(20)
+    mlp = make_mlp((12, 64, 64, 1001), rng, out_gain=0.01)
+    for b in mlp.biases:
+        b[:] = rng.normal(scale=0.1, size=b.size)
+    for x in (rng.normal(size=(37, 12)), rng.normal(size=12)[None, :]):
+        out, activations = mlp.forward(x)
+        a = x
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            a = a @ w.T + b
+            if i != len(mlp.weights) - 1:
+                a = np.tanh(a)
+            assert activations[i + 1].tobytes() == a.tobytes()
+        assert out is activations[-1]
+
+
 def test_backward_matches_finite_differences():
     """Scalar loss sum(out^2): analytic grads vs central differences, 1e-7."""
     rng = np.random.default_rng(2)

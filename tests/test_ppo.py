@@ -72,6 +72,22 @@ class TestAgent:
         actions = [agent.act(np.zeros(3), rng)[0] for _ in range(200)]
         assert set(actions) == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("n_actions, head_scale", [(1001, 1.0), (4, 400.0)])
+    def test_act_draws_what_generator_choice_draws(self, n_actions, head_scale):
+        """``act`` inverts the cumulative distribution as
+        ``Generator.choice(n, p=probs)`` does: for each observation the same
+        action, and the two streams stay in step. The second case scales the
+        head so that some probabilities are near 0 and one near 1."""
+        agent = PpoAgent(12, n_actions, np.random.default_rng(3), small_config(hidden_size=16))
+        agent.actor.weights[-1][...] *= head_scale
+        rng_act, rng_choice = np.random.default_rng(5), np.random.default_rng(5)
+        for obs in np.random.default_rng(4).uniform(-2.0, 2.0, size=(2000, 12)):
+            action, log_prob, value = agent.act(obs, rng_act)
+            probs, expected_value = agent.policy_forward(obs)
+            assert action == rng_choice.choice(n_actions, p=probs)
+            assert log_prob == float(np.log(probs[action])) and value == expected_value
+            assert rng_act.bit_generator.state == rng_choice.bit_generator.state
+
     def test_networks_are_views_of_one_vector(self):
         """Actor then critic parameters fill ``agent.params``, and one optimizer
         step on that vector moves both networks."""
@@ -367,7 +383,14 @@ class TestTraining:
         the parameters and both Adam moments, and the repr of the update
         statistics, the curve and the best reward. Unlike the first-round
         digests, taken before any update acts, this sees every bit of the
-        act, loss, backward, clipping and Adam arithmetic of both updates."""
+        act, loss, backward, clipping and Adam arithmetic of both updates.
+
+        The pinned value is tied to the host's BLAS: the 64-wide products
+        round as the numpy/OpenBLAS kernel dispatched on the CPU does, so a
+        correct program may give another digest on another CPU or build.
+        Compare against the parent commit on the same host before reading a
+        mismatch as a regression. The host-independent checks of the same
+        arithmetic are the exact forward and act tests and the gradient checks."""
         from qmridesign import CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
         from qmridesign.config import default_tissue_path, load_tissue_distributions
         from qmridesign.protocol_env import ProtocolEnv
@@ -385,7 +408,8 @@ class TestTraining:
         for array in (agent.params, agent.optimizer.m, agent.optimizer.v):
             digest.update(array.tobytes())
         digest.update(repr((result.update_stats, result.curve, result.best_reward)).encode())
-        assert digest.hexdigest() == "a85ea0ca95aff0734e012ce28ac4ae6bbfddf8192db912f77108de3b16db83b9"
+        assert digest.hexdigest() == "a85ea0ca95aff0734e012ce28ac4ae6bbfddf8192db912f77108de3b16db83b9", (
+            "train digest moved; the pin is tied to this host's BLAS, so check the parent on the same host")
 
 
 class TestGreedyAndCheckpoint:

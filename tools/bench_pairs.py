@@ -3,25 +3,31 @@
 Run from anywhere, naming two checkouts:
 
     python3 tools/bench_pairs.py --parent ../parent --change . --workload rl_search \
-        --seeds 101-110 --seconds 35 --out BENCH_label_pairs.json
+        --seeds 101-110 --out BENCH_label_pairs.json
 
 For each seed it runs ``perfbench/run.py --trace 0`` in both checkouts, one
-after the other: the parent first in the first pair, the change first in the
-second, and so on. It stores every pair's end-to-end metrics, ``correct``,
-``failed`` and first-round output digest, and for each end-to-end metric that
-``BENCHMARK.json`` names a summary: both medians, the parent's quartile
-spread, the change's wins and a verdict. The verdict follows the acceptance
-rule: a gain needs at least ten pairs, wins in at least nine tenths of them
-(ties count for neither side) and a median gap larger than the distance
-between the parent's quartiles; "worse" means a median worse than the
-parent's by more than the metric's bound; a spread wider than the bound is
-"unresolved" unless every change run beats every parent run. It reads
-``perfbench/`` and ``BENCHMARK.json`` of the change checkout and edits neither.
+after the other, each run as long as ``BENCHMARK.json``'s ``run_seconds``:
+the parent first in the first pair, the change first in the second, and so
+on. It stores every pair's end-to-end metrics, ``correct``, ``failed`` and
+first-round output digest, the faults among them (a run whose output check
+failed, a change that failed more operations than the parent, a digest that
+moved), and for each end-to-end metric that ``BENCHMARK.json`` names a
+summary: both medians, the parent's quartile spread, the change's wins and a
+verdict. The verdict follows the acceptance rule: a gain needs pairs free of
+faults, at least ten of them, wins in at least nine tenths (ties count for
+neither side) and a median gap larger than the distance between the parent's
+quartiles; "worse" means a median worse than the parent's by more than the
+metric's bound; a spread wider than the bound is "unresolved" unless every
+change run beats every parent run. The tool exits with 1 when a pair has a
+fault. It reads ``perfbench/`` and ``BENCHMARK.json`` of the change checkout
+and edits neither; the seed range is parsed by ``perfbench/spread.py``'s
+``seed_range``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import re
 import statistics
@@ -30,18 +36,24 @@ import sys
 from pathlib import Path
 
 DIGEST = re.compile(r"first-round output digest (\S+)")
+SPREAD = Path(__file__).resolve().parents[1] / "perfbench" / "spread.py"
 
 
-def seed_range(text: str) -> list:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+def _spread_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spread", SPREAD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics: list) -> dict:
+seed_range = _spread_module().seed_range
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds, metrics: list) -> dict:
     """One ``run.py --trace 0`` in ``checkout``: its end-to-end metrics,
     correct, failed, first-round digest and unscaled numbers."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", repr(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
         sys.exit(f"{checkout}: run.py --workload {workload} --seed {seed} exited with {done.returncode}")
@@ -57,11 +69,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics: 
     }
 
 
-def verdict(parent: list, change: list, better: str, bound: float) -> dict:
+def pair_faults(pairs: list) -> list:
+    """What in the recorded pairs forbids a gain, one line per fault: a run
+    whose output check failed, a change run that failed more operations than
+    its parent run, or a first-round digest that differs between the two."""
+    faults = []
+    for pair in pairs:
+        parent, change, seed = pair["parent"], pair["change"], pair["seed"]
+        faults += [f"seed {seed}: {side} output check failed"
+                   for side in ("parent", "change") if not pair[side]["correct"]]
+        if change["failed"] > parent["failed"]:
+            faults.append(f"seed {seed}: change failed {change['failed']} operations, parent {parent['failed']}")
+        if change["digest"] != parent["digest"]:
+            faults.append(f"seed {seed}: first-round digest {parent['digest']} -> {change['digest']}")
+    return faults
+
+
+def verdict(parent: list, change: list, better: str, bound: float, sound: bool = True) -> dict:
     """Summary of one metric over paired runs (``parent[i]`` with ``change[i]``).
 
     ``better`` is "higher" or "lower"; ``bound`` the share of the parent's
-    median by which the change may be worse before it counts as worse.
+    median by which the change may be worse before it counts as worse;
+    ``sound`` is false when the pairs have faults, and then no gain is given.
     """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
@@ -69,7 +98,7 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
     q1, _, q3 = statistics.quantiles(parent, n=4)
     gain = sign * (change_median - parent_median)
     separated = all(sign * (c - p) > 0 for c in change for p in parent)
-    if len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > q3 - q1:
+    if sound and len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > q3 - q1:
         outcome = "gain"
     elif gain < -bound * parent_median:
         outcome = "worse"
@@ -88,9 +117,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 101-110")
-    parser.add_argument("--seconds", type=float, required=True, help="run length of every run")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("--seeds needs at least two seeds: the parent's quartiles take two runs")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [metric["name"] for metric in bench["end_to_end"]]
 
@@ -99,23 +129,27 @@ def main(argv=None) -> int:
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds, metrics)
+            pair[side] = run_once(getattr(args, side), args.workload, seed, bench["run_seconds"], metrics)
         pairs.append(pair)
         print(f"seed {seed}: " + "  ".join(
             f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in metrics), flush=True)
 
+    faults = pair_faults(pairs)
     summary = {
         metric["name"]: verdict([pair["parent"][metric["name"]] for pair in pairs],
                                 [pair["change"][metric["name"]] for pair in pairs],
-                                metric["better"], metric["bound"])
+                                metric["better"], metric["bound"], sound=not faults)
         for metric in bench["end_to_end"]
     }
     for name, row in summary.items():
         print(f"{name}: median {row['parent_median']:.4g} -> {row['change_median']:.4g}, parent spread "
               f"{row['parent_spread']:.4g}, change wins {row['change_wins']}/{row['pairs']}: {row['verdict']}")
-    args.out.write_text(json.dumps({"workload": args.workload, "seeds": args.seeds, "run_seconds": args.seconds,
-                                    "pairs": pairs, "summary": summary}, indent=1) + "\n")
-    return 0
+    for fault in faults:
+        print(f"fault: {fault}", file=sys.stderr)
+    args.out.write_text(json.dumps({"workload": args.workload, "seeds": args.seeds,
+                                    "run_seconds": bench["run_seconds"], "pairs": pairs, "faults": faults,
+                                    "summary": summary}, indent=1) + "\n")
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
