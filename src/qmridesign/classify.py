@@ -7,8 +7,9 @@ vectors (s0, f, d, d_star). Features are z-scored with statistics from the
 training folds only; raw feature scales differ by three orders of
 magnitude, which would otherwise make Euclidean distances degenerate.
 One cross-validation call scores all of its repeat x fold splits at once:
-each split's statistics come from sums masked to its training rows, and
-the KNN runs on one padded (split, test, train) distance tensor.
+its folds are dealt from per-class subject index lists made once per
+call, each split's statistics come from sums masked to its training rows,
+and the KNN runs on one padded (split, test, train) distance tensor.
 
 Tie-breaking is fully deterministic: neighbors are ordered by (distance,
 subject index), and a tied majority vote falls back to the label of the
@@ -134,7 +135,7 @@ def knn_predict_batch(
         raise ValueError("every split needs a training row")
     n_splits, n_train = train_labels.shape
     k = min(k, n_train)
-    labels = train_labels[:, None, :]
+    splits = np.arange(n_splits)[:, None]
     # (split, train row, class) indicator; a padding row's is all zero
     one_hot = (train_labels[:, :, None] == np.arange(train_labels.max() + 1)).astype(int)
 
@@ -158,7 +159,7 @@ def knn_predict_batch(
         winner = counts.argmax(axis=2)
         tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1
         # argmin returns the lowest index among equal distances
-        nearest = np.take_along_axis(labels, dist_sq.argmin(axis=2, keepdims=True), axis=2)[:, :, 0]
+        nearest = train_labels[splits, dist_sq.argmin(axis=2)]
         predictions[:, start : start + q.shape[1]] = np.where(tied, nearest, winner)
     return predictions
 
@@ -171,15 +172,30 @@ def stratified_fold_assignments(
     Each class's subjects are shuffled and dealt round-robin across folds.
     """
     labels = np.asarray(labels)
-    folds = np.empty(len(labels), dtype=int)
+    return _deal_folds(_class_members(labels, n_folds), n_folds, rng, 1)[0]
+
+
+def _class_members(labels: np.ndarray, n_folds: int) -> list:
+    """Each class's subject indices, classes in ascending order."""
+    members = []
     for value in np.unique(labels):
         idx = np.flatnonzero(labels == value)
         if len(idx) < n_folds:
             raise InsufficientSubjectsError(
                 f"class {value.item()} has {len(idx)} subjects, fewer than {n_folds} folds"
             )
-        idx = rng.permutation(idx)
-        folds[idx] = np.arange(len(idx)) % n_folds
+        members.append(idx)
+    return members
+
+
+def _deal_folds(members: list, n_folds: int, rng: np.random.Generator, n_repeats: int) -> np.ndarray:
+    """(n_repeats, n_subjects) fold indices: in each repeat, every class's
+    subjects are shuffled, class after class, and dealt round-robin."""
+    folds = np.empty((n_repeats, sum(len(idx) for idx in members)), dtype=int)
+    deals = [np.arange(len(idx)) % n_folds for idx in members]
+    for row in folds:
+        for idx, deal in zip(members, deals):
+            row[rng.permutation(idx)] = deal
     return folds
 
 
@@ -195,11 +211,13 @@ def cross_val_accuracy(
     Returns (mean, std) over the pooled per-fold accuracies. Normalization
     statistics are fitted on the training folds of each split only.
     """
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
 
     # one split per (repeat, fold), repeat-major: the order of the pooled accuracies
-    folds = np.stack([stratified_fold_assignments(labels, config.n_folds, rng) for _ in range(n_repeats)])
+    folds = _deal_folds(_class_members(labels, config.n_folds), config.n_folds, rng, n_repeats)
     test = (folds[:, None, :] == np.arange(config.n_folds)[:, None]).reshape(-1, len(labels))
     train = ~test
 
@@ -219,7 +237,7 @@ def cross_val_accuracy(
     pred = knn_predict_batch(
         z,
         np.where(train, labels, -1),
-        np.take_along_axis(z, query[:, :, None], axis=1),
+        z[np.arange(len(query))[:, None], query],
         config.k_neighbors,
     )
     hits = (pred == labels[query]) & (np.arange(query.shape[1]) < n_test[:, None])

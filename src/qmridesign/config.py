@@ -56,9 +56,23 @@ def _stored(dump, load, **default):
     return field(**default, metadata={"json": (dump, load)})
 
 
+def _json_object(raw) -> Mapping:
+    """``raw`` if it is a JSON object; any other value is refused."""
+    if not isinstance(raw, Mapping):
+        raise TypeError(f"expected a JSON object, got {json.dumps(raw)}")
+    return raw
+
+
+def _whole_number(raw) -> int:
+    """``raw`` as an int; a fractional number or a boolean is refused, not truncated."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"expected a whole number, got {json.dumps(raw)}")
+    return int(raw)
+
+
 def _section(cls):
     """Section held in one frozen dataclass, stored as the JSON object of its fields."""
-    return _stored(asdict, lambda raw: cls(**raw), default_factory=cls)
+    return _stored(asdict, lambda raw: cls(**_json_object(raw)), default_factory=cls)
 
 
 @dataclass(frozen=True)
@@ -66,12 +80,12 @@ class ExperimentConfig:
     """The config file's schema: each field's metadata says how it is written
     and read back; a field without one is a string stored as it is."""
 
-    seed: int = _stored(int, int, default=1234)
+    seed: int = _stored(int, _whole_number, default=1234)
     scanner: ScannerConfig = _section(ScannerConfig)
     tissue_file: str = ""
     cohort: CohortSpec = _stored(
         lambda spec: {label.value: n for label, n in spec.counts.items()},
-        lambda raw: CohortSpec({TissueClass(label): int(n) for label, n in raw.items()}),
+        lambda raw: CohortSpec({TissueClass(label): _whole_number(n) for label, n in _json_object(raw).items()}),
         default_factory=CohortSpec,
     )
     task: Task = _stored(lambda task: task.token, Task.from_token, default=Task.MULTICLASS)
@@ -137,28 +151,41 @@ def load_experiment_config(path) -> ExperimentConfig:
     and kept as an absolute path, so a written to_dict() loads from anywhere;
     an empty one is the packaged default. A top-level key that names no
     field (nor ``schema_version``) raises, so a misspelt field is not
-    silently left at its default.
+    silently left at its default. A file that is not a JSON object, or a
+    value of the wrong shape or range, raises ValueError naming the file.
     """
     path = Path(path)
-    raw = json.loads(path.read_text())
-    version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ValueError(f"config schema version {version} not supported")
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"schema_version"}
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-    if raw.get("tissue_file"):
-        tissue = (path.parent / raw["tissue_file"]).resolve()
-        if not tissue.exists():
-            raise FileNotFoundError(f"tissue file {tissue} does not exist")
-        raw["tissue_file"] = str(tissue)
-    return with_file_values(ExperimentConfig(), raw)
+    try:
+        raw = _json_object(json.loads(path.read_text()))
+        version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
+        if version != CONFIG_SCHEMA_VERSION:
+            raise ValueError(f"config schema version {version} not supported")
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"schema_version"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if raw.get("tissue_file"):
+            tissue = (path.parent / raw["tissue_file"]).resolve()
+            if not tissue.exists():
+                raise FileNotFoundError(f"tissue file {tissue} does not exist")
+            raw["tissue_file"] = str(tissue)
+        return with_file_values(ExperimentConfig(), raw)
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def with_file_values(config: ExperimentConfig, values: Mapping) -> ExperimentConfig:
     """``config`` with each field named in ``values`` replaced, the value given
-    as the config file stores it; keys that name no field are ignored."""
-    return replace(config, **{f.name: _codec(f)[1](values[f.name]) for f in fields(config) if f.name in values})
+    as the config file stores it; keys that name no field are ignored. A
+    value that cannot be read raises ValueError naming its field."""
+    return replace(config, **{f.name: _read_field(f, values[f.name]) for f in fields(config) if f.name in values})
+
+
+def _read_field(f, raw):
+    """One field's value read from its stored form."""
+    try:
+        return _codec(f)[1](raw)
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"{f.name}: {err}") from err
 
 
 #: per-class values a tissue file stores, in TissueDistribution field order

@@ -10,12 +10,14 @@ a scan of one 200-point log-spaced grid over [d_min, dstar_max], shared
 by every row and computed as a single product with the grid's
 exponential basis, followed by golden-section refinement from each row's
 best point at or above its d, which is deterministic and immune to
-local minima. A row's refinement stops once its bracket is narrower than
-refine_rel_tol * max(midpoint, d_min). The bracket's upper end never
-grows, so the midpoint never exceeds the starting upper end: while every
-width exceeds refine_rel_tol * max(starting upper end, d_min), no row can
-stop, and those steps skip the per-row stopping test. Either way the
-steps run in place on preallocated buffers, with the same arithmetic.
+local minima. Only rows with f > 0 are scanned and refined; the others
+return d with the boundary flag set. A row's refinement stops once its
+bracket is narrower than refine_rel_tol * max(midpoint, d_min). The
+bracket's upper end never grows, so the midpoint never exceeds the
+starting upper end: while every width exceeds
+refine_rel_tol * max(starting upper end, d_min), no row can stop, and
+those steps skip the per-row stopping test. Either way the steps run in
+place on preallocated buffers, with the same arithmetic.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
@@ -34,6 +36,7 @@ returns per-row arrays; a single subject is an n = 1 matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,15 +130,42 @@ def fit_dstar(
     ``bounds.grid_points`` log-spaced values over [d_min, dstar_max],
     shared by all rows, and skips each row's points below d; golden-section
     refinement then searches [max(previous point, d), next point] around
-    the row's best point on the exact misfit. Rows with f <= 0 return d
-    with the boundary flag set. Returns (n,) arrays (dstar_est, at_bound).
+    the row's best point on the exact misfit. Only rows with f > 0 are
+    scanned and refined; the others return d with the boundary flag set.
+    Returns (n,) arrays (dstar_est, at_bound).
     """
+    inactive = f <= 0.0
+    dstar = d.copy()
+    live = ~inactive  # a row with a NaN f is not inactive: it is refined
+    dstar[live] = _refine_dstar(signals[live], b_values, s0[live], f[live], d[live], bounds)
+
+    edge_tol = 10.0 * bounds.refine_rel_tol
+    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
+    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
+    at_bound = inactive | at_lower | at_upper
+    return dstar, at_bound
+
+
+@lru_cache(maxsize=8)
+def _log_grid(d_min: float, dstar_max: float, grid_points: int) -> np.ndarray:
+    """The D* scan grid, read-only: every fit with the same bounds shares it."""
+    grid = np.exp(np.linspace(np.log(d_min), np.log(dstar_max), grid_points))
+    grid.flags.writeable = False
+    return grid
+
+
+#: signs of the golden-section steps from a bracket's (upper, lower) ends
+_GOLDEN_STEPS = np.array([-_GOLDEN, _GOLDEN])
+
+
+def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
+    """fit_dstar's scan and golden-section refinement of the rows it keeps."""
     residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     amplitude = s0 * f
 
     # one log-spaced grid for every row, scanned through the expansion
     # SSE = |r|^2 - 2a (r . E) + a^2 |E|^2 of the basis E = exp(-b * grid)
-    grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), bounds.grid_points))
+    grid = _log_grid(bounds.d_min, bounds.dstar_max, bounds.grid_points)
     basis = np.exp(-b_values[:, None] * grid[None, :])
     # einsum, not BLAS: a matrix product can sum a lone row in another order,
     # and a row's fit must not depend on its batch
@@ -145,33 +175,37 @@ def fit_dstar(
     scan += (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
     np.copyto(scan, np.inf, where=grid[None, :] < d[:, None])  # the search starts at d
     best = scan.argmin(axis=1)
-    a = np.maximum(grid[np.maximum(best - 1, 0)], d)
-    b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
 
-    # golden-section refinement on preallocated buffers: the points (x1, x2)
-    # are recomputed from each row's bracket [a, b] every step, and the
+    # golden-section refinement on preallocated buffers. Each row's bracket
+    # is held upper end first, (b, a), so bracket + width * (-G, +G) gives
+    # its points (x1, x2) = (b - G width, a + G width) in one add; the
     # misfit is per element, so a frozen row keeps its bits
-    n = len(a)
+    n = len(best)
+    bracket = np.empty((n, 2))
+    b, a = bracket[:, 0], bracket[:, 1]
+    b[:] = grid[np.minimum(best + 1, bounds.grid_points - 1)]
+    np.maximum(grid[np.maximum(best - 1, 0)], d, out=a)
     neg_b = -b_values
     width = np.empty(n)
-    step = np.empty(n)
     points = np.empty((n, 2))
     model = np.empty((n, 2, len(b_values)))
+    # residual and amplitude laid out like model, so each step runs contiguous loops
+    residual = np.broadcast_to(residual[:, None, :], model.shape).copy()
+    amplitude = np.broadcast_to(amplitude[:, None, None], model.shape).copy()
     values = np.empty((n, 2))
     f1, f2 = values[:, 0], values[:, 1]
-    shrink_left = np.empty(n, dtype=bool)  # minimum lies in [x1, b]
-    shrink_right = np.empty(n, dtype=bool)
+    move = np.empty((n, 2), dtype=bool)  # per bracket end: take the opposite point
+    shrink_right, shrink_left = move[:, 0], move[:, 1]  # b <- x2; a <- x1 (the minimum lies in [x1, b])
 
     def probe():
         """Golden-section points of every bracket and their misfits."""
         np.subtract(b, a, out=width)
-        np.multiply(_GOLDEN, width, out=step)
-        np.subtract(b, step, out=points[:, 0])
-        np.add(a, step, out=points[:, 1])
-        np.multiply(neg_b[None, None, :], points[:, :, None], out=model)
+        np.multiply(width[:, None], _GOLDEN_STEPS, out=points)
+        np.add(bracket, points, out=points)
+        np.multiply(neg_b, points[:, :, None], out=model)
         np.exp(model, out=model)
-        np.multiply(amplitude[:, None, None], model, out=model)
-        np.subtract(residual[:, None, :], model, out=model)
+        np.multiply(amplitude, model, out=model)
+        np.subtract(residual, model, out=model)
         np.square(model, out=model)
         model.sum(axis=2, out=values)
 
@@ -194,19 +228,10 @@ def fit_dstar(
                 break
             np.logical_and(active, f1 > f2, out=shrink_left)
             np.logical_and(active, ~shrink_left, out=shrink_right)
-        np.copyto(a, points[:, 0], where=shrink_left)
-        np.copyto(b, points[:, 1], where=shrink_right)
+        np.copyto(bracket, points[:, ::-1], where=move)
         probe()
 
-    dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
-    inactive = f <= 0.0
-    dstar = np.where(inactive, d, dstar)
-
-    edge_tol = 10.0 * bounds.refine_rel_tol
-    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
-    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
-    at_bound = inactive | at_lower | at_upper
-    return dstar, at_bound
+    return np.clip(0.5 * (a + b), d, bounds.dstar_max)
 
 
 def _effective_threshold(b_values: np.ndarray, threshold: float):

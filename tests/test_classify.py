@@ -265,6 +265,30 @@ class TestCrossVal:
         got = cross_val_accuracy(x, y, cfg, np.random.default_rng(seed), n_repeats=n_repeats)
         np.testing.assert_equal(got, expected)
 
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    def test_draws_as_per_repeat_fold_dealing(self, n_repeats):
+        """One call leaves its generator where n_repeats calls of
+        stratified_fold_assignments leave it, and where one permutation per
+        class and repeat leaves it: the same draws, in the same order."""
+        rng = np.random.default_rng(40 + n_repeats)
+        y = rng.permutation(np.arange(62) % 3)
+        x = rng.normal(size=(62, 4))
+        fold_rng = np.random.default_rng(50 + n_repeats)
+        draw_rng = np.random.default_rng(50 + n_repeats)
+        for _ in range(n_repeats):
+            stratified_fold_assignments(y, EvalConfig().n_folds, fold_rng)
+            for c in range(3):
+                draw_rng.permutation(np.flatnonzero(y == c))
+        cv_rng = np.random.default_rng(50 + n_repeats)
+        cross_val_accuracy(x, y, EvalConfig(), cv_rng, n_repeats=n_repeats)
+        assert cv_rng.bit_generator.state == fold_rng.bit_generator.state
+        assert cv_rng.bit_generator.state == draw_rng.bit_generator.state
+
+    def test_zero_repeats_refused(self):
+        y = np.arange(20) % 2
+        with pytest.raises(ValueError, match="n_repeats must be >= 1, got 0"):
+            cross_val_accuracy(np.zeros((20, 4)), y, EvalConfig(), np.random.default_rng(0), n_repeats=0)
+
     def test_constant_feature_does_not_blow_up(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(40, 4))

@@ -5,6 +5,8 @@ the perfusion and tissue compartments (d_star well above d); without it the
 two-stage method is not defined, so random draws respect that regime.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,32 @@ class TestFitDstar:
                 best_on_grid = min(sse(row, x) for x in grid[grid >= d[row]])
                 assert sse(row, dstar[row]) <= best_on_grid * (1.0 + 1e-12)
         assert interior >= n // 2
+
+    @pytest.mark.parametrize("batch", ["all-inactive", "empty", "one-live"])
+    def test_inactive_rows_equal_reference_without_warnings(self, batch):
+        """Rows with f <= 0 skip the search and return d, flagged. A batch of
+        such rows alone, an empty batch, and one f > 0 row among them equal
+        the reference loop (which searches every row) bit for bit, and the
+        search raises no RuntimeWarning."""
+        rng = np.random.default_rng(["all-inactive", "empty", "one-live"].index(batch))
+        n = 0 if batch == "empty" else 9
+        b = ADHOC.b_array
+        signals = noisy_batch(n, 17)
+        s0 = np.full(n, np.exp(-ADHOC.echo_time(SCANNER) / SCANNER.t2))
+        f = np.where(np.arange(n) % 3 == 0, 0.0, -rng.uniform(0.0, 0.1, n))
+        if batch == "one-live":
+            f[4] = 0.2
+        d = rng.uniform(2e-4, 1.2e-3, n)
+        expected = reference_fit_dstar(signals, b, s0, f, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dstar, at_bound = fit_dstar(signals, b, s0, f, d)
+        np.testing.assert_array_equal(dstar, expected[0])
+        np.testing.assert_array_equal(at_bound, expected[1])
+        inactive = f <= 0.0
+        np.testing.assert_array_equal(dstar[inactive], d[inactive])
+        assert at_bound[inactive].all()
+        assert (dstar[~inactive] != d[~inactive]).all()
 
     @pytest.mark.parametrize("protocol", [*PANEL, "random"])
     def test_refinement_matches_reference_loop(self, protocol, monkeypatch):

@@ -545,21 +545,30 @@ class TestCli:
         *((["optimize", "--optimizer", "rl", "--budget", "36"], {"ppo": {name: value}})
           for name, value in _BAD_PPO_VALUES),
         *((["evaluate", "--optimizer", "adhoc"], {"tissue_file": name}) for name in _BAD_TISSUE_FILES),
+        (["evaluate", "--optimizer", "adhoc"], [1, 2]),
+        (["evaluate", "--optimizer", "adhoc"], {"cohort": 5}),
+        (["evaluate", "--optimizer", "adhoc"], "seed: 3\n"),
+        (["evaluate", "--optimizer", "adhoc"], {"seed": 1.5}),
+        (["evaluate", "--optimizer", "adhoc"], {"seed": True}),
+        (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 20.7, "chronic": 21, "healthy": 21}}),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
             "fewer-subjects-than-folds", "negative-t-initial", "negative-t-final-fraction",
             "t-final-fraction-above-one", "negative-perturb-width", "duplicate-move-prob-above-one",
             "negative-ridge-rel", "zero-grid-points", "zero-d-min", "d-min-above-d-max",
             "dstar-max-below-d-min", "zero-refine-tol",
             *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
-            *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES)])
+            *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES),
+            "config-a-list", "cohort-not-an-object", "config-not-json", "fractional-seed",
+            "boolean-seed", "fractional-cohort-count"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made. A malformed
-        tissue file is named in that message."""
+        tissue file is named in that message, and so is a config file whose
+        own content is refused (a string ``config`` is the file's text)."""
         for name, text in _BAD_TISSUE_FILES.items():
             (tmp_path / name).write_text(text)
         if config is not None:
-            (tmp_path / "config.json").write_text(json.dumps(config))
+            (tmp_path / "config.json").write_text(config if isinstance(config, str) else json.dumps(config))
             argv = [*argv, "--config", str(tmp_path / "config.json")]
         out = tmp_path / "run"
         result = run_cli([*argv, "--out", str(out)], tmp_path)
@@ -567,8 +576,10 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert "invalid configuration" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
-        if config and "tissue_file" in config:
+        if isinstance(config, dict) and "tissue_file" in config:
             assert config["tissue_file"] in result.stderr
+        elif config is not None:
+            assert f"invalid configuration: {tmp_path / 'config.json'}: " in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, needle", [
