@@ -72,7 +72,6 @@ def _valid_proposal(class_label, mean_f, std_f, mean_d, std_d, mean_dstar, std_d
 
 
 def calibrate_distributions(
-    distributions: Mapping[TissueClass, TissueDistribution],
     env: SimulationEnv,
     eval_config: EvalConfig,
     master_seed: int,
@@ -80,7 +79,8 @@ def calibrate_distributions(
     targets: dict | None = None,
     n_repeats: int = 12,
 ) -> CalibrationResult:
-    """Coordinate descent on class means/stds toward the AUC targets of the adhoc protocol.
+    """Coordinate descent on class means/stds toward the AUC targets of the adhoc protocol,
+    starting from ``env.distributions``.
 
     Each round sweeps every (class, parameter, mean/std) coordinate with
     multiplicative perturbations, keeping improvements. Stops early when
@@ -90,7 +90,7 @@ def calibrate_distributions(
     """
     targets = DEFAULT_AUC_TARGETS if targets is None else targets
     protocol = AcquisitionProtocol.adhoc()
-    current = dict(distributions)
+    current = dict(env.distributions)
     evaluations = 0
 
     def score(dists) -> tuple:

@@ -107,7 +107,8 @@ class SimulationEnv:
     fit_bounds: FitBounds = DEFAULT_BOUNDS
 
     def with_snr(self, snr: float) -> "SimulationEnv":
-        return replace(self, scanner=self.scanner.with_snr(snr))
+        """This env with its scanner at ``snr``: the one way to set the SNR."""
+        return replace(self, scanner=replace(self.scanner, snr=snr))
 
 
 def knn_predict_batch(
@@ -205,10 +206,10 @@ def cross_val_accuracy(
     config: EvalConfig,
     rng: np.random.Generator,
     n_repeats: int,
-):
+) -> float:
     """Stratified k-fold KNN accuracy, averaged over ``n_repeats`` fold-shuffle repeats.
 
-    Returns (mean, std) over the pooled per-fold accuracies. Normalization
+    Returns the mean of the pooled per-fold accuracies. Normalization
     statistics are fitted on the training folds of each split only.
     """
     if n_repeats < 1:
@@ -242,7 +243,7 @@ def cross_val_accuracy(
     )
     hits = (pred == labels[query]) & (np.arange(query.shape[1]) < n_test[:, None])
     fold_accuracies = hits.sum(axis=1) / n_test
-    return float(fold_accuracies.mean()), float(fold_accuracies.std())
+    return float(fold_accuracies.mean())
 
 
 def parameter_auc(values_a, values_b) -> float:
@@ -294,7 +295,4 @@ def task_objective(
     """
     dataset = simulate_fitted_dataset(protocol, task, env, rng)
     labels = dataset.label_codes(task.classes)
-    mean, _ = cross_val_accuracy(
-        dataset.features, labels, config, rng, n_repeats=config.n_repeats_reward
-    )
-    return mean
+    return cross_val_accuracy(dataset.features, labels, config, rng, n_repeats=config.n_repeats_reward)

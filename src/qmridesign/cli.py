@@ -142,8 +142,8 @@ def _read(load, path):
         raise SystemExit(f"cannot read {path}: {err}") from err
 
 
-def _protocol_source(args, config: ExperimentConfig):
-    """Resolve (protocol, method_label) from the CLI source flags."""
+def _protocol_source(args, config: ExperimentConfig, sim_env):
+    """Resolve (protocol, method_label) from the source flags; a checkpoint rolls out in ``sim_env``."""
     if args.protocol:
         return _parse_protocol_literal(args.protocol), args.label or "custom"
     if args.protocol_file:
@@ -156,8 +156,8 @@ def _protocol_source(args, config: ExperimentConfig):
         if shape != expected:
             raise SystemExit(f"cannot use {args.checkpoint}: its agent has (observation_size, n_actions) "
                              f"= {shape}, the protocol environment needs {expected}")
-        env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
-        protocol, _, _ = rollout_greedy(agent, env)
+        env = ProtocolEnv(sim_env, config.task, config.eval, master_seed=config.seed)
+        protocol, _ = rollout_greedy(agent, env)
         return protocol, args.label or "rl"
     if config.optimizer == "adhoc":
         return AcquisitionProtocol.adhoc(), args.label or "adhoc"
@@ -184,8 +184,7 @@ def cmd_validate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
 
 
 def cmd_calibrate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
-    result = calibrate_distributions(config.distributions(), config.validation_env(), config.eval,
-                                     config.seed, max_rounds=args.budget)
+    result = calibrate_distributions(config.validation_env(), config.eval, config.seed, max_rounds=args.budget)
     tissue_path = out / "tissue_calibrated.json"
     save_tissue_distributions(tissue_path, result.distributions)
     write_json(out / "calibration_report.json", {
@@ -204,10 +203,11 @@ def cmd_calibrate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int
 
 
 def cmd_evaluate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
-    protocol, label = _protocol_source(args, config)
+    base = config.sim_env()
+    protocol, label = _protocol_source(args, config, base)
     rows = []
     for snr in config.snrs():
-        env = config.sim_env(snr=snr)
+        env = base.with_snr(snr)
         started = time.perf_counter()
         mean, std = evaluate_accuracy(protocol, config.task, env, config.eval, config.seed)
         elapsed = time.perf_counter() - started

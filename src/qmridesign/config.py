@@ -63,16 +63,29 @@ def _json_object(raw) -> Mapping:
     return raw
 
 
+def _json_list(raw) -> list:
+    """``raw`` if it is a JSON list; any other value is refused."""
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a JSON list, got {json.dumps(raw)}")
+    return raw
+
+
 def _whole_number(raw) -> int:
-    """``raw`` as an int; a fractional number or a boolean is refused, not truncated."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+    """``raw`` as an int; a fractional number, a boolean or a string is refused, not converted."""
+    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole:
         raise ValueError(f"expected a whole number, got {json.dumps(raw)}")
     return int(raw)
 
 
 def _section(cls):
-    """Section held in one frozen dataclass, stored as the JSON object of its fields."""
-    return _stored(asdict, lambda raw: cls(**_json_object(raw)), default_factory=cls)
+    """Section held in one frozen dataclass, stored as the JSON object of its
+    fields; an int field is read as a whole number."""
+    whole = {f.name for f in fields(cls) if f.type == "int"}
+    return _stored(asdict, lambda raw: cls(**{
+        name: _read(name, _whole_number, value) if name in whole else value
+        for name, value in _json_object(raw).items()
+    }), default_factory=cls)
 
 
 @dataclass(frozen=True)
@@ -94,7 +107,7 @@ class ExperimentConfig:
     crlb: CrlbConfig = _section(CrlbConfig)
     ppo: PpoConfig = _section(PpoConfig)
     optimizer: str = "adhoc"
-    snr_list: tuple = _stored(list, lambda raw: tuple(float(s) for s in raw), default=())
+    snr_list: tuple = _stored(list, lambda raw: tuple(float(s) for s in _json_list(raw)), default=())
     out_dir: str = "runs/out"
 
     def __post_init__(self) -> None:
@@ -116,16 +129,12 @@ class ExperimentConfig:
 
     def validation_env(self) -> SimulationEnv:
         """Simulation env at the separability-validation SNR."""
-        return self.sim_env(snr=self.eval.validation_snr)
+        env = self.sim_env()
+        return env if self.eval.validation_snr is None else env.with_snr(self.eval.validation_snr)
 
-    def sim_env(self, snr: float | None = None) -> SimulationEnv:
-        scanner = self.scanner if snr is None else self.scanner.with_snr(snr)
-        return SimulationEnv(
-            distributions=self.distributions(),
-            cohort_spec=self.cohort,
-            scanner=scanner,
-            fit_bounds=self.fit_bounds,
-        )
+    def sim_env(self) -> SimulationEnv:
+        """Simulation env at the scanner's SNR; ``with_snr`` derives the others."""
+        return SimulationEnv(self.distributions(), self.cohort, self.scanner, self.fit_bounds)
 
     def snrs(self) -> tuple:
         """SNR values to evaluate; defaults to the scanner's own."""
@@ -177,15 +186,17 @@ def with_file_values(config: ExperimentConfig, values: Mapping) -> ExperimentCon
     """``config`` with each field named in ``values`` replaced, the value given
     as the config file stores it; keys that name no field are ignored. A
     value that cannot be read raises ValueError naming its field."""
-    return replace(config, **{f.name: _read_field(f, values[f.name]) for f in fields(config) if f.name in values})
+    return replace(config, **{
+        f.name: _read(f.name, _codec(f)[1], values[f.name]) for f in fields(config) if f.name in values
+    })
 
 
-def _read_field(f, raw):
-    """One field's value read from its stored form."""
+def _read(name: str, load, raw):
+    """``load(raw)``; a value it cannot read raises ValueError naming ``name``."""
     try:
-        return _codec(f)[1](raw)
+        return load(raw)
     except (ValueError, TypeError) as err:
-        raise ValueError(f"{f.name}: {err}") from err
+        raise ValueError(f"{name}: {err}") from err
 
 
 #: per-class values a tissue file stores, in TissueDistribution field order

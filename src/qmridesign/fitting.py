@@ -24,10 +24,10 @@ b-values at or above the threshold) are handled in two tiers: if at least
 one measurement sits at or above the threshold, the threshold is relaxed
 to the two largest distinct positive b-values so clustered designs still
 produce informative (if biased) estimates; if no measurement reaches the
-threshold at all, a sentinel result with every estimate at its lower
-bound is returned. Either tier sets the ``high_b_deficient`` flag, so
-degenerate protocols always yield defined, poor feature vectors instead
-of errors.
+threshold, or every positive b-value is the same, a sentinel result with
+every estimate at its lower bound is returned. Either tier sets the
+``high_b_deficient`` flag, so degenerate protocols always yield defined,
+poor feature vectors instead of errors.
 
 Every estimator takes an (n_subjects, n_acquisitions) signal matrix and
 returns per-row arrays; a single subject is an n = 1 matrix.
@@ -75,8 +75,8 @@ class FitBounds:
     def __post_init__(self) -> None:
         if not 0.0 < self.d_min < self.d_max:
             raise ValueError(f"fit bounds need 0 < d_min < d_max, got d_min={self.d_min}, d_max={self.d_max}")
-        if not self.d_min < self.dstar_max:
-            raise ValueError(f"fit bounds need d_min < dstar_max, got d_min={self.d_min}, "
+        if not self.d_max <= self.dstar_max:  # D* is searched on [d, dstar_max]
+            raise ValueError(f"fit bounds need d_max <= dstar_max, got d_max={self.d_max}, "
                              f"dstar_max={self.dstar_max}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")

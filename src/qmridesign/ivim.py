@@ -24,7 +24,7 @@ to SI (s/m^2) in exactly one place, inside :func:`min_te`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class ScannerConfig:
         """Channel noise sigma in units of the reference b=0 amplitude."""
         return 1.0 / self.snr
 
-    def with_snr(self, snr: float) -> "ScannerConfig":
-        return replace(self, snr=snr)
-
 
 def min_te(b_max: float, scanner: ScannerConfig) -> float:
     """Minimum echo time for a protocol whose largest b-value is ``b_max``.
@@ -153,7 +150,7 @@ class AcquisitionProtocol:
     the governing scanner, never stored, so it cannot go stale.
     """
 
-    b_values: tuple = field(default=ADHOC_B_VALUES)
+    b_values: tuple
 
     def __post_init__(self) -> None:
         values = tuple(sorted(float(b) for b in self.b_values))

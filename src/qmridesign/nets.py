@@ -43,7 +43,7 @@ class Mlp:
     ``backward`` writes gradients in that layout.
     """
 
-    def __init__(self, sizes, params: np.ndarray, rng: np.random.Generator, out_gain: float = 1.0):
+    def __init__(self, sizes, params: np.ndarray, rng: np.random.Generator, out_gain: float):
         self.sizes = tuple(int(s) for s in sizes)
         self.params = params
         self.weights, self.biases = self._split(self.params)

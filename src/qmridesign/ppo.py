@@ -295,9 +295,6 @@ def train(env, config: PpoConfig, rng: np.random.Generator, agent: PpoAgent | No
     if agent is None:
         agent = PpoAgent(env.observation_size, env.n_actions, rng, config)
     result = TrainResult(agent, best_reward=-np.inf, best_protocol=getattr(env, "initial_protocol", None))
-    if config.total_steps == 0:
-        return result
-
     obs = env.reset()
     episode_return = 0.0
     for start in range(0, config.total_steps, config.rollout_steps):
@@ -329,15 +326,14 @@ def train(env, config: PpoConfig, rng: np.random.Generator, agent: PpoAgent | No
 
 
 def rollout_greedy(agent: PpoAgent, env):
-    """One argmax-policy episode; returns (protocol_or_None, total_reward, info)."""
+    """One argmax-policy episode; returns (protocol_or_None, total_reward)."""
     obs = env.reset()
     done = False
     total = 0.0
-    info: dict = {}
     while not done:
         obs, reward, done, info = env.step(agent.greedy_action(obs))
         total += reward
-    return _protocol_from_info(info), total, info
+    return _protocol_from_info(info), total
 
 
 def _checkpoint_arrays(agent: PpoAgent) -> dict:
@@ -361,8 +357,6 @@ def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None =
     # write the npz container by hand with pinned entry timestamps, so a
     # rerun with the same seed produces byte-identical checkpoints
     path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
     path.parent.mkdir(parents=True, exist_ok=True)
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
         for name in sorted(arrays):

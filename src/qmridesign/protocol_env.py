@@ -70,7 +70,7 @@ class ProtocolEnv:
     @property
     def initial_protocol(self) -> AcquisitionProtocol:
         """Protocol every episode starts from (the clinical baseline)."""
-        return AcquisitionProtocol(ADHOC_B_VALUES)
+        return AcquisitionProtocol.adhoc()
 
     def _observation(self) -> np.ndarray:
         obs = np.empty(OBSERVATION_SIZE)

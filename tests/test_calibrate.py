@@ -23,7 +23,7 @@ from qmridesign.ivim import AcquisitionProtocol
 @pytest.fixture(scope="module")
 def setup():
     dists = load_tissue_distributions(default_tissue_path())
-    env = SimulationEnv(dists, CohortSpec(), ScannerConfig().with_snr(600.0))
+    env = SimulationEnv(dists, CohortSpec(), ScannerConfig(snr=600.0))
     return dists, env, EvalConfig()
 
 
@@ -34,7 +34,7 @@ def test_targets_already_achieved_returns_input_unchanged(setup):
     achieved = auc_matrix(AcquisitionProtocol.adhoc(), env, eval_config, 51, n_repeats=6)
     targets = {t: {p: v[0] for p, v in pp.items()} for t, pp in achieved.items()}
     result = calibrate_distributions(
-        dists, env, eval_config, 51, targets=targets, n_repeats=6, max_rounds=3
+        env, eval_config, 51, targets=targets, n_repeats=6, max_rounds=3
     )
     assert result.converged
     assert result.evaluations == 1  # scored once, already within tolerance
@@ -49,7 +49,7 @@ def test_chance_targets_drive_distributions_together(setup):
         auc_matrix(AcquisitionProtocol.adhoc(), env, eval_config, 52, n_repeats=6), targets
     )
     result = calibrate_distributions(
-        dists, env, eval_config, 52, targets=targets, n_repeats=6, max_rounds=2
+        env, eval_config, 52, targets=targets, n_repeats=6, max_rounds=2
     )
     assert result.loss < start
 
@@ -79,7 +79,7 @@ def test_invalid_proposals_rejected_in_descent(setup):
     """Budget-limited run keeps all distributions physically valid."""
     dists, env, eval_config = setup
     result = calibrate_distributions(
-        dists, env, eval_config, 53, n_repeats=4, max_rounds=1
+        env, eval_config, 53, n_repeats=4, max_rounds=1
     )
     for dist in result.distributions.values():
         assert 0.0 < dist.mean_f < 1.0
@@ -95,7 +95,7 @@ def test_proposal_past_f_one_is_rejected_not_raised(setup):
     dists, env, eval_config = setup
     near_one = {**dists, TissueClass.ACTIVE: replace(dists[TissueClass.ACTIVE], mean_f=0.88)}
     result = calibrate_distributions(
-        near_one, env, eval_config, 54, n_repeats=2, max_rounds=1
+        replace(env, distributions=near_one), eval_config, 54, n_repeats=2, max_rounds=1
     )
     assert result.evaluations > 1
     assert result.distributions[TissueClass.ACTIVE].mean_f <= 0.9
@@ -196,7 +196,7 @@ def test_descent_equals_reference_loop(setup):
     endings = []
     for targets, max_rounds in cases:
         result = calibrate_distributions(
-            dists, env, eval_config, 7, targets=targets, n_repeats=3, max_rounds=max_rounds
+            env, eval_config, 7, targets=targets, n_repeats=3, max_rounds=max_rounds
         )
         expected, moves = reference_descent(dists, env, eval_config, 7, max_rounds, targets, 3)
         got = (result.distributions, result.achieved, result.loss, result.converged,

@@ -347,6 +347,13 @@ class TestFitDstar:
         assert (covered > 0).all()
 
 
+def test_dstar_ceiling_below_d_max_refused():
+    """D* is searched on [d, dstar_max], and d may reach d_max."""
+    with pytest.raises(ValueError, match=r"d_max <= dstar_max, got d_max=0\.005, dstar_max=0\.001"):
+        FitBounds(dstar_max=0.001)
+    assert FitBounds(dstar_max=5.0e-3).dstar_max == 5.0e-3
+
+
 class TestSegmentedFit:
     def test_noiseless_roundtrip_reference_class(self):
         # frozen regression values for a healthy-like tuple; the d_star
@@ -378,6 +385,18 @@ class TestSegmentedFit:
         b = np.zeros(10)
         _, (deficient, _, _) = fit_one(np.ones(10), b)
         assert deficient
+
+    @pytest.mark.parametrize("n_high", [1, 2])
+    def test_one_distinct_positive_b_gives_sentinel(self, n_high):
+        """(0, ..., 0, 500) and (0, ..., 0, 500, 500): the relaxed segment finds
+        no second distinct positive b-value, so every row is a sentinel with
+        only the deficiency flag set."""
+        b = np.array([0.0] * (10 - n_high) + [500.0] * n_high)
+        params = np.array([[1.0, 0.1, 1e-3, 2e-2], [1.0, 0.3, 5e-4, 5e-2], [0.8, 0.0, 2e-3, 2e-3]])
+        features, flags = segmented_fit_batch(ivim_signal(params, b, 0.05, SCANNER.t2), b)
+        sentinel = [0.0, 0.0, DEFAULT_BOUNDS.d_min, DEFAULT_BOUNDS.d_min]
+        np.testing.assert_array_equal(features, [sentinel] * 3)
+        np.testing.assert_array_equal(flags, [[True, False, False]] * 3)
 
     def test_single_high_b_relaxes_threshold(self):
         """One point above threshold: fall back to the two largest distinct

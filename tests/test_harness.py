@@ -166,6 +166,16 @@ class TestConfig:
             ExperimentConfig(cohort=CohortSpec({TissueClass.ACTIVE: 5, TissueClass.HEALTHY: 4}))
         assert ExperimentConfig(eval=EvalConfig(n_folds=20)).eval.n_folds == 20
 
+    def test_int_fields_read_as_whole_numbers(self, tmp_path):
+        """An int field of a section is read like ``seed``: a whole float loads
+        as an int, a fractional one is refused naming its section and field."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"eval": {"n_folds": 4.0}}))
+        assert type(load_experiment_config(path).eval.n_folds) is int
+        path.write_text(json.dumps({"eval": {"n_folds": 2.5}}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: eval: n_folds: expected a whole number, got 2.5")):
+            load_experiment_config(path)
+
     def test_validation_env_uses_knob(self):
         config = ExperimentConfig(eval=EvalConfig(validation_snr=200.0))
         assert config.validation_env().scanner.snr == 200.0
@@ -464,9 +474,9 @@ class TestCli:
         The descent is stubbed; only what the command records is under test."""
         rounds = []
 
-        def descent(distributions, env, eval_config, master_seed, max_rounds):
+        def descent(env, eval_config, master_seed, max_rounds):
             rounds.append(max_rounds)
-            return CalibrationResult(distributions, {}, 0.0, True, 1)
+            return CalibrationResult(env.distributions, {}, 0.0, True, 1)
 
         monkeypatch.setattr("qmridesign.cli.calibrate_distributions", descent)
         reports = {}
@@ -541,6 +551,7 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.01}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-6}}),
+        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-3}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"refine_rel_tol": 0.0}}),
         *((["optimize", "--optimizer", "rl", "--budget", "36"], {"ppo": {name: value}})
           for name, value in _BAD_PPO_VALUES),
@@ -551,15 +562,26 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"seed": 1.5}),
         (["evaluate", "--optimizer", "adhoc"], {"seed": True}),
         (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 20.7, "chronic": 21, "healthy": 21}}),
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 2.5}}),
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"k_neighbors": 2.5}}),
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_report": 2.5}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"iterations": 100.5}}),
+        (["optimize", "--optimizer", "rl", "--budget", "36"], {"ppo": {"rollout_steps": 18.5}}),
+        (["evaluate", "--optimizer", "adhoc"], {"snr_list": "25"}),
+        (["evaluate", "--optimizer", "adhoc"], {"snr_list": "135"}),
+        (["evaluate", "--optimizer", "adhoc"], {"seed": "5"}),
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"k_neighbors": "5"}}),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
             "fewer-subjects-than-folds", "negative-t-initial", "negative-t-final-fraction",
             "t-final-fraction-above-one", "negative-perturb-width", "duplicate-move-prob-above-one",
             "negative-ridge-rel", "zero-grid-points", "zero-d-min", "d-min-above-d-max",
-            "dstar-max-below-d-min", "zero-refine-tol",
+            "dstar-max-below-d-min", "dstar-max-below-d-max", "zero-refine-tol",
             *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
             *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES),
             "config-a-list", "cohort-not-an-object", "config-not-json", "fractional-seed",
-            "boolean-seed", "fractional-cohort-count"])
+            "boolean-seed", "fractional-cohort-count", "fractional-n-folds", "fractional-k-neighbors",
+            "fractional-n-repeats-report", "fractional-crlb-iterations", "fractional-rollout-steps",
+            "snr-list-a-string", "snr-list-a-digit-string", "string-seed", "string-k-neighbors"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made. A malformed
@@ -598,23 +620,29 @@ class TestCli:
          "cannot use {small_agent}: its agent has (observation_size, n_actions) = (3, 2), "
          "the protocol environment needs (12, 1001)"),
         (["optimize", "--optimizer", "adhoc"], "optimize requires --optimizer crlb or --optimizer rl"),
+        (["evaluate", "--optimizer", "rl"],
+         "no protocol source: pass --protocol, --protocol-file, --checkpoint or --optimizer adhoc"),
+        (["report", "--report", "{v2_report}"], "cannot read {v2_report}: row schema version 2 not supported"),
     ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
-            "checkpoint-npy", "checkpoint-other-shape", "optimize-adhoc"])
+            "checkpoint-npy", "checkpoint-other-shape", "optimize-adhoc", "evaluate-no-protocol-source",
+            "report-row-schema-version-2"])
     def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
         """A missing input file, or one of another kind (an ``auc_report.csv``,
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
         not a list, a bare ``.npy`` array, the checkpoint of an agent shaped
-        for another environment), ends the command with one line naming it;
-        like a refused command, it leaves no output directory."""
+        for another environment, a report row of another schema version), ends
+        the command with one line naming it; like a refused command, it leaves
+        no output directory."""
         names = {"missing": str(tmp_path / "missing"),
                  "foreign_csv": str(tmp_path / "auc_report.csv"),
                  "foreign_json": str(tmp_path / "config.json"),
                  "json_list": str(tmp_path / "list.json"),
                  "scalar_b_values": str(tmp_path / "scalar.json"),
                  "npy": str(tmp_path / "array.npy"),
-                 "small_agent": str(tmp_path / "small.npz")}
+                 "small_agent": str(tmp_path / "small.npz"),
+                 "v2_report": str(tmp_path / "v2.csv")}
         (tmp_path / "auc_report.csv").write_text(
             "task,param,mean_auc,std_auc,n_repeats,config_hash,seed\nactive-chronic,f,0.5,0.1,3,abc,1\n")
         (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
@@ -622,6 +650,8 @@ class TestCli:
         (tmp_path / "scalar.json").write_text(json.dumps({"schema_version": 1, "b_values": 5}))
         np.save(tmp_path / "array.npy", np.zeros(3))
         save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0)
+        append_report_rows(tmp_path / "v2.csv", [TestReports().row()])
+        (tmp_path / "v2.csv").write_text((tmp_path / "v2.csv").read_text().replace("\n1,", "\n2,"))
         out = tmp_path / "run"
         outputs = [] if argv[0] == "report" else ["--out", str(out)]
         result = run_cli([arg.format(**names) for arg in argv] + outputs, tmp_path)
@@ -630,6 +660,12 @@ class TestCli:
         assert needle.format(**names) in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_report_of_a_header_only_file_is_empty(self, run_cli, tmp_path):
+        path = tmp_path / "report.csv"
+        append_report_rows(path, [])
+        result = run_cli(["report", "--report", str(path)], tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "report is empty\n", "")
 
     def test_command_sampling_a_class_the_cohort_lacks_exits_cleanly(self, run_cli, tmp_path):
         """``validate`` scores all three binary tasks, so a cohort without

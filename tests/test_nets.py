@@ -5,8 +5,8 @@ import numpy as np
 from qmridesign.nets import Adam, Mlp, log_softmax, orthogonal, softmax
 
 
-def make_mlp(sizes, rng, **kwargs):
-    return Mlp(sizes, np.zeros(Mlp.n_params(sizes)), rng, **kwargs)
+def make_mlp(sizes, rng, out_gain=1.0):
+    return Mlp(sizes, np.zeros(Mlp.n_params(sizes)), rng, out_gain)
 
 
 def test_orthogonal_rows_orthonormal():
