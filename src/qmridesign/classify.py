@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+#: neighbors that vote in the cross-validated KNN classifier
+K_NEIGHBORS = 5
+
+
 class InsufficientSubjectsError(ValueError):
     """A class has fewer subjects than cross-validation folds."""
 
@@ -71,7 +75,7 @@ class Task(Enum):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Classifier and cross-validation settings.
+    """Cross-validation settings; the KNN classifier votes K_NEIGHBORS neighbors.
 
     ``validation_snr`` is the acquisition SNR used by the separability
     validation (the per-parameter AUC matrix); None means the scanner's
@@ -80,15 +84,12 @@ class EvalConfig:
     separate knob.
     """
 
-    k_neighbors: int = 5
     n_folds: int = 5
     n_repeats_report: int = 50
     n_repeats_reward: int = 3
     validation_snr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
         if self.n_repeats_report < 1 or self.n_repeats_reward < 1:
@@ -239,7 +240,7 @@ def cross_val_accuracy(
         z,
         np.where(train, labels, -1),
         z[np.arange(len(query))[:, None], query],
-        config.k_neighbors,
+        K_NEIGHBORS,
     )
     hits = (pred == labels[query]) & (np.arange(query.shape[1]) < n_test[:, None])
     fold_accuracies = hits.sum(axis=1) / n_test

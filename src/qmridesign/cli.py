@@ -67,6 +67,13 @@ _FLAGS = {
 }
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: a whole number, not negative."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmridesign",
@@ -85,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "per-parameter AUC matrix for the binary tasks", common)
 
     p = add("calibrate", cmd_calibrate, "fit tissue distributions to the AUC target matrix", common)
-    p.add_argument("--budget", type=int, default=6, help="coordinate-descent rounds")
+    p.add_argument("--budget", type=_budget, default=6, help="coordinate-descent rounds")
 
     p = add("evaluate", cmd_evaluate, "accuracy of a protocol at the requested SNRs",
             (*common, "task", "snr", "optimizer"), aliases=["sweep-snr"])
@@ -97,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("optimize", cmd_optimize, "search for a protocol (crlb or rl)",
             (*common, "task", "optimizer"))
-    p.add_argument("--budget", type=int, help="step/iteration budget override")
+    p.add_argument("--budget", type=_budget, help="step/iteration budget override")
 
     add("plot", cmd_plot, "accuracy-vs-SNR chart from a report CSV", ("config", "out", "report"))
     add("report", cmd_report, "print a report CSV as an aggregated table", ("report",))

@@ -54,21 +54,26 @@ __all__ = [
 #: scored parameters (e.g. ten b = 0 acquisitions)
 SINGULAR_PENALTY = 1.0e12
 
+#: parameters whose normalized CRLB the cost sums; s0 is a nuisance
+SCORED_PARAMS = ("f", "d", "d_star")
+#: final annealing temperature as a fraction of t_initial
+T_FINAL_FRACTION = 1.0e-3
+#: chance that an annealing proposal copies another slot's value instead of stepping
+DUPLICATE_MOVE_PROB = 0.25
+
 _N_PARAMS = len(PARAM_NAMES)
 _IDENTITY = np.eye(_N_PARAMS)
+_SCORED = np.array([PARAM_NAMES.index(p) for p in SCORED_PARAMS])
 
 
 @dataclass(frozen=True)
 class CrlbConfig:
-    """Objective and annealing settings for the variance-based optimizer."""
+    """Variance-optimizer settings; SCORED_PARAMS, T_FINAL_FRACTION and DUPLICATE_MOVE_PROB are fixed."""
 
     n_tissue_samples: int = 100
-    scored_params: Sequence[str] = ("f", "d", "d_star")
     iterations: int = 20000
     t_initial: float = 1.0
-    t_final_fraction: float = 1.0e-3
     perturb_width: float = 120.0
-    duplicate_move_prob: float = 0.25
     ridge_rel: float = 1.0e-12
 
     def __post_init__(self) -> None:
@@ -78,22 +83,10 @@ class CrlbConfig:
             raise ValueError("n_tissue_samples must be >= 1")
         if not self.t_initial >= 0.0:
             raise ValueError(f"t_initial must be >= 0, got {self.t_initial}")
-        if not 0.0 < self.t_final_fraction <= 1.0:
-            raise ValueError(f"t_final_fraction must be in (0, 1], got {self.t_final_fraction}")
         if not self.perturb_width >= 0.0:
             raise ValueError(f"perturb_width must be >= 0, got {self.perturb_width}")
-        if not 0.0 <= self.duplicate_move_prob <= 1.0:
-            raise ValueError(f"duplicate_move_prob must be in [0, 1], got {self.duplicate_move_prob}")
         if not self.ridge_rel >= 0.0:
             raise ValueError(f"ridge_rel must be >= 0, got {self.ridge_rel}")
-        object.__setattr__(self, "scored_params", tuple(self.scored_params))
-        unknown = set(self.scored_params) - set(PARAM_NAMES)
-        if unknown:
-            raise ValueError(f"unknown scored parameters: {sorted(unknown)}")
-
-    @property
-    def scored_indices(self) -> np.ndarray:
-        return np.array([PARAM_NAMES.index(p) for p in self.scored_params], dtype=int)
 
 
 def _jacobian_planes(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
@@ -185,8 +178,7 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
     no subset of rows is copied. The cost is a pure function of the b-vector,
     so each distinct one is costed once.
     """
-    scored = config.scored_indices
-    theta_sq = sample_params[:, scored] ** 2
+    theta_sq = sample_params[:, _SCORED] ** 2
     memo = {}
 
     def evaluate(b_values: np.ndarray) -> float:
@@ -204,7 +196,7 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
         if inverse is None:
             inverse = np.zeros_like(fisher)
             inverse[good] = np.linalg.inv(fisher[good] + ridge[good, None, None] * _IDENTITY)
-        diag = np.diagonal(inverse, axis1=1, axis2=2)[:, scored]
+        diag = np.diagonal(inverse, axis1=1, axis2=2)[:, _SCORED]
         # only regular rows are divided: a singular one may hold theta = 0 (f = 0)
         ratios = np.divide(diag, theta_sq, out=np.zeros(diag.shape), where=good[:, None])
         costs = np.where(good & ~(diag < 0.0).any(axis=1), ratios.sum(axis=1), SINGULAR_PENALTY)
@@ -266,12 +258,12 @@ def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator,
 
     for step in range(iterations):
         if t_initial > 0.0 and iterations > 1:
-            temperature = t_initial * config.t_final_fraction ** (step / (iterations - 1))
+            temperature = t_initial * T_FINAL_FRACTION ** (step / (iterations - 1))
         else:
             temperature = 0.0
         slot = int(rng.integers(1, n_slots))
         proposal = state.copy()
-        if rng.random() < config.duplicate_move_prob:
+        if rng.random() < DUPLICATE_MOVE_PROB:
             other = int(rng.integers(0, n_slots))
             proposal[slot] = state[other]
         else:

@@ -1,7 +1,7 @@
 """Segmented bi-exponential parameter estimation.
 
 Stage 1 fits the tissue compartment: ordinary least squares on
-(b, ln S) over the measurements at b >= high_b_threshold gives the
+(b, ln S) over the measurements at b >= HIGH_B_THRESHOLD gives the
 diffusivity d (negative slope) and the extrapolated log-intercept.
 Stage 2 anchors s0 on the mean of the b = 0 measurements and reads the
 perfusion fraction off the intercept: f = 1 - exp(intercept)/s0.
@@ -50,6 +50,9 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+#: b-value (s/mm^2) above which the perfusion compartment is treated as fully decayed
+HIGH_B_THRESHOLD = 200.0
+
 
 class NoB0Error(ValueError):
     """The acquisition contains no b = 0 measurement."""
@@ -57,18 +60,16 @@ class NoB0Error(ValueError):
 
 @dataclass(frozen=True)
 class FitBounds:
-    """Estimator bounds and segmentation threshold.
+    """Estimator bounds and search settings.
 
     The diffusivity clamp range and the d_star search ceiling bracket all
-    modeled tissue classes with wide margins. ``high_b_threshold`` is the
-    b-value (s/mm^2) above which the perfusion compartment is treated as
-    fully decayed.
+    modeled tissue classes with wide margins. The segmentation threshold is
+    the constant HIGH_B_THRESHOLD.
     """
 
     d_min: float = 1.0e-5
     d_max: float = 5.0e-3
     dstar_max: float = 0.5
-    high_b_threshold: float = 200.0
     grid_points: int = 200
     refine_rel_tol: float = 1.0e-6
 
@@ -234,7 +235,7 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
     return np.clip(0.5 * (a + b), d, bounds.dstar_max)
 
 
-def _effective_threshold(b_values: np.ndarray, threshold: float):
+def _effective_threshold(b_values: np.ndarray):
     """Segmentation threshold actually usable for this set of b-values.
 
     Returns (threshold, deficient_flag) or (None, True) when even the
@@ -243,11 +244,11 @@ def _effective_threshold(b_values: np.ndarray, threshold: float):
     one measurement reaches the nominal threshold; designs confined
     entirely below it stay sentinel cases.
     """
-    high = b_values[b_values >= threshold]
+    high = b_values[b_values >= HIGH_B_THRESHOLD]
     if high.size == 0:
         return None, True
     if high.min() < high.max():  # at least two distinct values
-        return threshold, False
+        return HIGH_B_THRESHOLD, False
     positive = b_values[b_values > 0.0]
     if positive.size == 0 or positive.min() == positive.max():
         return None, True
@@ -278,7 +279,7 @@ def segmented_fit_batch(
     features = np.tile([0.0, 0.0, bounds.d_min, bounds.d_min], (n, 1))
     flags = np.zeros((n, 3), dtype=bool)
 
-    threshold, deficient = _effective_threshold(b_values, bounds.high_b_threshold)
+    threshold, deficient = _effective_threshold(b_values)
     if threshold is None:
         flags[:, 0] = True
         return features, flags

@@ -100,19 +100,18 @@ def check_params(params: np.ndarray) -> None:
 class ScannerConfig:
     """Hardware and noise context for a simulated acquisition.
 
-    gradient_strength in T/m, gyromagnetic_ratio in rad s^-1 T^-1, times in
-    seconds. ``snr`` is the signal-to-noise ratio at the reference b=0
-    amplitude, so the Gaussian channel noise has sigma = 1/snr.
+    gradient_strength in T/m (min_te pairs it with GYROMAGNETIC_RATIO_H1),
+    times in seconds. ``snr`` is the signal-to-noise ratio at the reference
+    b=0 amplitude, so the Gaussian channel noise has sigma = 1/snr.
     """
 
     gradient_strength: float = 0.033
-    gyromagnetic_ratio: float = GYROMAGNETIC_RATIO_H1
     te_overhead: float = 0.020
     t2: float = 0.100
     snr: float = 25.0
 
     def __post_init__(self) -> None:
-        for name in ("gradient_strength", "gyromagnetic_ratio", "te_overhead", "t2", "snr"):
+        for name in ("gradient_strength", "te_overhead", "t2", "snr"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
@@ -136,7 +135,7 @@ def min_te(b_max: float, scanner: ScannerConfig) -> float:
     if b_max < 0:
         raise ValueError(f"b_max must be non-negative, got {b_max}")
     b_si = b_max * 1.0e6  # s/mm^2 -> s/m^2, the single unit conversion point
-    gamma_g_sq = (scanner.gyromagnetic_ratio * scanner.gradient_strength) ** 2
+    gamma_g_sq = (GYROMAGNETIC_RATIO_H1 * scanner.gradient_strength) ** 2
     delta = (3.0 * b_si / (2.0 * gamma_g_sq)) ** (1.0 / 3.0)
     return scanner.te_overhead + 2.0 * delta
 

@@ -2,11 +2,12 @@
 
 Actor and critic are two-hidden-layer tanh networks (64 units each by
 default) trained with Adam at learning rate 1e-3. Updates follow the
-standard recipe: generalized advantage estimation (gamma = 0.99,
-lambda = 0.95), batch-level advantage normalization, ten epochs of
-shuffled minibatches of 64, ratio clip 0.2, value-loss weight 0.5, and
-entropy bonus off by default (a config knob, since very wide action
-spaces may need it). All gradients are computed by explicit reverse
+standard recipe: generalized advantage estimation (GAMMA = 0.99,
+GAE_LAMBDA = 0.95), batch-level advantage normalization, ten epochs of
+shuffled minibatches of 64, ratio clip CLIP_RANGE = 0.2, Adam's ADAM_EPS,
+value-loss weight 0.5, and entropy bonus off by default (a config knob,
+since very wide action spaces may need it); the capitalized names are
+module constants. All gradients are computed by explicit reverse
 accumulation in nets.Mlp; the test suite checks them against central
 finite differences, which is the load-bearing numerical test here.
 Each round stores its steps in one record array (rollout_arrays); the
@@ -46,7 +47,12 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP_RANGE = 0.2
+ADAM_EPS = 1.0e-5
 
 
 class PpoNanError(RuntimeError):
@@ -59,15 +65,11 @@ class PpoConfig:
     rollout_steps: int = 2048
     minibatch_size: int = 64
     n_epochs: int = 10
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_range: float = 0.2
     ent_coef: float = 0.0
     vf_coef: float = 0.5
     max_grad_norm: float = 0.5
     learning_rate: float = 1.0e-3
     hidden_size: int = 64
-    adam_eps: float = 1.0e-5
 
     def __post_init__(self) -> None:
         if self.total_steps < 0:
@@ -78,13 +80,6 @@ class PpoConfig:
             raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not self.adam_eps > 0.0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if not self.clip_range > 0.0:
-            raise ValueError(f"clip_range must be > 0, got {self.clip_range}")
-        for name in ("gamma", "gae_lambda"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name in ("vf_coef", "ent_coef", "max_grad_norm"):  # max_grad_norm 0 turns clipping off
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -112,7 +107,7 @@ class PpoAgent:
         # small-gain head keeps the initial policy near uniform
         self.actor = Mlp(actor_sizes, self.params[: self.n_actor_params], rng, out_gain=0.01)
         self.critic = Mlp(critic_sizes, self.params[self.n_actor_params :], rng, out_gain=1.0)
-        self.optimizer = Adam(self.params, lr=config.learning_rate, eps=config.adam_eps)
+        self.optimizer = Adam(self.params, lr=config.learning_rate, eps=ADAM_EPS)
 
     def policy_forward(self, observation: np.ndarray):
         """(action probabilities, value estimate) for a single observation vector."""
@@ -197,7 +192,7 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
     logp_act = logp_all[rows, actions]
     ratio = np.exp(logp_act - logp_old)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * advantages
+    clipped = np.clip(ratio, 1.0 - CLIP_RANGE, 1.0 + CLIP_RANGE) * advantages
     policy_loss = -np.minimum(unclipped, clipped).mean()
 
     buffer = probs * logp_all
@@ -249,7 +244,7 @@ def ppo_update(agent: PpoAgent, rollout: np.ndarray, last_value: float,
     if n == 0:
         raise ValueError("cannot update from an empty rollout")
     advantages, returns = gae(rollout["reward"], rollout["value"], rollout["done"], last_value,
-                              config.gamma, config.gae_lambda)
+                              GAMMA, GAE_LAMBDA)
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1.0e-8)
 
     minibatch_losses = []

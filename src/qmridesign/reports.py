@@ -104,12 +104,17 @@ def append_report_rows(path, rows) -> None:
 
 
 def read_report(path):
-    """Rows as dicts with numeric fields parsed back."""
+    """Rows as dicts with numeric fields parsed back; blank lines are skipped,
+    and a row with more or fewer cells than the header is refused."""
     records = []
     with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(path, reader.fieldnames)
-        for record in reader:
+        reader = csv.reader(handle)
+        _check_header(path, next(reader, None))
+        for cells in filter(None, reader):
+            if len(cells) != len(REPORT_COLUMNS):
+                raise ValueError(f"line {reader.line_num} has {len(cells)} cells, "
+                                 f"not the header's {len(REPORT_COLUMNS)}")
+            record = dict(zip(REPORT_COLUMNS, cells))
             if int(record["schema_version"]) != REPORT_SCHEMA_VERSION:
                 raise SchemaMismatchError(
                     f"row schema version {record['schema_version']} not supported"

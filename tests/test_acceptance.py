@@ -40,7 +40,7 @@ from qmridesign.crlb import draw_tissue_samples, fisher_matrix, optimize_crlb, s
 from qmridesign.experiments import AUC_PARAMS, auc_matrix, evaluate_accuracy
 from qmridesign.fitting import segmented_fit_batch
 from qmridesign.nets import log_softmax
-from qmridesign.ppo import PpoAgent, ppo_loss
+from qmridesign.ppo import CLIP_RANGE, PpoAgent, ppo_loss
 from qmridesign.protocol_env import ProtocolEnv
 from qmridesign import CrlbConfig
 
@@ -178,7 +178,7 @@ def test_c03_ppo_gradient_check():
         probs = np.exp(logp_all)
         logp_act = logp_all[np.arange(n), actions]
         ratio = np.exp(logp_act - logp_old)
-        clipped = np.clip(ratio, 1 - config.clip_range, 1 + config.clip_range)
+        clipped = np.clip(ratio, 1 - CLIP_RANGE, 1 + CLIP_RANGE)
         policy = -np.minimum(ratio * advantages, clipped * advantages).mean()
         entropy = float((-(probs * logp_all).sum(axis=1)).mean())
         values = agent.critic(obs)[:, 0]

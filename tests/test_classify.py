@@ -16,6 +16,7 @@ from qmridesign import (
     task_objective,
 )
 from qmridesign.classify import (
+    K_NEIGHBORS,
     InsufficientSubjectsError,
     knn_predict_batch,
     stratified_fold_assignments,
@@ -259,7 +260,7 @@ class TestCrossVal:
         pooled = []
         for _ in range(n_repeats):
             folds = stratified_fold_assignments(y, cfg.n_folds, fold_rng)
-            pooled += zscore_knn_reference(x, y, folds, cfg.k_neighbors, n_classes)
+            pooled += zscore_knn_reference(x, y, folds, K_NEIGHBORS, n_classes)
         expected = float(np.mean(pooled))
         got = cross_val_accuracy(x, y, cfg, np.random.default_rng(seed), n_repeats=n_repeats)
         np.testing.assert_equal(got, expected)

@@ -18,6 +18,7 @@ from qmridesign import (
     signal_jacobian,
 )
 from qmridesign.crlb import (
+    SCORED_PARAMS,
     SINGULAR_PENALTY,
     _certified_regular,
     _sample_cost,
@@ -25,7 +26,7 @@ from qmridesign.crlb import (
     draw_tissue_samples,
 )
 from qmridesign.config import default_tissue_path, load_tissue_distributions
-from qmridesign.ivim import ADHOC_B_VALUES, ivim_signal, min_te
+from qmridesign.ivim import ADHOC_B_VALUES, PARAM_NAMES, ivim_signal, min_te
 
 
 def jacobian_of(params, b, te, t2):
@@ -383,7 +384,7 @@ def reference_cost(b_values, te, samples, scanner, config):
     """The cost by its definition, on the reference Fisher matrices: eigvalsh
     on every row, then the ridged inverse of the regular rows. The annealer's
     cost must equal it bit for bit."""
-    scored = config.scored_indices
+    scored = [PARAM_NAMES.index(p) for p in SCORED_PARAMS]
     fisher = reference_fisher(b_values, te, scanner, samples)
     eigvals = np.linalg.eigvalsh(fisher)
     singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (

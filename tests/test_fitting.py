@@ -13,6 +13,7 @@ import pytest
 from qmridesign import AcquisitionProtocol, IvimParams, ScannerConfig, fitting, ivim_signal
 from qmridesign.fitting import (
     DEFAULT_BOUNDS,
+    HIGH_B_THRESHOLD,
     FitBounds,
     NoB0Error,
     fit_dstar,
@@ -177,7 +178,7 @@ class TestEstimateS0F:
     def test_noise_induced_negative_f_clamps(self):
         b = ADHOC.b_array
         # b = 0 signal 1, high-b segment extrapolating to ln S = 0.5 > ln s0
-        signals = np.where(b >= DEFAULT_BOUNDS.high_b_threshold, np.exp(0.5 - b * 1e-3), 1.0)
+        signals = np.where(b >= HIGH_B_THRESHOLD, np.exp(0.5 - b * 1e-3), 1.0)
         (_, f_est, _, _), (_, clamped, _) = fit_one(signals, b)
         assert f_est == 0.0
         assert clamped

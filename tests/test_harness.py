@@ -35,6 +35,7 @@ from qmridesign.experiments import protocol_id
 from qmridesign.plotting import plot_accuracy_vs_snr
 from qmridesign.ppo import load_checkpoint, save_checkpoint
 from qmridesign.reports import (
+    REPORT_COLUMNS,
     ReportRow,
     SchemaMismatchError,
     append_report_rows,
@@ -120,10 +121,11 @@ class TestConfig:
         assert config_hash(base) == config_hash(dataclasses.replace(base, tissue_file=str(copied)))
 
     def test_hash_pinned(self):
-        """Frozen digests: refactoring the config layer must not move them."""
-        assert config_hash(ExperimentConfig()) == "614d0aa832be6fe7"
+        """Frozen digests: refactoring the config layer must not move them.
+        A change to the config schema moves both, and re-pins them openly."""
+        assert config_hash(ExperimentConfig()) == "5ccd31ebaa50e5a2"
         repro = Path(__file__).resolve().parents[1] / "configs" / "repro.json"
-        assert config_hash(load_experiment_config(repro)) == "27cedd5804ead4fc"
+        assert config_hash(load_experiment_config(repro)) == "5f286aac121eac37"
 
     @pytest.mark.parametrize("which", ["default", "repro", "explicit_tissue"])
     def test_dumped_config_loads_back(self, which, tmp_path):
@@ -343,10 +345,13 @@ class TestPlot:
 
 #: PpoConfig fields and values it refuses
 _BAD_PPO_VALUES = (
-    ("hidden_size", 0), ("learning_rate", -0.001), ("learning_rate", float("nan")), ("adam_eps", 0.0),
-    ("clip_range", -0.2), ("gamma", 1.5), ("gae_lambda", -3.0), ("vf_coef", -1.0),
+    ("hidden_size", 0), ("learning_rate", -0.001), ("learning_rate", float("nan")), ("vf_coef", -1.0),
     ("ent_coef", -0.01), ("max_grad_norm", -1.0),
 )
+
+#: config sections, as a file of the previous schema may hold them, that set a
+#: field which is now a module constant
+_REMOVED_FIELDS = ({"ppo": {"clip_range": 0.2}}, {"scanner": {"gyromagnetic_ratio": 2.675e8}})
 
 
 def _edited_tissue_file(edit) -> str:
@@ -535,6 +540,21 @@ class TestCli:
         assert "not allowed with argument" in result.stderr
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--budget", "-2"],
+        ["optimize", "--optimizer", "rl", "--budget", "-5"],
+        ["optimize", "--optimizer", "crlb", "--budget", "1.5"],
+    ], ids=["calibrate-negative", "optimize-negative", "optimize-fractional"])
+    def test_budget_not_a_whole_number_is_a_usage_error(self, run_cli, argv, tiny_config, tmp_path):
+        """Either ``--budget`` flag takes a whole number >= 0; any other value
+        is refused by the parser, naming the flag, before a run starts."""
+        out = tmp_path / "run"
+        result = run_cli([*argv, "--config", str(tiny_config), "--out", str(out)], tmp_path)
+        assert result.returncode == 2
+        assert f"argument --budget: expected a whole number >= 0, got '{argv[-1]}'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, config", [
         (["evaluate", "--snr", "5,abc"], None),
         (["optimize", "--optimizer", "crlb", "--budget", "0"], None),
@@ -542,10 +562,7 @@ class TestCli:
         (["evaluate", "--snr", "0.5"], None),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 30}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"t_initial": -1.0}}),
-        (["optimize", "--optimizer", "crlb"], {"crlb": {"t_final_fraction": -0.5}}),
-        (["optimize", "--optimizer", "crlb"], {"crlb": {"t_final_fraction": 1.5}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"perturb_width": -3.0}}),
-        (["optimize", "--optimizer", "crlb"], {"crlb": {"duplicate_move_prob": 1.5}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"ridge_rel": -1e-12}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"grid_points": 0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.0}}),
@@ -563,30 +580,33 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"seed": True}),
         (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 20.7, "chronic": 21, "healthy": 21}}),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 2.5}}),
-        (["evaluate", "--optimizer", "adhoc"], {"eval": {"k_neighbors": 2.5}}),
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_reward": 2.5}}),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_report": 2.5}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"iterations": 100.5}}),
         (["optimize", "--optimizer", "rl", "--budget", "36"], {"ppo": {"rollout_steps": 18.5}}),
         (["evaluate", "--optimizer", "adhoc"], {"snr_list": "25"}),
         (["evaluate", "--optimizer", "adhoc"], {"snr_list": "135"}),
         (["evaluate", "--optimizer", "adhoc"], {"seed": "5"}),
-        (["evaluate", "--optimizer", "adhoc"], {"eval": {"k_neighbors": "5"}}),
+        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_reward": "5"}}),
+        *((["evaluate", "--optimizer", "adhoc"], config) for config in _REMOVED_FIELDS),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
-            "fewer-subjects-than-folds", "negative-t-initial", "negative-t-final-fraction",
-            "t-final-fraction-above-one", "negative-perturb-width", "duplicate-move-prob-above-one",
+            "fewer-subjects-than-folds", "negative-t-initial", "negative-perturb-width",
             "negative-ridge-rel", "zero-grid-points", "zero-d-min", "d-min-above-d-max",
             "dstar-max-below-d-min", "dstar-max-below-d-max", "zero-refine-tol",
             *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
             *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES),
             "config-a-list", "cohort-not-an-object", "config-not-json", "fractional-seed",
-            "boolean-seed", "fractional-cohort-count", "fractional-n-folds", "fractional-k-neighbors",
+            "boolean-seed", "fractional-cohort-count", "fractional-n-folds", "fractional-n-repeats-reward",
             "fractional-n-repeats-report", "fractional-crlb-iterations", "fractional-rollout-steps",
-            "snr-list-a-string", "snr-list-a-digit-string", "string-seed", "string-k-neighbors"])
+            "snr-list-a-string", "snr-list-a-digit-string", "string-seed", "string-n-repeats-reward",
+            "removed-ppo-clip-range", "removed-scanner-gyromagnetic-ratio"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made. A malformed
         tissue file is named in that message, and so is a config file whose
-        own content is refused (a string ``config`` is the file's text)."""
+        own content is refused (a string ``config`` is the file's text). A
+        section setting a field that is now a constant is refused by its
+        section and field name."""
         for name, text in _BAD_TISSUE_FILES.items():
             (tmp_path / name).write_text(text)
         if config is not None:
@@ -602,6 +622,10 @@ class TestCli:
             assert config["tissue_file"] in result.stderr
         elif config is not None:
             assert f"invalid configuration: {tmp_path / 'config.json'}: " in result.stderr
+        if config in _REMOVED_FIELDS:
+            [(section, values)] = config.items()
+            [name] = values
+            assert f"config.json: {section}: " in result.stderr and repr(name) in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, needle", [
@@ -623,18 +647,22 @@ class TestCli:
         (["evaluate", "--optimizer", "rl"],
          "no protocol source: pass --protocol, --protocol-file, --checkpoint or --optimizer adhoc"),
         (["report", "--report", "{v2_report}"], "cannot read {v2_report}: row schema version 2 not supported"),
+        (["report", "--report", "{short_row}"], "cannot read {short_row}: line 2 has 3 cells, not the header's 13"),
+        (["plot", "--report", "{short_row}"], "cannot read {short_row}: line 2 has 3 cells, not the header's 13"),
+        (["report", "--report", "{long_row}"], "cannot read {long_row}: line 2 has 14 cells, not the header's 13"),
     ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
             "checkpoint-npy", "checkpoint-other-shape", "optimize-adhoc", "evaluate-no-protocol-source",
-            "report-row-schema-version-2"])
+            "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row"])
     def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
         """A missing input file, or one of another kind (an ``auc_report.csv``,
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
         not a list, a bare ``.npy`` array, the checkpoint of an agent shaped
-        for another environment, a report row of another schema version), ends
-        the command with one line naming it; like a refused command, it leaves
-        no output directory."""
+        for another environment, a report row of another schema version or
+        with more or fewer cells than the header), ends the command with one
+        line naming it; like a refused command, it leaves no output
+        directory."""
         names = {"missing": str(tmp_path / "missing"),
                  "foreign_csv": str(tmp_path / "auc_report.csv"),
                  "foreign_json": str(tmp_path / "config.json"),
@@ -642,7 +670,9 @@ class TestCli:
                  "scalar_b_values": str(tmp_path / "scalar.json"),
                  "npy": str(tmp_path / "array.npy"),
                  "small_agent": str(tmp_path / "small.npz"),
-                 "v2_report": str(tmp_path / "v2.csv")}
+                 "v2_report": str(tmp_path / "v2.csv"),
+                 "short_row": str(tmp_path / "short.csv"),
+                 "long_row": str(tmp_path / "long.csv")}
         (tmp_path / "auc_report.csv").write_text(
             "task,param,mean_auc,std_auc,n_repeats,config_hash,seed\nactive-chronic,f,0.5,0.1,3,abc,1\n")
         (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
@@ -652,6 +682,9 @@ class TestCli:
         save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0)
         append_report_rows(tmp_path / "v2.csv", [TestReports().row()])
         (tmp_path / "v2.csv").write_text((tmp_path / "v2.csv").read_text().replace("\n1,", "\n2,"))
+        (tmp_path / "short.csv").write_text(",".join(REPORT_COLUMNS) + "\n1,multiclass,adhoc\n")
+        append_report_rows(tmp_path / "long.csv", [TestReports().row()])
+        (tmp_path / "long.csv").write_text((tmp_path / "long.csv").read_text().rstrip() + ",extra\n")
         out = tmp_path / "run"
         outputs = [] if argv[0] == "report" else ["--out", str(out)]
         result = run_cli([arg.format(**names) for arg in argv] + outputs, tmp_path)

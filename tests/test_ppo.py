@@ -13,6 +13,7 @@ import pytest
 
 from qmridesign.nets import log_softmax
 from qmridesign.ppo import (
+    CLIP_RANGE,
     PpoAgent,
     PpoConfig,
     PpoNanError,
@@ -181,7 +182,7 @@ def ppo_loss_value(agent, batch, config):
     probs = np.exp(logp_all)
     logp_act = logp_all[np.arange(len(actions)), actions]
     ratio = np.exp(logp_act - logp_old)
-    clipped = np.clip(ratio, 1 - config.clip_range, 1 + config.clip_range)
+    clipped = np.clip(ratio, 1 - CLIP_RANGE, 1 + CLIP_RANGE)
     policy_loss = -np.minimum(ratio * advantages, clipped * advantages).mean()
     entropy = float((-(probs * logp_all).sum(axis=1)).mean())
     values = agent.critic(obs)[:, 0]
@@ -453,6 +454,22 @@ class TestGreedyAndCheckpoint:
         np.savez(path, meta=np.array(json.dumps({"checkpoint_version": 2})),
                  actor=np.zeros(3), critic=np.zeros(3))
         with pytest.raises(ValueError, match="checkpoint version 2 not supported"):
+            load_checkpoint(path)
+
+    def test_version_three_checkpoint_refused(self, tmp_path):
+        """Version 3 has today's four entries, but its stored config also
+        holds gamma, gae_lambda, clip_range and adam_eps, which are now
+        constants; the file is refused by its version, not misread."""
+        path = tmp_path / "old.npz"
+        save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(17), small_config()), steps_done=0)
+        with np.load(path) as data:
+            entries = dict(data)
+        meta = json.loads(str(entries["meta"]))
+        meta["checkpoint_version"] = 3
+        meta["config"].update(gamma=0.99, gae_lambda=0.95, clip_range=0.2, adam_eps=1.0e-5)
+        entries["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        np.savez(path, **entries)
+        with pytest.raises(ValueError, match="checkpoint version 3 not supported"):
             load_checkpoint(path)
 
     def test_checkpoint_entries(self, tmp_path):
