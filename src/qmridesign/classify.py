@@ -151,12 +151,15 @@ def knn_predict_batch(
             np.subtract(q[:, :, None, f], train_features[:, None, :, f], out=diff[..., f])
         dist_sq = np.where(padding[:, None, :], np.inf, np.einsum("sqtf,sqtf->sqt", diff, diff))
         # the k nearest under the (distance, index) order without a sort: every
-        # row closer than the k-th distance, then the lowest-index rows tied at it
+        # row closer than the k-th distance, then the lowest-index rows tied at
+        # it, which are all of them unless more tie than there is room for
         kth = np.partition(dist_sq, k - 1, axis=2)[:, :, k - 1 : k]
-        closer = dist_sq < kth
-        at_kth = dist_sq == kth
-        room = k - closer.sum(axis=2, keepdims=True)
-        top = closer | (at_kth & (np.cumsum(at_kth, axis=2) <= room))
+        top = dist_sq <= kth
+        if (top.sum(axis=2) > k).any():
+            closer = dist_sq < kth
+            at_kth = dist_sq == kth
+            room = k - closer.sum(axis=2, keepdims=True)
+            top = closer | (at_kth & (np.cumsum(at_kth, axis=2) <= room))
         counts = top.astype(int) @ one_hot  # (split, query, class) votes, an exact integer product
         winner = counts.argmax(axis=2)
         tied = (counts == counts.max(axis=2, keepdims=True)).sum(axis=2) > 1

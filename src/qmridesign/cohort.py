@@ -170,19 +170,17 @@ def sample_cohort(
     ``check_params``. s0 is fixed at 1.0 (not class-discriminative; fitted
     s0 still varies through TE and noise).
     """
+    params = np.ones((spec.total, 4))
     labels: list[TissueClass] = []
-    blocks: list[np.ndarray] = []
     for label, count in spec.counts.items():
         if label not in distributions:
             raise MissingDistributionError(f"no tissue distribution configured for {label!r}")
         dist = distributions[label]
-        f = _redraw_truncated(rng, dist.mean_f, dist.std_f, F_LOW, F_HIGH, count)
-        d = _redraw_truncated(rng, dist.mean_d, dist.std_d, 0.0, np.inf, count, strict_low=True)
-        dstar = _redraw_truncated(rng, dist.mean_dstar, dist.std_dstar, d, np.inf, count)
-        block = np.column_stack([np.ones(count), f, d, dstar])
+        _, f, d, dstar = params[len(labels) : len(labels) + count].T
+        f[:] = _redraw_truncated(rng, dist.mean_f, dist.std_f, F_LOW, F_HIGH, count)
+        d[:] = _redraw_truncated(rng, dist.mean_d, dist.std_d, 0.0, np.inf, count, strict_low=True)
+        dstar[:] = _redraw_truncated(rng, dist.mean_dstar, dist.std_dstar, d, np.inf, count)
         labels.extend([label] * count)
-        blocks.append(block)
-    params = np.vstack(blocks) if blocks else np.empty((0, 4))
     return Cohort(labels=tuple(labels), params=params)
 
 

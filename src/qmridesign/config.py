@@ -80,12 +80,19 @@ def _whole_number(raw) -> int:
 
 def _section(cls):
     """Section held in one frozen dataclass, stored as the JSON object of its
-    fields; an int field is read as a whole number."""
+    fields; an int field is read as a whole number, and keys that name no
+    field are refused all together."""
+    names = {f.name for f in fields(cls)}
     whole = {f.name for f in fields(cls) if f.type == "int"}
-    return _stored(asdict, lambda raw: cls(**{
-        name: _read(name, _whole_number, value) if name in whole else value
-        for name, value in _json_object(raw).items()
-    }), default_factory=cls)
+
+    def load(raw):
+        unknown = set(_json_object(raw)) - names
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
+        return cls(**{name: _read(name, _whole_number, value) if name in whole else value
+                      for name, value in raw.items()})
+
+    return _stored(asdict, load, default_factory=cls)
 
 
 @dataclass(frozen=True)

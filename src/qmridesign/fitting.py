@@ -16,8 +16,11 @@ bracket is narrower than refine_rel_tol * max(midpoint, d_min). The
 bracket's upper end never grows, so the midpoint never exceeds the
 starting upper end: while every width exceeds
 refine_rel_tol * max(starting upper end, d_min), no row can stop, and
-those steps skip the per-row stopping test. Either way the steps run in
-place on preallocated buffers, with the same arithmetic.
+those steps skip the per-row stopping test. Every step shrinks every
+bracket by the golden ratio, so how many steps that holds for is counted
+once, from the narrowest starting bracket, less two steps whose margin
+covers rounding; those steps skip even the test of the widths. Either way
+the steps run in place on preallocated buffers, with the same arithmetic.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
@@ -35,6 +38,7 @@ returns per-row arrays; a single subject is an n = 1 matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_LOG_INV_GOLDEN = -math.log(_GOLDEN)
 
 #: b-value (s/mm^2) above which the perfusion compartment is treated as fully decayed
 HIGH_B_THRESHOLD = 200.0
@@ -191,34 +196,49 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
     points = np.empty((n, 2))
     model = np.empty((n, 2, len(b_values)))
     # residual and amplitude laid out like model, so each step runs contiguous loops
-    residual = np.broadcast_to(residual[:, None, :], model.shape).copy()
-    amplitude = np.broadcast_to(amplitude[:, None, None], model.shape).copy()
+    residual_by_point, amplitude_by_point = np.empty_like(model), np.empty_like(model)
+    residual_by_point[:] = residual[:, None, :]
+    amplitude_by_point[:] = amplitude[:, None, None]
     values = np.empty((n, 2))
     f1, f2 = values[:, 0], values[:, 1]
     move = np.empty((n, 2), dtype=bool)  # per bracket end: take the opposite point
     shrink_right, shrink_left = move[:, 0], move[:, 1]  # b <- x2; a <- x1 (the minimum lies in [x1, b])
+    width_col, points_col, swapped = width[:, None], points[:, :, None], points[:, ::-1]
 
     def probe():
         """Golden-section points of every bracket and their misfits."""
         np.subtract(b, a, out=width)
-        np.multiply(width[:, None], _GOLDEN_STEPS, out=points)
+        np.multiply(width_col, _GOLDEN_STEPS, out=points)
         np.add(bracket, points, out=points)
-        np.multiply(neg_b, points[:, :, None], out=model)
+        np.multiply(neg_b, points_col, out=model)
         np.exp(model, out=model)
-        np.multiply(amplitude, model, out=model)
-        np.subtract(residual, model, out=model)
+        np.multiply(amplitude_by_point, model, out=model)
+        np.subtract(residual_by_point, model, out=model)
         np.square(model, out=model)
         model.sum(axis=2, out=values)
 
     # A row freezes once width <= tol * max(midpoint, d_min). Its b never
     # grows, so the midpoint never exceeds the starting b, and while every
-    # width exceeds tol * max(starting b, d_min) no row can freeze: those
-    # steps skip the freeze test. An empty batch takes the tested path.
+    # width exceeds sure = tol * max(starting b, d_min) no row can freeze:
+    # those steps skip the freeze test. Every step shrinks every width by
+    # G, so the first `unchecked` steps, counted once from the narrowest
+    # ratio width / sure, skip even the test of width against sure. The -2
+    # leaves each width above sure / G^3 (4.2 sure) at the last of them in
+    # exact arithmetic; rounding moves a step's width by under 1.5 ulp of
+    # b, and those moves, each shrunk by G in every later step, sum to
+    # under 4 ulp of b, which a gap of 3.2 sure covers when tol > 1e-15.
+    # An empty batch, a smaller tol or a ratio that is no finite number
+    # above 1 counts no unchecked step.
     sure = bounds.refine_rel_tol * np.maximum(b, bounds.d_min)
     provably_active = n > 0
     probe()
-    for _ in range(200):
-        provably_active = provably_active and (width > sure).all()
+    ratio = (width / sure).min() if n else np.nan
+    unchecked = 0
+    if 1.0 < ratio < np.inf and bounds.refine_rel_tol > 1e-15:
+        unchecked = int(math.log(ratio) / _LOG_INV_GOLDEN) - 2
+    for step in range(200):
+        if step >= unchecked:
+            provably_active = provably_active and (width > sure).all()
         if provably_active:
             np.greater(f1, f2, out=shrink_left)
             np.logical_not(shrink_left, out=shrink_right)
@@ -229,7 +249,7 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
                 break
             np.logical_and(active, f1 > f2, out=shrink_left)
             np.logical_and(active, ~shrink_left, out=shrink_right)
-        np.copyto(bracket, points[:, ::-1], where=move)
+        np.copyto(bracket, swapped, where=move)
         probe()
 
     return np.clip(0.5 * (a + b), d, bounds.dstar_max)
@@ -276,7 +296,8 @@ def segmented_fit_batch(
         raise NoB0Error("acquisition has no b = 0 measurement")
     n = signals.shape[0]
 
-    features = np.tile([0.0, 0.0, bounds.d_min, bounds.d_min], (n, 1))
+    features = np.empty((n, 4))
+    features[:] = (0.0, 0.0, bounds.d_min, bounds.d_min)
     flags = np.zeros((n, 3), dtype=bool)
 
     threshold, deficient = _effective_threshold(b_values)
@@ -290,8 +311,7 @@ def segmented_fit_batch(
 
     # s0 from the mean of the b = 0 measurements; f = 1 - exp(intercept)/s0
     s0_est = signals[:, b0].mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_raw = np.where(s0_est > 0.0, 1.0 - np.exp(intercept) / s0_est, 0.0)
+    f_raw = 1.0 - np.divide(np.exp(intercept), s0_est, out=np.ones(n), where=s0_est > 0.0)
     f_est = np.clip(f_raw, 0.0, 1.0)
     f_clamped = f_raw != f_est
     dstar_est, at_bound = fit_dstar(signals, b_values, s0_est, f_est, d_est, bounds)

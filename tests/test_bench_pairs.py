@@ -26,6 +26,9 @@ def test_gain_needs_nine_wins_in_ten_and_a_gap_past_the_spread(tool):
     assert row["change_wins"] == 10 and row["pairs"] == 10
     assert row["parent_median"] == 170.75
     assert row["parent_spread"] == pytest.approx(row["parent_q3"] - row["parent_q1"])
+    # each side's quartiles: the change's are the parent's scaled by 1.14
+    assert (row["parent_q1"], row["parent_q3"]) == (168.75, 173.25)
+    assert row["change_q1"] == pytest.approx(1.14 * 168.75) and row["change_q3"] == pytest.approx(1.14 * 173.25)
     # two lost pairs of ten: 8 wins fall short of nine tenths
     lost_two = [*change[:8], PARENT[8] - 1.0, PARENT[9] - 1.0]
     assert tool.verdict(PARENT, lost_two, "higher", 0.25)["verdict"] == "not worse"

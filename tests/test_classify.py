@@ -144,28 +144,45 @@ class TestKnn:
     @pytest.mark.parametrize("k", range(1, 12))
     def test_equals_sorted_reference(self, k):
         """Partial selection predicts exactly what a full stable sort does,
-        with ties at the k-th distance, padding rows and fewer real rows than k."""
+        with ties at the k-th distance, padding rows and fewer real rows than k.
+
+        Both tie-breaks run: calls where some query has more rows tied at the
+        k-th distance than there is room for, and calls with ties that all
+        fit. Two cases place rows at 0, +-1, +-2, ... (one of them with 0
+        twice) on one axis around queries at the origin, so that either
+        every tie fits or one overflows, whatever k is."""
         rng = np.random.default_rng(40 + k)
-        ties_at_kth = 0
-        for case in range(12):
+        overflowing = fitting = 0
+        for case in range(14):
             n_splits, n_train, n_classes = 3, int(rng.integers(4, 25)), int(rng.integers(2, 4))
-            x = rng.integers(-2, 3, size=(n_splits, n_train, 2)).astype(float)  # coarse: ties
-            y = rng.integers(0, n_classes, size=(n_splits, n_train))
-            y[rng.random((n_splits, n_train)) < 0.3] = -1
-            y[:, 0] = rng.integers(0, n_classes, size=n_splits)  # a real row per split
-            if case % 4 == 0:
-                y[0, 2:] = -1  # at most 2 real rows
-            queries = rng.integers(-2, 3, size=(n_splits, 9, 2)).astype(float)
+            if case < 12:
+                x = rng.integers(-2, 3, size=(n_splits, n_train, 2)).astype(float)  # coarse: ties
+                y = rng.integers(0, n_classes, size=(n_splits, n_train))
+                y[rng.random((n_splits, n_train)) < 0.3] = -1
+                y[:, 0] = rng.integers(0, n_classes, size=n_splits)  # a real row per split
+                if case % 4 == 0:
+                    y[0, 2:] = -1  # at most 2 real rows
+                queries = rng.integers(-2, 3, size=(n_splits, 9, 2)).astype(float)
+            else:
+                axis = np.concatenate([[0.0] * (case - 11), *([i, -i] for i in range(1, 12))])
+                n_train = len(axis)
+                x = np.zeros((n_splits, n_train, 2))
+                x[:, :, 0] = [rng.permutation(axis) for _ in range(n_splits)]
+                y = rng.integers(0, n_classes, size=(n_splits, n_train))
+                queries = np.zeros((n_splits, 9, 2))
             np.testing.assert_array_equal(
                 knn_predict_batch(x, y, queries, k), sorted_knn_reference(x, y, queries, k)
             )
             diff = queries[:, :, None, :] - x[:, None, :, :]
             dist = np.where(y[:, None, :] < 0, np.inf, (diff**2).sum(axis=3))
-            ordered = np.sort(dist, axis=2)
-            if k < n_train:
-                real = np.isfinite(ordered[:, :, k])
-                ties_at_kth += int((real & (ordered[:, :, k - 1] == ordered[:, :, k])).sum())
-        assert ties_at_kth > 0
+            room = min(k, n_train)
+            kth = np.sort(dist, axis=2)[:, :, room - 1, None]
+            if ((dist <= kth).sum(axis=2) > room).any():
+                overflowing += 1
+            elif (np.isfinite(kth[:, :, 0]) & ((dist == kth).sum(axis=2) > 1)).any():
+                fitting += 1
+        assert overflowing > 0
+        assert fitting > 0 or k == 1  # a tie at the first distance always overflows one slot
 
     def test_split_without_training_rows_rejected(self):
         y = np.zeros((2, 5), dtype=int)

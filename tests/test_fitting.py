@@ -66,8 +66,8 @@ PANEL = {
 def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     """The D* search as a plain loop on fresh arrays, with a freeze test every step.
 
-    Returns (dstar, at_bound, starts_at_d); the last marks rows whose
-    golden-section bracket starts at d."""
+    Returns (dstar, at_bound, (a, b)); the last holds each row's starting
+    golden-section bracket."""
     tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     residual = signals - tissue
     amplitude = s0 * f
@@ -84,7 +84,7 @@ def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     best = scan.argmin(axis=1)
     a = np.maximum(grid[np.maximum(best - 1, 0)], d)
     b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
-    starts_at_d = a == d
+    start = a, b
 
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     neg_b = -b_values
@@ -117,7 +117,7 @@ def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     edge_tol = 10.0 * bounds.refine_rel_tol
     at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
     at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
-    return dstar, inactive | at_lower | at_upper, starts_at_d
+    return dstar, inactive | at_lower | at_upper, start
 
 
 class TestFitHighB:
@@ -308,13 +308,18 @@ class TestFitDstar:
         """fit_dstar and segmented_fit_batch equal the plain loop bit for bit.
 
         Covers SNR 5 / 25 / 600, batches of 1 to 500 rows, two grid sizes and
-        three refinement tolerances, with f <= 0 rows, all-zero rows and rows
+        three refinement tolerances, with f <= 0 rows, all-zero rows, rows
         whose bracket starts at d (d moved up to the true D* in a quarter of
-        the rows)."""
+        the rows), a row with a NaN f, and batches in which every step tests
+        for frozen rows: at tolerance 1e-3, a row whose d sits just under
+        dstar_max starts with a bracket narrower than refine_rel_tol / G^3
+        times its upper end."""
         rng = np.random.default_rng([*PANEL, "random"].index(protocol))
         all_bounds = [FitBounds(grid_points=g, refine_rel_tol=tol)
                       for g in (200, 37) for tol in (1e-6, 1e-3, 1e-10)]
-        covered = np.zeros(3, dtype=int)  # f <= 0, zero signal, bracket at d
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        # f <= 0, zero signal, bracket at d, NaN f, no step left untested
+        covered = np.zeros(5, dtype=int)
         for snr in (5.0, 25.0, 600.0):
             for n in (1, 7, 62, 500):
                 if protocol in PANEL:
@@ -332,12 +337,18 @@ class TestFitDstar:
                 s0 = np.exp(-te / SCANNER.t2) * (1.0 + rng.normal(0.0, 0.02, n))
                 f = truth[:, 1] + rng.normal(0.0, 0.1, n)
                 d = np.where(rng.random(n) < 0.25, truth[:, 3], truth[:, 2])
+                if n > 1:
+                    f[0], d[1] = np.nan, 0.998 * DEFAULT_BOUNDS.dstar_max
                 for bounds in all_bounds:
                     expected = reference_fit_dstar(signals, b, s0, f, d, bounds)
                     dstar, at_bound = fit_dstar(signals, b, s0, f, d, bounds)
                     np.testing.assert_array_equal(dstar, expected[0])
                     np.testing.assert_array_equal(at_bound, expected[1])
-                    covered += [np.sum(f <= 0.0), np.sum(zero), np.sum(expected[2] & (f > 0.0))]
+                    live = ~(f <= 0.0)
+                    a0, b0 = expected[2][0][live], expected[2][1][live]
+                    ratio = (b0 - a0) / (bounds.refine_rel_tol * np.maximum(b0, bounds.d_min))
+                    covered += [np.sum(~live), np.sum(zero), np.sum(a0 == d[live]), np.sum(np.isnan(f)),
+                                live.any() and ratio.min() < golden**-3]
 
                     features, flags = segmented_fit_batch(signals, b, bounds)
                     with monkeypatch.context() as patch:

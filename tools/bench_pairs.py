@@ -12,13 +12,13 @@ on. It stores every pair's end-to-end metrics, ``correct``, ``failed`` and
 first-round output digest, the faults among them (a run whose output check
 failed, a change that failed more operations than the parent, a digest that
 moved), and for each end-to-end metric that ``BENCHMARK.json`` names a
-summary: both medians, the parent's quartile spread, the change's wins and a
-verdict. The verdict follows the acceptance rule: a gain needs pairs free of
-faults, at least ten of them, wins in at least nine tenths (ties count for
-neither side) and a median gap larger than the distance between the parent's
-quartiles; "worse" means a median worse than the parent's by more than the
-metric's bound; a spread wider than the bound is "unresolved" unless every
-change run beats every parent run. The tool exits with 1 when a pair has a
+summary: both medians, both sides' quartiles, the parent's quartile spread,
+the change's wins and a verdict. The verdict follows the acceptance rule: a
+gain needs pairs free of faults, at least ten of them, wins in at least nine
+tenths (ties count for neither side) and a median gap larger than the
+distance between the parent's quartiles; "worse" means a median worse than
+the parent's by more than the metric's bound; a spread wider than the bound
+is "unresolved" unless every change run beats every parent run. The tool exits with 1 when a pair has a
 fault. It reads ``perfbench/`` and ``BENCHMARK.json`` of the change checkout
 and edits neither; the seed range is parsed by ``perfbench/spread.py``'s
 ``seed_range``.
@@ -96,6 +96,7 @@ def verdict(parent: list, change: list, better: str, bound: float, sound: bool =
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4)
+    change_q1, _, change_q3 = statistics.quantiles(change, n=4)
     gain = sign * (change_median - parent_median)
     separated = all(sign * (c - p) > 0 for c in change for p in parent)
     if sound and len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > q3 - q1:
@@ -107,8 +108,8 @@ def verdict(parent: list, change: list, better: str, bound: float, sound: bool =
     else:
         outcome = "not worse"
     return {"parent_median": parent_median, "change_median": change_median, "ratio": change_median / parent_median,
-            "parent_q1": q1, "parent_q3": q3, "parent_spread": q3 - q1, "change_wins": wins,
-            "pairs": len(parent), "verdict": outcome}
+            "parent_q1": q1, "parent_q3": q3, "parent_spread": q3 - q1, "change_q1": change_q1,
+            "change_q3": change_q3, "change_wins": wins, "pairs": len(parent), "verdict": outcome}
 
 
 def main(argv=None) -> int:
@@ -142,8 +143,10 @@ def main(argv=None) -> int:
         for metric in bench["end_to_end"]
     }
     for name, row in summary.items():
-        print(f"{name}: median {row['parent_median']:.4g} -> {row['change_median']:.4g}, parent spread "
-              f"{row['parent_spread']:.4g}, change wins {row['change_wins']}/{row['pairs']}: {row['verdict']}")
+        print(f"{name}: median {row['parent_median']:.4g} -> {row['change_median']:.4g}, quartiles "
+              f"{row['parent_q1']:.4g}-{row['parent_q3']:.4g} -> {row['change_q1']:.4g}-{row['change_q3']:.4g}, "
+              f"parent spread {row['parent_spread']:.4g}, change wins {row['change_wins']}/{row['pairs']}: "
+              f"{row['verdict']}")
     for fault in faults:
         print(f"fault: {fault}", file=sys.stderr)
     args.out.write_text(json.dumps({"workload": args.workload, "seeds": args.seeds,
