@@ -45,6 +45,7 @@ from .reports import (
     load_protocol_artifact,
     read_report,
     save_protocol_artifact,
+    write_anneal_trace,
     write_csv,
     write_curve,
 )
@@ -240,9 +241,10 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
 
     rng = derive_rng(config.seed, f"optimize-{method}")
     if method == "crlb":
-        protocol, objective, _ = optimize_crlb(config.task.classes, config.distributions(), config.scanner,
-                                               config.crlb, rng)
+        protocol, objective, trace = optimize_crlb(config.task.classes, config.distributions(), config.scanner,
+                                                   config.crlb, rng)
         extra, summary = {}, f"cost={objective:.4g}"
+        write_anneal_trace(out / "anneal.csv", trace)
     else:
         env = ProtocolEnv(config.sim_env(), config.task, config.eval, master_seed=config.seed)
         result = train(env, config.ppo, rng)

@@ -12,8 +12,9 @@ Tissue samples travel as an (m, 4) array of (s0, f, d, d_star) rows, and
 the cost of a protocol over all samples is a few dozen array operations.
 The jacobian is computed as four (n_b, m) planes of one (4, n_b, m) array
 (signal_jacobian returns its (m, n_b, 4) transpose). The symmetric Fisher
-matrix has 10 distinct entries: fisher_matrix multiplies the 10 plane
-pairs and sums the products over b, then mirrors them into (m, 4, 4).
+matrix has 10 distinct entries. fisher_matrix is two steps: _fisher_blocks
+multiplies the 10 plane pairs into one (10, m) block per acquisition, and
+_fisher_sum adds the blocks over b and mirrors the sum into (m, 4, 4).
 That sum is an explicit loop from zero, b by b, because that is the
 order in which einsum("mbi,mbj->mij") adds, so every bit matches it:
 numpy's own sum over the b axis adds pairwise when m = 1 and n_b >= 8,
@@ -26,12 +27,21 @@ The optimizer anneals the ten b-values over the integer grid [0, 1000]
 (first slot pinned to b = 0) against that score averaged over a fixed set
 of tissue samples. A fixed sample set keeps the objective deterministic
 during the anneal, and lets one anneal cost each distinct sorted protocol
-once. The Gaussian-noise Fisher matrix is an approximation to
+once. An annealing move changes one slot, so most of a proposal's
+acquisitions were already costed: the anneal's cost keeps an LRU memo of
+Fisher blocks keyed by (echo time, b), bounded to _BLOCK_MEMO_BYTES (256
+blocks at 100 samples; the block count follows from the sample count).
+Each block is an elementwise function of b, the echo time and one sample
+row, so a block computed alone has the bits it has within a protocol, and
+_fisher_sum adds the held blocks from zero in the same sorted order:
+every cost is bit for bit fisher_matrix's. The memo ends with the anneal.
+The Gaussian-noise Fisher matrix is an approximation to
 the Rician simulation noise; at SNR 25 the discrepancy is negligible.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -64,6 +74,8 @@ DUPLICATE_MOVE_PROB = 0.25
 _N_PARAMS = len(PARAM_NAMES)
 _IDENTITY = np.eye(_N_PARAMS)
 _SCORED = np.array([PARAM_NAMES.index(p) for p in SCORED_PARAMS])
+#: bytes of Fisher blocks one cost memoizes: 256 blocks of 10 x 100 floats
+_BLOCK_MEMO_BYTES = 256 * 10 * 100 * 8
 
 
 @dataclass(frozen=True)
@@ -120,21 +132,32 @@ _MIRROR = np.empty((_N_PARAMS, _N_PARAMS), dtype=int)
 _MIRROR[_UPPER_I, _UPPER_J] = _MIRROR[_UPPER_J, _UPPER_I] = np.arange(len(_UPPER_I))
 
 
+def _fisher_blocks(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
+    """Each acquisition's block of the 10 distinct jacobian plane products,
+    not yet scaled by the noise, for an (m, 4) parameter array: (n_b, 10, m)."""
+    planes = _jacobian_planes(b_values, te, t2, params)
+    # b-major, so that each b's 10 products are one contiguous block
+    products = np.empty((planes.shape[1], len(_UPPER_I), planes.shape[2]))
+    np.multiply(planes[_UPPER_I], planes[_UPPER_J], out=products.transpose(1, 0, 2))
+    return products
+
+
+def _fisher_sum(blocks, m: int, noise_sigma: float) -> np.ndarray:
+    """The (m, 4, 4) Fisher matrices that the (10, m) ``blocks`` of a protocol's
+    acquisitions sum to, in the order given."""
+    # from zero, b by b: einsum's order of addition (see the module docstring)
+    upper = np.zeros((len(_UPPER_I), m))
+    for block in blocks:
+        upper += block
+    upper /= noise_sigma**2
+    return np.ascontiguousarray(upper.T)[:, _MIRROR]
+
+
 def fisher_matrix(
     b_values: np.ndarray, te: float, scanner: ScannerConfig, params: np.ndarray
 ) -> np.ndarray:
     """Gaussian-noise Fisher information per row of an (m, 4) parameter array: (m, 4, 4)."""
-    planes = _jacobian_planes(b_values, te, scanner.t2, params)
-    n_b, m = planes.shape[1:]
-    # b-major, so that each b's 10 products are one contiguous block
-    products = np.empty((n_b, len(_UPPER_I), m))
-    np.multiply(planes[_UPPER_I], planes[_UPPER_J], out=products.transpose(1, 0, 2))
-    # from zero, b by b: einsum's order of addition (see the module docstring)
-    upper = np.zeros((len(_UPPER_I), m))
-    for block in products:
-        upper += block
-    upper /= scanner.noise_sigma**2
-    return np.ascontiguousarray(upper.T)[:, _MIRROR]
+    return _fisher_sum(_fisher_blocks(b_values, te, scanner.t2, params), len(params), scanner.noise_sigma)
 
 
 #: slack of the regularity certificate beyond 2 * ridge_rel, relative to
@@ -176,13 +199,23 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
     bit that of running eigvalsh on every row and inverting the regular ones.
     Rows are costed in place and the singular ones masked to the penalty, so
     no subset of rows is copied. The cost is a pure function of the b-vector,
-    so each distinct one is costed once.
+    so each distinct one is costed once, from the Fisher blocks that the
+    LRU memo holds by (echo time, b) or computes (see the module docstring).
     """
     theta_sq = sample_params[:, _SCORED] ** 2
+    m = len(sample_params)
     memo = {}
 
+    # as many (10, m) float64 blocks as the byte budget holds
+    @functools.lru_cache(maxsize=max(1, _BLOCK_MEMO_BYTES // (len(_UPPER_I) * m * 8)))
+    def block(te: float, b: float) -> np.ndarray:
+        held = _fisher_blocks(np.array([b]), te, scanner.t2, sample_params)[0]
+        held.flags.writeable = False  # every later cost with this (te, b) reads it
+        return held
+
     def evaluate(b_values: np.ndarray) -> float:
-        fisher = fisher_matrix(b_values, min_te(float(b_values[-1]), scanner), scanner, sample_params)
+        te = min_te(float(b_values[-1]), scanner)
+        fisher = _fisher_sum([block(te, b) for b in b_values.tolist()], m, scanner.noise_sigma)
         trace = np.trace(fisher, axis1=1, axis2=2)
         ridge = config.ridge_rel * trace / _N_PARAMS
         inverse, good = _certified_regular(fisher, trace, ridge, config.ridge_rel)

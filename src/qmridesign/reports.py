@@ -31,6 +31,7 @@ __all__ = [
     "load_protocol_artifact",
     "write_csv",
     "write_curve",
+    "write_anneal_trace",
 ]
 
 REPORT_SCHEMA_VERSION = 1
@@ -170,3 +171,12 @@ def write_curve(path, curve) -> None:
     """Training curve rows (step, mean_episode_reward, best_reward) as CSV."""
     write_csv(path, ["step", "mean_episode_reward", "best_reward"],
               ([step, repr(float(mean_reward)), repr(float(best))] for step, mean_reward, best in curve))
+
+
+def write_anneal_trace(path, trace) -> None:
+    """The anneal's best-cost trace as CSV rows (iteration, best_cost), where
+    iteration i counts proposals from 0: iteration 0 and each iteration at
+    which the best cost fell. The trace never rises, so these rows give it whole."""
+    costs = [float(cost) for cost in trace]
+    write_csv(path, ["iteration", "best_cost"],
+              ([i, repr(cost)] for i, cost in enumerate(costs) if i == 0 or cost < costs[i - 1]))

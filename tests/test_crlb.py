@@ -443,11 +443,27 @@ def all_class_samples():
 class TestCostCertificate:
     """The memoized, certificate-first cost changes no output bit."""
 
-    @pytest.mark.parametrize("seed,n_samples", [(41, 100), (42, 100), (43, 5), (44, 30)])
-    def test_anneal_matches_reference(self, seed, n_samples):
+    @pytest.mark.parametrize("seed,n_samples,iterations", [
+        pytest.param(41, 100, 800, id="41-100"),
+        pytest.param(42, 100, 800, id="42-100"),
+        pytest.param(43, 5, 800, id="43-5"),
+        pytest.param(44, 30, 800, id="44-30"),
+        # visits about three times the (echo time, b) pairs the memo holds
+        pytest.param(50, 100, 2000, id="50-100-past-the-block-memo"),
+    ])
+    def test_anneal_matches_reference(self, seed, n_samples, iterations, monkeypatch):
+        """Protocol, cost and trace equal the reference anneal's, whether each
+        Fisher block was computed once, fetched from the memo, or evicted
+        from it and computed again."""
+        from qmridesign import crlb
+
+        computed = []
+        fisher_blocks = crlb._fisher_blocks
+        monkeypatch.setattr(crlb, "_fisher_blocks",
+                            lambda b, te, *rest: computed.extend((te, x) for x in b) or fisher_blocks(b, te, *rest))
         dists = load_tissue_distributions(default_tissue_path())
         scanner = ScannerConfig()
-        config = CrlbConfig(iterations=800, n_tissue_samples=n_samples)
+        config = CrlbConfig(iterations=iterations, n_tissue_samples=n_samples)
         samples = draw_tissue_samples(tuple(TissueClass), dists, n_samples, np.random.default_rng(seed))
         protocol, cost, trace = optimize_crlb(
             tuple(TissueClass), dists, scanner, config, np.random.default_rng(seed + 1),
@@ -459,6 +475,12 @@ class TestCostCertificate:
         assert protocol.b_values == tuple(best_b)
         assert cost == best_cost
         np.testing.assert_array_equal(trace, best_trace)
+        # a pair is computed again exactly when the anneal visits more pairs than the memo holds
+        held = crlb._BLOCK_MEMO_BYTES // (10 * n_samples * 8)
+        distinct = len(set(computed))
+        assert (distinct > held) == (len(computed) > distinct)
+        if iterations == 2000:
+            assert distinct > 2 * held and len(computed) > distinct
 
     def test_certified_rows_are_regular(self, all_class_samples):
         """No row the certificate passes is singular by eigvalsh, and the
@@ -556,13 +578,17 @@ class TestCostCertificate:
             assert got == reference_cost(b, min_te(float(b[-1]), scanner), samples, scanner, config)
 
     def test_repeated_protocols_are_costed_once(self, all_class_samples, monkeypatch):
-        """The anneal revisits protocols; each distinct sorted one is costed once."""
+        """The anneal revisits protocols; each distinct sorted one is costed once:
+        the cost runs its certificate once per distinct protocol asked for."""
         from qmridesign import crlb
 
-        costed = []
-        fisher = crlb.fisher_matrix
-        monkeypatch.setattr(crlb, "fisher_matrix", lambda b, *rest: costed.append(b.tobytes()) or fisher(b, *rest))
+        asked, costed = [], []
+        anneal, certified_regular = crlb.anneal_b_values, crlb._certified_regular
+        monkeypatch.setattr(crlb, "anneal_b_values", lambda cost_fn, *rest: anneal(
+            lambda b: asked.append(b.tobytes()) or cost_fn(b), *rest))
+        monkeypatch.setattr(crlb, "_certified_regular", lambda *args: costed.append(1) or certified_regular(*args))
         dists = load_tissue_distributions(default_tissue_path())
         optimize_crlb(tuple(TissueClass), dists, ScannerConfig(), CrlbConfig(iterations=400),
                       np.random.default_rng(48), tissue_samples=all_class_samples)
-        assert len(costed) == len(set(costed)) < 401
+        assert len(asked) == 401
+        assert 0 < len(costed) == len(set(asked)) < 401

@@ -1,7 +1,9 @@
 """Config/report/plot/CLI layer: schemas, persistence, determinism."""
 
+import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -42,6 +44,7 @@ from qmridesign.reports import (
     load_protocol_artifact,
     read_report,
     save_protocol_artifact,
+    write_anneal_trace,
     write_csv,
     write_curve,
 )
@@ -260,12 +263,13 @@ class TestReports:
         lambda path: append_report_rows(path, [TestReports().row()]),
         lambda path: write_csv(path, ["a"], [[1]]),
         lambda path: write_curve(path, [(1, 0.5, 0.5)]),
+        lambda path: write_anneal_trace(path, np.array([2.0, 1.0])),
         lambda path: save_protocol_artifact(path, AcquisitionProtocol.adhoc(), "adhoc", ScannerConfig(), {},
                                             None, {}),
         lambda path: save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0),
         lambda path: plot_accuracy_vs_snr(TestPlot().rows(), path),
     ], ids=["write_json", "save_tissue_distributions", "append_report_rows", "write_csv",
-            "write_curve", "save_protocol_artifact", "save_checkpoint", "plot_accuracy_vs_snr"])
+            "write_curve", "write_anneal_trace", "save_protocol_artifact", "save_checkpoint", "plot_accuracy_vs_snr"])
     def test_every_writer_makes_its_directory(self, writer, tmp_path):
         """The CLI makes no output directory of its own: each writer makes its file's."""
         directory = tmp_path / "new" / "nested"
@@ -278,6 +282,12 @@ class TestReports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,mean_episode_reward,best_reward"
         assert len(lines) == 3
+
+    def test_anneal_trace_keeps_the_first_iteration_and_each_fall(self, tmp_path):
+        path = tmp_path / "anneal.csv"
+        write_anneal_trace(path, np.array([5.0, 5.0, 0.1 + 0.2, 0.1 + 0.2, 1e12 ** -1]))
+        assert path.read_text().splitlines() == [
+            "iteration,best_cost", "0,5.0", "2,0.30000000000000004", "4,1e-12"]
 
 
 class TestPlot:
@@ -737,6 +747,14 @@ class TestCli:
         protocol, payload = load_protocol_artifact(tmp_path / "out" / "protocol_crlb.json")
         assert len(protocol.b_values) == 10
         assert payload["seed"] == 424242
+        with (tmp_path / "out" / "anneal.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["iteration", "best_cost"] and rows[1][0] == "0"
+        iterations = [int(row[0]) for row in rows[1:]]
+        costs = [float(row[1]) for row in rows[1:]]
+        assert iterations == sorted(set(iterations)) and iterations[-1] < 150
+        assert all(later < earlier for earlier, later in zip(costs, costs[1:]))
+        assert costs[-1] == payload["objective_value"]
 
         rl = run_cli(["optimize", "--config", str(tiny_config), "--optimizer", "rl"], tmp_path)
         assert rl.returncode == 0, rl.stderr
@@ -796,3 +814,36 @@ class TestCli:
         text = (tmp_path / "out" / "auc_report.csv").read_text()
         assert text.startswith("task,param,mean_auc")
         assert text.count("\n") == 10  # header + 3 tasks x 3 params
+
+
+def load_artifact_digests():
+    """``tools/artifact_digests.py``, the definition of C06's check."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("stray", [None, "stray.txt"])
+def test_artifact_digests_refuse_an_undigested_artifact(tmp_path, stray):
+    """The digest tool gives one line per listed artifact, and fails when the
+    command sequence leaves a file in ``out`` that it does not list."""
+    tool = load_artifact_digests()
+    out = tmp_path / "out"
+
+    def run(args, cwd):
+        # stands in for the CLI: writes every listed artifact, and the stray file after the last command
+        out.mkdir(exist_ok=True)
+        for name in tool.ARTIFACTS:
+            (out / name).write_text({"report.csv": "wall_clock_s\n1.5\n", "config_snapshot.json": "{}"}.get(name, name))
+        if stray and args[0] == "report":
+            (out / stray).write_text("")
+        return " ".join(args)
+
+    if stray:
+        with pytest.raises(ValueError, match=stray):
+            tool.digest_lines(run, tmp_path)
+    else:
+        lines = tool.digest_lines(run, tmp_path)
+        assert [line.split()[-1] for line in lines] == [*tool.ARTIFACTS, "stdout"]

@@ -7,6 +7,10 @@ load-bearing test here: every other property rides on those gradients.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,10 @@ from qmridesign.ppo import (
     save_checkpoint,
     train,
 )
+
+
+#: one BLAS/OpenMP thread, the pins of the benchmark's perfbench/run.py
+THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 class TwoArmedBandit:
@@ -386,31 +394,50 @@ class TestTraining:
         digests, taken before any update acts, this sees every bit of the
         act, loss, backward, clipping and Adam arithmetic of both updates.
 
-        The pinned value is tied to the host's BLAS: the 64-wide products
-        round as the numpy/OpenBLAS kernel dispatched on the CPU does, so a
-        correct program may give another digest on another CPU or build.
-        Compare against the parent commit on the same host before reading a
-        mismatch as a regression. The host-independent checks of the same
-        arithmetic are the exact forward and act tests and the gradient checks."""
-        from qmridesign import CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
-        from qmridesign.config import default_tissue_path, load_tissue_distributions
-        from qmridesign.protocol_env import ProtocolEnv
+        The train runs in a child process with one BLAS/OpenMP thread, as the
+        benchmark runs, because a threaded product may split its sums
+        otherwise; the digest is then the same whatever thread settings the
+        suite runs under. It is still tied to the host's BLAS: the 64-wide
+        products round as the numpy/OpenBLAS kernel dispatched on the CPU
+        does, so a correct program may give another digest on another CPU or
+        build. Compare against the parent commit on the same host before
+        reading a mismatch as a regression. The host-independent checks of
+        the same arithmetic are the exact forward and act tests and the
+        gradient checks."""
+        import qmridesign
 
-        sim_env = SimulationEnv(
-            distributions=load_tissue_distributions(default_tissue_path()),
-            cohort_spec=CohortSpec(),
-            scanner=ScannerConfig(),
-        )
-        env = ProtocolEnv(sim_env, Task.MULTICLASS, EvalConfig(), master_seed=31)
-        result = train(env, PpoConfig(total_steps=512, rollout_steps=256), np.random.default_rng(32))
-        agent = result.agent
-        assert agent.actor.sizes == (12, 64, 64, 1001) and len(result.update_stats) == 2
-        digest = hashlib.sha256()
-        for array in (agent.params, agent.optimizer.m, agent.optimizer.v):
-            digest.update(array.tobytes())
-        digest.update(repr((result.update_stats, result.curve, result.best_reward)).encode())
-        assert digest.hexdigest() == "a85ea0ca95aff0734e012ce28ac4ae6bbfddf8192db912f77108de3b16db83b9", (
+        package_root = Path(qmridesign.__file__).resolve().parents[1]
+        env = dict(os.environ, **THREAD_PINS, PYTHONPATH=str(package_root))
+        child = ("import importlib.util, sys; spec = importlib.util.spec_from_file_location('test_ppo', sys.argv[1]); "
+                 "module = importlib.util.module_from_spec(spec); spec.loader.exec_module(module); "
+                 "print(module.two_round_train_digest())")
+        done = subprocess.run([sys.executable, "-c", child, __file__], env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "e5af10bb774a3676ea52060df00472431c82ed184e0ea61abd93b65fbfd7b24d", (
             "train digest moved; the pin is tied to this host's BLAS, so check the parent on the same host")
+
+
+def two_round_train_digest() -> str:
+    """The sha256 of test_two_round_train_digest_pinned's two-round train."""
+    from qmridesign import CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
+    from qmridesign.config import default_tissue_path, load_tissue_distributions
+    from qmridesign.protocol_env import ProtocolEnv
+
+    sim_env = SimulationEnv(
+        distributions=load_tissue_distributions(default_tissue_path()),
+        cohort_spec=CohortSpec(),
+        scanner=ScannerConfig(),
+    )
+    env = ProtocolEnv(sim_env, Task.MULTICLASS, EvalConfig(), master_seed=31)
+    result = train(env, PpoConfig(total_steps=512, rollout_steps=256), np.random.default_rng(32))
+    agent = result.agent
+    assert agent.actor.sizes == (12, 64, 64, 1001) and len(result.update_stats) == 2
+    digest = hashlib.sha256()
+    for array in (agent.params, agent.optimizer.m, agent.optimizer.v):
+        digest.update(array.tobytes())
+    digest.update(repr((result.update_stats, result.curve, result.best_reward)).encode())
+    return digest.hexdigest()
 
 
 class TestGreedyAndCheckpoint:

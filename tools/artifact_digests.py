@@ -5,7 +5,9 @@ twice and compares the lines. It runs validate, calibrate, evaluate,
 sweep-snr, optimize crlb, optimize rl, plot and report with C06's config in
 a work directory, then gives ``<sha256>  <artifact>`` per artifact and one
 line for the combined stdout; runs that give the same lines wrote the same
-bytes. What legitimately varies between runs is masked before hashing:
+bytes. A file the sequence writes that ``ARTIFACTS`` does not list is an
+error, so no artifact drops out of the check unnoticed. What legitimately
+varies between runs is masked before hashing:
 ``report.csv``'s ``wall_clock_s`` column, ``config_snapshot.json``'s
 ``out_dir``, and in the stdout the work directory and elapsed times. Point
 PYTHONPATH at the checkout under test:
@@ -36,8 +38,9 @@ CONFIG = {
     "snr_list": [15.0, 25.0],
 }
 
+#: every file the command sequence writes; any other file in ``out`` is an error
 ARTIFACTS = ("auc_report.csv", "tissue_calibrated.json", "calibration_report.json",
-             "protocol_crlb.json", "protocol_rl.json", "curve.csv", "checkpoint.npz",
+             "protocol_crlb.json", "anneal.csv", "protocol_rl.json", "curve.csv", "checkpoint.npz",
              "accuracy_vs_snr.svg", "report.csv", "config_snapshot.json")
 
 
@@ -73,11 +76,16 @@ def masked(path: Path) -> bytes:
 def digest_lines(run, work: Path) -> list:
     """The digest lines of the command sequence run in ``work``, an existing
     empty directory; ``run(args, cwd)`` returns the stdout of ``qmridesign
-    <args>`` run in ``cwd`` and fails on a non-zero exit."""
+    <args>`` run in ``cwd`` and fails on a non-zero exit. Raises ValueError
+    if the sequence leaves a file in ``out`` that ARTIFACTS does not list,
+    so that no artifact goes undigested."""
     out = work / "out"
     config = work / "config.json"
     config.write_text(json.dumps({**CONFIG, "out_dir": str(out)}))
     stdout = "".join(run(args, work) for args in commands(config, out))
+    undigested = sorted(path.name for path in out.iterdir() if path.name not in ARTIFACTS)
+    if undigested:
+        raise ValueError(f"the command sequence wrote artifacts that ARTIFACTS does not list: {undigested}")
     stdout = re.sub(r"\(\d+\.\d+s\)", "(<s>)", stdout.replace(str(work), "<tmp>"))
     return [*(f"{hashlib.sha256(masked(out / name)).hexdigest()}  {name}" for name in ARTIFACTS),
             f"{hashlib.sha256(stdout.encode()).hexdigest()}  stdout"]
