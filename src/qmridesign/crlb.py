@@ -186,9 +186,9 @@ def _certified_regular(fisher: np.ndarray, trace: np.ndarray, ridge: np.ndarray,
     return inverse, lower_bound > (2.0 * ridge_rel + _ROUNDING_MARGIN) * trace
 
 
-def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: CrlbConfig):
-    """``cost(b_sorted)``: mean normalized-CRLB cost over the (m, 4) sample rows
-    of the sorted b-vector ``b_sorted`` at its minimum echo time.
+def _cost_of_fisher(fisher: np.ndarray, theta_sq: np.ndarray, ridge_rel: float) -> float:
+    """Mean normalized-CRLB cost of the (m, 4, 4) Fisher matrices of m sample
+    rows whose scored parameters square to the (m, 3) ``theta_sq``.
 
     A row costs SINGULAR_PENALTY if its Fisher matrix F is singular by
     eigvalsh (smallest eigenvalue at most ridge_rel times the largest), else
@@ -198,9 +198,33 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
     the eigenvalues and inverse it gets in any batch: the cost is bit for
     bit that of running eigvalsh on every row and inverting the regular ones.
     Rows are costed in place and the singular ones masked to the penalty, so
-    no subset of rows is copied. The cost is a pure function of the b-vector,
-    so each distinct one is costed once, from the Fisher blocks that the
-    LRU memo holds by (echo time, b) or computes (see the module docstring).
+    no subset of rows is copied.
+    """
+    trace = np.trace(fisher, axis1=1, axis2=2)
+    ridge = ridge_rel * trace / _N_PARAMS
+    inverse, good = _certified_regular(fisher, trace, ridge, ridge_rel)
+    uncertain = ~good
+    if uncertain.any():
+        eigvals = np.linalg.eigvalsh(fisher[uncertain])  # ascending per sample
+        singular = (eigvals[:, 0] <= ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (eigvals[:, -1] <= 0.0)
+        good[uncertain] = ~singular
+    if inverse is None:
+        inverse = np.zeros_like(fisher)
+        inverse[good] = np.linalg.inv(fisher[good] + ridge[good, None, None] * _IDENTITY)
+    diag = np.diagonal(inverse, axis1=1, axis2=2)[:, _SCORED]
+    # only regular rows are divided: a singular one may hold theta = 0 (f = 0)
+    ratios = np.divide(diag, theta_sq, out=np.zeros(diag.shape), where=good[:, None])
+    costs = np.where(good & ~(diag < 0.0).any(axis=1), ratios.sum(axis=1), SINGULAR_PENALTY)
+    return float(costs.mean())
+
+
+def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: CrlbConfig):
+    """The anneal's ``cost(b_sorted)``: the _cost_of_fisher over the (m, 4)
+    sample rows of the sorted b-vector ``b_sorted`` at its minimum echo time.
+
+    The cost is a pure function of the b-vector, so each distinct one is
+    costed once, from the Fisher blocks that the LRU memo holds by (echo
+    time, b) or computes (see the module docstring).
     """
     theta_sq = sample_params[:, _SCORED] ** 2
     m = len(sample_params)
@@ -213,32 +237,12 @@ def _sample_cost(sample_params: np.ndarray, scanner: ScannerConfig, config: Crlb
         held.flags.writeable = False  # every later cost with this (te, b) reads it
         return held
 
-    def evaluate(b_values: np.ndarray) -> float:
-        te = min_te(float(b_values[-1]), scanner)
-        fisher = _fisher_sum([block(te, b) for b in b_values.tolist()], m, scanner.noise_sigma)
-        trace = np.trace(fisher, axis1=1, axis2=2)
-        ridge = config.ridge_rel * trace / _N_PARAMS
-        inverse, good = _certified_regular(fisher, trace, ridge, config.ridge_rel)
-        uncertain = ~good
-        if uncertain.any():
-            eigvals = np.linalg.eigvalsh(fisher[uncertain])  # ascending per sample
-            singular = (eigvals[:, 0] <= config.ridge_rel * np.clip(eigvals[:, -1], 0.0, None)) | (
-                eigvals[:, -1] <= 0.0
-            )
-            good[uncertain] = ~singular
-        if inverse is None:
-            inverse = np.zeros_like(fisher)
-            inverse[good] = np.linalg.inv(fisher[good] + ridge[good, None, None] * _IDENTITY)
-        diag = np.diagonal(inverse, axis1=1, axis2=2)[:, _SCORED]
-        # only regular rows are divided: a singular one may hold theta = 0 (f = 0)
-        ratios = np.divide(diag, theta_sq, out=np.zeros(diag.shape), where=good[:, None])
-        costs = np.where(good & ~(diag < 0.0).any(axis=1), ratios.sum(axis=1), SINGULAR_PENALTY)
-        return float(costs.mean())
-
     def cost(b_sorted: np.ndarray) -> float:
         key = b_sorted.tobytes()
         if key not in memo:
-            memo[key] = evaluate(b_sorted)
+            te = min_te(float(b_sorted[-1]), scanner)
+            fisher = _fisher_sum([block(te, b) for b in b_sorted.tolist()], m, scanner.noise_sigma)
+            memo[key] = _cost_of_fisher(fisher, theta_sq, config.ridge_rel)
         return memo[key]
 
     return cost
@@ -265,7 +269,10 @@ def crlb_objective(
     finite penalty instead of raising, so optimizers always receive a
     defined cost.
     """
-    return _sample_cost(_checked_samples(tissue_samples), scanner, config)(protocol.b_array)
+    samples = _checked_samples(tissue_samples)
+    b_values = protocol.b_array
+    fisher = fisher_matrix(b_values, min_te(float(b_values[-1]), scanner), scanner, samples)
+    return _cost_of_fisher(fisher, samples[:, _SCORED] ** 2, config.ridge_rel)
 
 
 def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator, config: CrlbConfig):
