@@ -44,6 +44,8 @@ __all__ = [
 
 #: neighbors that vote in the cross-validated KNN classifier
 K_NEIGHBORS = 5
+#: stratified cross-validation folds; every class needs at least this many subjects
+N_FOLDS = 5
 
 
 class InsufficientSubjectsError(ValueError):
@@ -75,7 +77,7 @@ class Task(Enum):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Cross-validation settings; the KNN classifier votes K_NEIGHBORS neighbors.
+    """Cross-validation settings; N_FOLDS and the KNN's K_NEIGHBORS are fixed.
 
     ``validation_snr`` is the acquisition SNR used by the separability
     validation (the per-parameter AUC matrix); None means the scanner's
@@ -84,14 +86,11 @@ class EvalConfig:
     separate knob.
     """
 
-    n_folds: int = 5
     n_repeats_report: int = 50
     n_repeats_reward: int = 3
     validation_snr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_folds < 2:
-            raise ValueError("n_folds must be >= 2")
         if self.n_repeats_report < 1 or self.n_repeats_reward < 1:
             raise ValueError("repeat counts must be >= 1")
         if self.validation_snr is not None and not self.validation_snr > 1:
@@ -169,35 +168,29 @@ def knn_predict_batch(
     return predictions
 
 
-def stratified_fold_assignments(
-    labels: np.ndarray, n_folds: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Fold index per subject; per-fold class counts differ by at most one.
-
-    Each class's subjects are shuffled and dealt round-robin across folds.
-    """
-    labels = np.asarray(labels)
-    return _deal_folds(_class_members(labels, n_folds), n_folds, rng, 1)[0]
+def stratified_fold_assignments(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fold index per subject: each class's subjects are shuffled and dealt
+    round-robin across N_FOLDS folds, so per-fold class counts differ by at most one."""
+    return _deal_folds(_class_members(np.asarray(labels)), rng, 1)[0]
 
 
-def _class_members(labels: np.ndarray, n_folds: int) -> list:
+def _class_members(labels: np.ndarray) -> list:
     """Each class's subject indices, classes in ascending order."""
     members = []
     for value in np.unique(labels):
         idx = np.flatnonzero(labels == value)
-        if len(idx) < n_folds:
+        if len(idx) < N_FOLDS:
             raise InsufficientSubjectsError(
-                f"class {value.item()} has {len(idx)} subjects, fewer than {n_folds} folds"
-            )
+                f"class {value.item()} has {len(idx)} subjects, fewer than {N_FOLDS} folds")
         members.append(idx)
     return members
 
 
-def _deal_folds(members: list, n_folds: int, rng: np.random.Generator, n_repeats: int) -> np.ndarray:
+def _deal_folds(members: list, rng: np.random.Generator, n_repeats: int) -> np.ndarray:
     """(n_repeats, n_subjects) fold indices: in each repeat, every class's
     subjects are shuffled, class after class, and dealt round-robin."""
     folds = np.empty((n_repeats, sum(len(idx) for idx in members)), dtype=int)
-    deals = [np.arange(len(idx)) % n_folds for idx in members]
+    deals = [np.arange(len(idx)) % N_FOLDS for idx in members]
     for row in folds:
         for idx, deal in zip(members, deals):
             row[rng.permutation(idx)] = deal
@@ -207,7 +200,6 @@ def _deal_folds(members: list, n_folds: int, rng: np.random.Generator, n_repeats
 def cross_val_accuracy(
     features: np.ndarray,
     labels: np.ndarray,
-    config: EvalConfig,
     rng: np.random.Generator,
     n_repeats: int,
 ) -> float:
@@ -222,8 +214,8 @@ def cross_val_accuracy(
     labels = np.asarray(labels, dtype=int)
 
     # one split per (repeat, fold), repeat-major: the order of the pooled accuracies
-    folds = _deal_folds(_class_members(labels, config.n_folds), config.n_folds, rng, n_repeats)
-    test = (folds[:, None, :] == np.arange(config.n_folds)[:, None]).reshape(-1, len(labels))
+    folds = _deal_folds(_class_members(labels), rng, n_repeats)
+    test = (folds[:, None, :] == np.arange(N_FOLDS)[:, None]).reshape(-1, len(labels))
     train = ~test
 
     # z-score statistics of each split's training rows; the masked sums add
@@ -299,4 +291,4 @@ def task_objective(
     """
     dataset = simulate_fitted_dataset(protocol, task, env, rng)
     labels = dataset.label_codes(task.classes)
-    return cross_val_accuracy(dataset.features, labels, config, rng, n_repeats=config.n_repeats_reward)
+    return cross_val_accuracy(dataset.features, labels, rng, n_repeats=config.n_repeats_reward)

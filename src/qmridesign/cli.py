@@ -263,6 +263,9 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
 
 def cmd_plot(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
     rows = _read(read_report, args.report)
+    tasks = sorted({row["task"] for row in rows})
+    if len(tasks) > 1:  # a series is one method's results; across tasks they are not one curve
+        raise SystemExit(f"cannot plot {args.report}: it mixes the tasks {tasks}; a chart shows one task")
     path = out / "accuracy_vs_snr.svg"
     # the plotted rows' own provenance, under the stamp's keys, not the config given to plot
     provenance = " ".join(

@@ -11,14 +11,16 @@ every artifact so each output is reproducible from the pair alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .classify import EvalConfig, SimulationEnv, Task
+from .classify import N_FOLDS, EvalConfig, SimulationEnv, Task
 from .cohort import CohortSpec, TissueClass, TissueDistribution
 from .crlb import CrlbConfig
 from .fitting import FitBounds
@@ -70,6 +72,14 @@ def _json_list(raw) -> list:
     return raw
 
 
+def _known(raw, names) -> Mapping:
+    """The JSON object ``raw``; keys that are not in ``names`` are refused all together."""
+    unknown = set(_json_object(raw)) - set(names)
+    if unknown:
+        raise ValueError(f"unknown keys: {sorted(unknown)}")
+    return raw
+
+
 def _whole_number(raw) -> int:
     """``raw`` as an int; a fractional number, a boolean or a string is refused, not converted."""
     whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
@@ -78,21 +88,29 @@ def _whole_number(raw) -> int:
     return int(raw)
 
 
+def _real_number(raw):
+    """``raw`` as it is if it is a finite number; a boolean, a string, NaN or an infinity is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+        raise ValueError(f"expected a finite number, got {json.dumps(raw)}")
+    return raw
+
+
+#: how a JSON object's value is read into a dataclass field of each declared type
+_READERS = {"int": _whole_number, "float": _real_number,
+            "float | None": lambda raw: raw if raw is None else _real_number(raw)}
+
+
+def _record(cls, raw, **given):
+    """``cls`` built from the ``given`` field values and the JSON object
+    ``raw``, whose values are read by their field types' readers; keys that
+    name no other field are refused all together."""
+    readers = {f.name: _READERS[f.type] for f in fields(cls) if f.name not in given}
+    return cls(**given, **{name: _read(name, readers[name], value) for name, value in _known(raw, readers).items()})
+
+
 def _section(cls):
-    """Section held in one frozen dataclass, stored as the JSON object of its
-    fields; an int field is read as a whole number, and keys that name no
-    field are refused all together."""
-    names = {f.name for f in fields(cls)}
-    whole = {f.name for f in fields(cls) if f.type == "int"}
-
-    def load(raw):
-        unknown = set(_json_object(raw)) - names
-        if unknown:
-            raise ValueError(f"unknown keys: {sorted(unknown)}")
-        return cls(**{name: _read(name, _whole_number, value) if name in whole else value
-                      for name, value in raw.items()})
-
-    return _stored(asdict, load, default_factory=cls)
+    """Section held in one frozen dataclass, stored as the JSON object of its fields."""
+    return _stored(asdict, functools.partial(_record, cls), default_factory=cls)
 
 
 @dataclass(frozen=True)
@@ -114,7 +132,8 @@ class ExperimentConfig:
     crlb: CrlbConfig = _section(CrlbConfig)
     ppo: PpoConfig = _section(PpoConfig)
     optimizer: str = "adhoc"
-    snr_list: tuple = _stored(list, lambda raw: tuple(float(s) for s in _json_list(raw)), default=())
+    snr_list: tuple = _stored(list, lambda raw: tuple(  # --snr passes strings
+        float(_real_number(float(s) if isinstance(s, str) else s)) for s in _json_list(raw)), default=())
     out_dir: str = "runs/out"
 
     def __post_init__(self) -> None:
@@ -124,9 +143,9 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if not all(snr > 1 for snr in self.snr_list):
             raise ValueError(f"every snr_list entry must exceed 1, got {list(self.snr_list)}")
-        short = {label.value: n for label, n in self.cohort.counts.items() if n < self.eval.n_folds}
+        short = {label.value: n for label, n in self.cohort.counts.items() if n < N_FOLDS}
         if short:
-            raise ValueError(f"cohort classes {short} have fewer subjects than eval.n_folds = {self.eval.n_folds}")
+            raise ValueError(f"cohort classes {short} have fewer subjects than N_FOLDS = {N_FOLDS}")
 
     def resolved_tissue_file(self) -> Path:
         return Path(self.tissue_file) if self.tissue_file else default_tissue_path()
@@ -176,9 +195,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         version = raw.get("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(f"config schema version {version} not supported")
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"schema_version"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _known(raw, {f.name for f in fields(ExperimentConfig)} | {"schema_version"})
         if raw.get("tissue_file"):
             tissue = (path.parent / raw["tissue_file"]).resolve()
             if not tissue.exists():
@@ -206,36 +223,30 @@ def _read(name: str, load, raw):
         raise ValueError(f"{name}: {err}") from err
 
 
-#: per-class values a tissue file stores, in TissueDistribution field order
-_TISSUE_FIELDS = tuple(f.name for f in fields(TissueDistribution) if f.name != "class_label")
-
-
 def _tissue_records(distributions: Mapping[TissueClass, TissueDistribution]) -> dict:
     """{class token: {field: value}}, the tissue file's "classes" block."""
-    return {
-        label.value: {name: getattr(dist, name) for name in _TISSUE_FIELDS}
-        for label, dist in distributions.items()
-    }
+    return {label.value: {name: value for name, value in asdict(dist).items() if name != "class_label"}
+            for label, dist in distributions.items()}
 
 
 def load_tissue_distributions(path) -> dict:
     """Read a tissue-distribution file into {TissueClass: TissueDistribution}.
 
     A file that is not JSON, has another schema version, lacks a field or
-    holds an invalid value raises ValueError naming the file.
+    holds an unknown key, a value that is not a finite number or an invalid
+    value raises ValueError naming the file.
     """
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = _known(json.loads(text), ("schema_version", "classes"))
         version = raw.get("schema_version")
         if version != TISSUE_SCHEMA_VERSION:
             raise ValueError(
                 f"schema version {version} not supported (expected {TISSUE_SCHEMA_VERSION})"
             )
         return {
-            TissueClass(label): TissueDistribution(
-                TissueClass(label), **{name: block[name] for name in _TISSUE_FIELDS}
-            )
+            TissueClass(label): _read(label, functools.partial(_record, TissueDistribution,
+                                                               class_label=TissueClass(label)), block)
             for label, block in raw["classes"].items()
         }
     except KeyError as err:

@@ -70,6 +70,8 @@ SCORED_PARAMS = ("f", "d", "d_star")
 T_FINAL_FRACTION = 1.0e-3
 #: chance that an annealing proposal copies another slot's value instead of stepping
 DUPLICATE_MOVE_PROB = 0.25
+#: standard deviation (s/mm^2) of an annealing proposal's rounded Gaussian step
+PERTURB_WIDTH = 120.0
 
 _N_PARAMS = len(PARAM_NAMES)
 _IDENTITY = np.eye(_N_PARAMS)
@@ -80,12 +82,12 @@ _BLOCK_MEMO_BYTES = 256 * 10 * 100 * 8
 
 @dataclass(frozen=True)
 class CrlbConfig:
-    """Variance-optimizer settings; SCORED_PARAMS, T_FINAL_FRACTION and DUPLICATE_MOVE_PROB are fixed."""
+    """Variance-optimizer settings; SCORED_PARAMS, T_FINAL_FRACTION, DUPLICATE_MOVE_PROB
+    and PERTURB_WIDTH are fixed."""
 
     n_tissue_samples: int = 100
     iterations: int = 20000
     t_initial: float = 1.0
-    perturb_width: float = 120.0
     ridge_rel: float = 1.0e-12
 
     def __post_init__(self) -> None:
@@ -95,8 +97,6 @@ class CrlbConfig:
             raise ValueError("n_tissue_samples must be >= 1")
         if not self.t_initial >= 0.0:
             raise ValueError(f"t_initial must be >= 0, got {self.t_initial}")
-        if not self.perturb_width >= 0.0:
-            raise ValueError(f"perturb_width must be >= 0, got {self.perturb_width}")
         if not self.ridge_rel >= 0.0:
             raise ValueError(f"ridge_rel must be >= 0, got {self.ridge_rel}")
 
@@ -281,10 +281,10 @@ def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator,
     ``cost_fn`` maps a sorted float array of b-values to a scalar cost; the
     search starts from ``initial`` and keeps its slot count. Each of
     ``config.iterations`` proposals perturbs a single free slot, either by a
-    rounded Gaussian step or by copying another slot's value (which lets
-    acquisitions coalesce onto shared support points). Acceptance follows
-    the Metropolis rule under geometric cooling; ``t_initial = 0`` reduces
-    to hill-climbing. Returns (best_b_sorted, best_cost, best_cost_trace).
+    rounded Gaussian step of width PERTURB_WIDTH or by copying another
+    slot's value (which lets acquisitions coalesce onto shared support
+    points). Acceptance follows the Metropolis rule under geometric
+    cooling; ``t_initial = 0`` reduces to hill-climbing. Returns (best_b_sorted, best_cost, best_cost_trace).
     """
     iterations, t_initial = config.iterations, config.t_initial
     state = np.asarray(initial, dtype=float).copy()
@@ -307,7 +307,7 @@ def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator,
             other = int(rng.integers(0, n_slots))
             proposal[slot] = state[other]
         else:
-            proposal[slot] = min(max(round(state[slot] + rng.normal(0.0, config.perturb_width)), 0.0), B_VALUE_MAX)
+            proposal[slot] = min(max(round(state[slot] + rng.normal(0.0, PERTURB_WIDTH)), 0.0), B_VALUE_MAX)
         proposal_cost = cost_fn(np.sort(proposal))
         delta = proposal_cost - current_cost
         accept = delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature))

@@ -66,7 +66,7 @@ def evaluate_accuracy(
 ):
     """Mean and std of cross-validated accuracy over independent repeats."""
     accuracies = np.array([
-        cross_val_accuracy(dataset.features, labels, eval_config, rng, n_repeats=1)
+        cross_val_accuracy(dataset.features, labels, rng, n_repeats=1)
         for rng, dataset, labels in _repeats(
             protocol, task, env, eval_config, master_seed, n_repeats, "evaluate"
         )

@@ -6,21 +6,15 @@ diffusivity d (negative slope) and the extrapolated log-intercept.
 Stage 2 anchors s0 on the mean of the b = 0 measurements and reads the
 perfusion fraction off the intercept: f = 1 - exp(intercept)/s0.
 Stage 3 recovers d_star from the full residual by a bounded 1-D search:
-a scan of one 200-point log-spaced grid over [d_min, dstar_max], shared
-by every row and computed as a single product with the grid's
-exponential basis, followed by golden-section refinement from each row's
-best point at or above its d, which is deterministic and immune to
+a scan of one log-spaced grid of GRID_POINTS values over [d_min,
+dstar_max], shared by every row and computed as a single product with the
+grid's exponential basis, followed by golden-section refinement from each
+row's best point at or above its d, which is deterministic and immune to
 local minima. Only rows with f > 0 are scanned and refined; the others
 return d with the boundary flag set. A row's refinement stops once its
-bracket is narrower than refine_rel_tol * max(midpoint, d_min). The
-bracket's upper end never grows, so the midpoint never exceeds the
-starting upper end: while every width exceeds
-refine_rel_tol * max(starting upper end, d_min), no row can stop, and
-those steps skip the per-row stopping test. Every step shrinks every
-bracket by the golden ratio, so how many steps that holds for is counted
-once, from the narrowest starting bracket, less two steps whose margin
-covers rounding; those steps skip even the test of the widths. Either way
-the steps run in place on preallocated buffers, with the same arithmetic.
+bracket is narrower than REFINE_REL_TOL * max(midpoint, d_min); the steps
+that provably stop no row skip that test (see _refine_dstar), and run in
+place on preallocated buffers with the same arithmetic.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
@@ -57,6 +51,10 @@ _LOG_INV_GOLDEN = -math.log(_GOLDEN)
 
 #: b-value (s/mm^2) above which the perfusion compartment is treated as fully decayed
 HIGH_B_THRESHOLD = 200.0
+#: points of the log-spaced D* scan grid over [d_min, dstar_max]
+GRID_POINTS = 200
+#: a golden-section bracket stops once narrower than this fraction of max(midpoint, d_min)
+REFINE_REL_TOL = 1.0e-6
 
 
 class NoB0Error(ValueError):
@@ -65,18 +63,17 @@ class NoB0Error(ValueError):
 
 @dataclass(frozen=True)
 class FitBounds:
-    """Estimator bounds and search settings.
+    """Estimator bounds.
 
     The diffusivity clamp range and the d_star search ceiling bracket all
-    modeled tissue classes with wide margins. The segmentation threshold is
-    the constant HIGH_B_THRESHOLD.
+    modeled tissue classes with wide margins. The segmentation threshold
+    (HIGH_B_THRESHOLD) and the D* search's grid size (GRID_POINTS) and
+    tolerance (REFINE_REL_TOL) are fixed.
     """
 
     d_min: float = 1.0e-5
     d_max: float = 5.0e-3
     dstar_max: float = 0.5
-    grid_points: int = 200
-    refine_rel_tol: float = 1.0e-6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.d_min < self.d_max:
@@ -84,10 +81,6 @@ class FitBounds:
         if not self.d_max <= self.dstar_max:  # D* is searched on [d, dstar_max]
             raise ValueError(f"fit bounds need d_max <= dstar_max, got d_max={self.d_max}, "
                              f"dstar_max={self.dstar_max}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not self.refine_rel_tol > 0.0:
-            raise ValueError(f"refine_rel_tol must be > 0, got {self.refine_rel_tol}")
 
 
 DEFAULT_BOUNDS = FitBounds()
@@ -133,8 +126,8 @@ def fit_dstar(
     Minimizes sum_b [S_b - s0*((1-f) e^(-b d) + f e^(-b dstar))]^2 over
     dstar in [d, bounds.dstar_max] for each row of the (n, n_b) signal
     matrix, given (n,) arrays s0, f and d. The scan evaluates one grid of
-    ``bounds.grid_points`` log-spaced values over [d_min, dstar_max],
-    shared by all rows, and skips each row's points below d; golden-section
+    GRID_POINTS log-spaced values over [d_min, dstar_max], shared by all
+    rows, and skips each row's points below d; golden-section
     refinement then searches [max(previous point, d), next point] around
     the row's best point on the exact misfit. Only rows with f > 0 are
     scanned and refined; the others return d with the boundary flag set.
@@ -145,7 +138,7 @@ def fit_dstar(
     live = ~inactive  # a row with a NaN f is not inactive: it is refined
     dstar[live] = _refine_dstar(signals[live], b_values, s0[live], f[live], d[live], bounds)
 
-    edge_tol = 10.0 * bounds.refine_rel_tol
+    edge_tol = 10.0 * REFINE_REL_TOL
     at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
     at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
     at_bound = inactive | at_lower | at_upper
@@ -153,15 +146,27 @@ def fit_dstar(
 
 
 @lru_cache(maxsize=8)
-def _log_grid(d_min: float, dstar_max: float, grid_points: int) -> np.ndarray:
+def _log_grid(d_min: float, dstar_max: float) -> np.ndarray:
     """The D* scan grid, read-only: every fit with the same bounds shares it."""
-    grid = np.exp(np.linspace(np.log(d_min), np.log(dstar_max), grid_points))
+    grid = np.exp(np.linspace(np.log(d_min), np.log(dstar_max), GRID_POINTS))
     grid.flags.writeable = False
     return grid
 
 
 #: signs of the golden-section steps from a bracket's (upper, lower) ends
 _GOLDEN_STEPS = np.array([-_GOLDEN, _GOLDEN])
+
+
+def _unchecked_steps(width: np.ndarray, sure: np.ndarray) -> int:
+    """Golden-section steps that skip even the test of width against sure,
+    counted once from the narrowest ratio width / sure. The -2 leaves each
+    width above sure / G^3 (4.2 sure) at the last of them in exact
+    arithmetic; rounding moves a step's width by under 1.5 ulp of b, and
+    those moves, each shrunk by G in every later step, sum to under 4 ulp
+    of b, which a gap of 3.2 sure (3.2e-6 b) covers. An empty batch, or a
+    ratio that is no finite number above 1, counts none."""
+    ratio = (width / sure).min() if len(width) else np.nan
+    return int(math.log(ratio) / _LOG_INV_GOLDEN) - 2 if 1.0 < ratio < np.inf else 0
 
 
 def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
@@ -171,7 +176,7 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
 
     # one log-spaced grid for every row, scanned through the expansion
     # SSE = |r|^2 - 2a (r . E) + a^2 |E|^2 of the basis E = exp(-b * grid)
-    grid = _log_grid(bounds.d_min, bounds.dstar_max, bounds.grid_points)
+    grid = _log_grid(bounds.d_min, bounds.dstar_max)
     basis = np.exp(-b_values[:, None] * grid[None, :])
     # einsum, not BLAS: a matrix product can sum a lone row in another order,
     # and a row's fit must not depend on its batch
@@ -189,7 +194,7 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
     n = len(best)
     bracket = np.empty((n, 2))
     b, a = bracket[:, 0], bracket[:, 1]
-    b[:] = grid[np.minimum(best + 1, bounds.grid_points - 1)]
+    b[:] = grid[np.minimum(best + 1, GRID_POINTS - 1)]
     np.maximum(grid[np.maximum(best - 1, 0)], d, out=a)
     neg_b = -b_values
     width = np.empty(n)
@@ -217,25 +222,14 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
         np.square(model, out=model)
         model.sum(axis=2, out=values)
 
-    # A row freezes once width <= tol * max(midpoint, d_min). Its b never
-    # grows, so the midpoint never exceeds the starting b, and while every
-    # width exceeds sure = tol * max(starting b, d_min) no row can freeze:
-    # those steps skip the freeze test. Every step shrinks every width by
-    # G, so the first `unchecked` steps, counted once from the narrowest
-    # ratio width / sure, skip even the test of width against sure. The -2
-    # leaves each width above sure / G^3 (4.2 sure) at the last of them in
-    # exact arithmetic; rounding moves a step's width by under 1.5 ulp of
-    # b, and those moves, each shrunk by G in every later step, sum to
-    # under 4 ulp of b, which a gap of 3.2 sure covers when tol > 1e-15.
-    # An empty batch, a smaller tol or a ratio that is no finite number
-    # above 1 counts no unchecked step.
-    sure = bounds.refine_rel_tol * np.maximum(b, bounds.d_min)
+    # A row freezes once width <= REFINE_REL_TOL * max(midpoint, d_min); its
+    # midpoint never exceeds its starting b, so while every width exceeds
+    # sure = REFINE_REL_TOL * max(starting b, d_min) no row can freeze: those
+    # steps skip the freeze test, and the first `unchecked` the width test too.
+    sure = REFINE_REL_TOL * np.maximum(b, bounds.d_min)
     provably_active = n > 0
     probe()
-    ratio = (width / sure).min() if n else np.nan
-    unchecked = 0
-    if 1.0 < ratio < np.inf and bounds.refine_rel_tol > 1e-15:
-        unchecked = int(math.log(ratio) / _LOG_INV_GOLDEN) - 2
+    unchecked = _unchecked_steps(width, sure)
     for step in range(200):
         if step >= unchecked:
             provably_active = provably_active and (width > sure).all()
@@ -244,7 +238,7 @@ def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
             np.logical_not(shrink_left, out=shrink_right)
         else:
             # freeze converged rows so results do not depend on batch company
-            active = width > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
+            active = width > REFINE_REL_TOL * np.maximum(0.5 * (a + b), bounds.d_min)
             if not active.any():
                 break
             np.logical_and(active, f1 > f2, out=shrink_left)

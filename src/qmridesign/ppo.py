@@ -362,27 +362,26 @@ def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None =
 
 
 def load_checkpoint(path):
-    """Rebuild (agent, steps_done, meta) from a checkpoint file."""
-    data = np.load(path, allow_pickle=False)
-    if not isinstance(data, np.lib.npyio.NpzFile):  # a single .npy array
-        raise ValueError(f"{path} is not an npz archive")
-    with data:
-        meta = json.loads(str(data["meta"]))
-        if meta["checkpoint_version"] != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {meta['checkpoint_version']} not supported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        config = PpoConfig(**meta["config"])
-        agent = PpoAgent(
-            meta["observation_size"], meta["n_actions"], np.random.default_rng(0), config
-        )
-        for name, target in _checkpoint_arrays(agent).items():
-            source = data[name]
-            if source.shape != target.shape:
-                raise ValueError(
-                    f"checkpoint entry {name} has shape {source.shape}, expected {target.shape}"
-                )
-            target[...] = source
-        agent.optimizer.t = meta["adam_t"]
+    """Rebuild (agent, steps_done, meta) from a checkpoint file. One that is
+    not an intact npz archive, or stores a config with an unknown key,
+    raises ValueError naming it."""
+    try:
+        with zipfile.ZipFile(path) as archive:  # a bare .npy array or a cut file is no zip archive
+            if archive.testzip() is not None:  # every entry's CRC, checked before numpy parses one
+                raise zipfile.BadZipFile("an entry fails its CRC check")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta["checkpoint_version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"checkpoint version {meta['checkpoint_version']} not supported "
+                                 f"(expected {CHECKPOINT_VERSION})")
+            config = PpoConfig(**meta["config"])
+            agent = PpoAgent(meta["observation_size"], meta["n_actions"], np.random.default_rng(0), config)
+            for name, target in _checkpoint_arrays(agent).items():
+                source = data[name]
+                if source.shape != target.shape:
+                    raise ValueError(f"checkpoint entry {name} has shape {source.shape}, expected {target.shape}")
+                target[...] = source
+            agent.optimizer.t = meta["adam_t"]
+    except (zipfile.BadZipFile, TypeError) as err:  # TypeError: a PpoConfig key it does not know
+        raise ValueError(f"{path} is not a readable checkpoint: {err}") from err
     return agent, meta["steps_done"], meta

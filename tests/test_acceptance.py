@@ -267,9 +267,9 @@ def test_c05_knn_auc_oracles():
 
     x = rng.normal(size=(10_000, 4))
     y2 = np.array([0, 1] * 5000)
-    acc2 = cross_val_accuracy(x, y2, EvalConfig(), rng, n_repeats=1)
+    acc2 = cross_val_accuracy(x, y2, rng, n_repeats=1)
     y3 = np.arange(10_000) % 3
-    acc3 = cross_val_accuracy(x[: 9999], y3[: 9999], EvalConfig(), rng, n_repeats=1)
+    acc3 = cross_val_accuracy(x[: 9999], y3[: 9999], rng, n_repeats=1)
     ok = abs(acc2 - 0.5) <= 0.03 and abs(acc3 - 1 / 3) <= 0.03
     report_line("C05 KNN/AUC oracles", ok, f"chance binary {acc2:.3f}, 3-class {acc3:.3f}")
     assert ok

@@ -195,7 +195,7 @@ class TestStratifiedFolds:
     def test_per_fold_class_counts_within_one(self):
         rng = np.random.default_rng(3)
         labels = np.array([0] * 20 + [1] * 21 + [2] * 21)
-        folds = stratified_fold_assignments(labels, 5, rng)
+        folds = stratified_fold_assignments(labels, rng)
         for c in range(3):
             counts = [int(((folds == f) & (labels == c)).sum()) for f in range(5)]
             assert max(counts) - min(counts) <= 1
@@ -204,12 +204,12 @@ class TestStratifiedFolds:
     def test_insufficient_subjects(self):
         labels = np.array([0] * 10 + [1] * 3)
         with pytest.raises(InsufficientSubjectsError):
-            stratified_fold_assignments(labels, 5, np.random.default_rng(0))
+            stratified_fold_assignments(labels, np.random.default_rng(0))
 
     def test_insufficient_subjects_message_names_the_class_code(self):
         labels = np.array([0] * 4 + [1] * 4)
         with pytest.raises(InsufficientSubjectsError) as err:
-            stratified_fold_assignments(labels, 5, np.random.default_rng(0))
+            stratified_fold_assignments(labels, np.random.default_rng(0))
         assert str(err.value) == "class 0 has 4 subjects, fewer than 5 folds"
 
 
@@ -218,7 +218,7 @@ class TestCrossVal:
         rng = np.random.default_rng(4)
         x = np.vstack([rng.normal(0, 0.1, (30, 4)), rng.normal(50, 0.1, (30, 4))])
         y = np.array([0] * 30 + [1] * 30)
-        mean = cross_val_accuracy(x, y, EvalConfig(), rng, n_repeats=2)
+        mean = cross_val_accuracy(x, y, rng, n_repeats=2)
         assert mean == 1.0
 
     def test_chance_level_binary(self):
@@ -226,7 +226,7 @@ class TestCrossVal:
         n = 10_000
         x = rng.normal(size=(n, 4))
         y = np.array([0, 1] * (n // 2))
-        mean = cross_val_accuracy(x, y, EvalConfig(), rng, n_repeats=1)
+        mean = cross_val_accuracy(x, y, rng, n_repeats=1)
         assert 0.47 <= mean <= 0.53
 
     def test_chance_level_three_class(self):
@@ -234,7 +234,7 @@ class TestCrossVal:
         n = 9_999
         x = rng.normal(size=(n, 4))
         y = np.arange(n) % 3
-        mean = cross_val_accuracy(x, y, EvalConfig(), rng, n_repeats=1)
+        mean = cross_val_accuracy(x, y, rng, n_repeats=1)
         assert 1 / 3 - 0.03 <= mean <= 1 / 3 + 0.03
 
     def test_no_leakage_from_test_fold(self):
@@ -247,15 +247,14 @@ class TestCrossVal:
         rng = np.random.default_rng(7)
         x = rng.integers(-512, 512, size=(40, 4)) / 16.0
         y = np.arange(40) % 2
-        folds = stratified_fold_assignments(y, 5, np.random.default_rng(8))
+        folds = stratified_fold_assignments(y, np.random.default_rng(8))
         x_shuffled = x.copy()
         for c in range(2):
             idx = np.flatnonzero((folds == 0) & (y == c))
             x_shuffled[idx] = x[rng.permutation(idx)]
         assert not np.array_equal(x_shuffled, x)
-        cfg = EvalConfig()
-        before = cross_val_accuracy(x, y, cfg, np.random.default_rng(8), n_repeats=1)
-        after = cross_val_accuracy(x_shuffled, y, cfg, np.random.default_rng(8), n_repeats=1)
+        before = cross_val_accuracy(x, y, np.random.default_rng(8), n_repeats=1)
+        after = cross_val_accuracy(x_shuffled, y, np.random.default_rng(8), n_repeats=1)
         assert before == after
 
     @pytest.mark.parametrize("n_repeats", [1, 3])
@@ -271,15 +270,14 @@ class TestCrossVal:
             x[rng.integers(0, n, n // 2)] = x[rng.integers(0, n, n // 2)]
         elif ties == "sentinels":
             x[rng.random(n) < 0.4] = [0.0, 0.0, 1e-5, 1e-5]  # failed fits, all one point
-        cfg = EvalConfig()
         seed = 30 + n_repeats
         fold_rng = np.random.default_rng(seed)
         pooled = []
         for _ in range(n_repeats):
-            folds = stratified_fold_assignments(y, cfg.n_folds, fold_rng)
+            folds = stratified_fold_assignments(y, fold_rng)
             pooled += zscore_knn_reference(x, y, folds, K_NEIGHBORS, n_classes)
         expected = float(np.mean(pooled))
-        got = cross_val_accuracy(x, y, cfg, np.random.default_rng(seed), n_repeats=n_repeats)
+        got = cross_val_accuracy(x, y, np.random.default_rng(seed), n_repeats=n_repeats)
         np.testing.assert_equal(got, expected)
 
     @pytest.mark.parametrize("n_repeats", [1, 3])
@@ -293,25 +291,25 @@ class TestCrossVal:
         fold_rng = np.random.default_rng(50 + n_repeats)
         draw_rng = np.random.default_rng(50 + n_repeats)
         for _ in range(n_repeats):
-            stratified_fold_assignments(y, EvalConfig().n_folds, fold_rng)
+            stratified_fold_assignments(y, fold_rng)
             for c in range(3):
                 draw_rng.permutation(np.flatnonzero(y == c))
         cv_rng = np.random.default_rng(50 + n_repeats)
-        cross_val_accuracy(x, y, EvalConfig(), cv_rng, n_repeats=n_repeats)
+        cross_val_accuracy(x, y, cv_rng, n_repeats=n_repeats)
         assert cv_rng.bit_generator.state == fold_rng.bit_generator.state
         assert cv_rng.bit_generator.state == draw_rng.bit_generator.state
 
     def test_zero_repeats_refused(self):
         y = np.arange(20) % 2
         with pytest.raises(ValueError, match="n_repeats must be >= 1, got 0"):
-            cross_val_accuracy(np.zeros((20, 4)), y, EvalConfig(), np.random.default_rng(0), n_repeats=0)
+            cross_val_accuracy(np.zeros((20, 4)), y, np.random.default_rng(0), n_repeats=0)
 
     def test_constant_feature_does_not_blow_up(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(40, 4))
         x[:, 2] = 7.0
         y = rng.integers(0, 2, size=40)
-        mean = cross_val_accuracy(x, y, EvalConfig(), rng, n_repeats=1)
+        mean = cross_val_accuracy(x, y, rng, n_repeats=1)
         assert 0.0 <= mean <= 1.0
 
 

@@ -276,7 +276,7 @@ class TestAnnealing:
 
         best_b, best_cost, _ = anneal_b_values(
             cost_fn, initial=np.linspace(0, 1000, 2).round(), rng=np.random.default_rng(25),
-            config=CrlbConfig(iterations=4000, t_initial=1.0, perturb_width=150.0),
+            config=CrlbConfig(iterations=4000, t_initial=1.0),
         )
         assert best_b[0] == 0.0
         assert best_b[1] == pytest.approx(brute, abs=10.0)
@@ -289,7 +289,7 @@ class TestAnnealing:
 
         _, _, trace = anneal_b_values(
             cost_fn, initial=np.linspace(0, 1000, 5).round(), rng=rng,
-            config=CrlbConfig(iterations=500, t_initial=2.0, perturb_width=100.0),
+            config=CrlbConfig(iterations=500, t_initial=2.0),
         )
         assert np.all(np.diff(trace) <= 0.0)
 
@@ -304,7 +304,7 @@ class TestAnnealing:
 
         best_b, best_cost, trace = anneal_b_values(
             cost_fn, initial=np.linspace(0, 1000, 3).round(), rng=rng,
-            config=CrlbConfig(iterations=800, t_initial=0.0, perturb_width=80.0),
+            config=CrlbConfig(iterations=800, t_initial=0.0),
         )
         assert np.all(np.diff(trace) <= 0.0)
         assert best_cost <= costs[0]

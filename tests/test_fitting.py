@@ -13,7 +13,9 @@ import pytest
 from qmridesign import AcquisitionProtocol, IvimParams, ScannerConfig, fitting, ivim_signal
 from qmridesign.fitting import (
     DEFAULT_BOUNDS,
+    GRID_POINTS,
     HIGH_B_THRESHOLD,
+    REFINE_REL_TOL,
     FitBounds,
     NoB0Error,
     fit_dstar,
@@ -66,13 +68,14 @@ PANEL = {
 def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     """The D* search as a plain loop on fresh arrays, with a freeze test every step.
 
-    Returns (dstar, at_bound, (a, b)); the last holds each row's starting
-    golden-section bracket."""
+    Returns (dstar, at_bound, (a, b), widths); the third holds each row's
+    starting golden-section bracket, the last every row's bracket width
+    at each step (see reference_golden_section)."""
     tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     residual = signals - tissue
     amplitude = s0 * f
 
-    grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), bounds.grid_points))
+    grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), GRID_POINTS))
     basis = np.exp(-b_values[:, None] * grid[None, :])
     cross = np.einsum("nb,bg->ng", residual, basis)
     scan = (
@@ -83,12 +86,27 @@ def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     scan[grid[None, :] < d[:, None]] = np.inf
     best = scan.argmin(axis=1)
     a = np.maximum(grid[np.maximum(best - 1, 0)], d)
-    b = grid[np.minimum(best + 1, bounds.grid_points - 1)]
+    b = grid[np.minimum(best + 1, GRID_POINTS - 1)]
     start = a, b
+    a, b, widths = reference_golden_section(residual, amplitude, b_values, a, b, bounds.d_min)
 
+    dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
+    inactive = f <= 0.0
+    dstar = np.where(inactive, d, dstar)
+    edge_tol = 10.0 * REFINE_REL_TOL
+    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
+    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
+    return dstar, inactive | at_lower | at_upper, start, widths
+
+
+def reference_golden_section(residual, amplitude, b_values, a, b, d_min):
+    """Golden section on the brackets [a, b] as a plain loop, with a freeze
+    test every step. Returns the final (a, b) and the list of every row's
+    width b - a at each step, the test of step s reading widths[s]."""
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     neg_b = -b_values
     points = np.empty((len(a), 2))
+    widths = []
 
     def misfit():
         model = amplitude[:, None, None] * np.exp(neg_b[None, None, :] * points[:, :, None])
@@ -99,7 +117,8 @@ def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     points[:, 1] = a + golden * width
     f1, f2 = misfit()
     for _ in range(200):
-        active = width > bounds.refine_rel_tol * np.maximum(0.5 * (a + b), bounds.d_min)
+        widths.append(width)
+        active = width > REFINE_REL_TOL * np.maximum(0.5 * (a + b), d_min)
         if not active.any():
             break
         shrink_left = active & (f1 > f2)
@@ -110,14 +129,7 @@ def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
         points[:, 0] = b - golden * width
         points[:, 1] = a + golden * width
         f1, f2 = misfit()
-
-    dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
-    inactive = f <= 0.0
-    dstar = np.where(inactive, d, dstar)
-    edge_tol = 10.0 * bounds.refine_rel_tol
-    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
-    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
-    return dstar, inactive | at_lower | at_upper, start
+    return a, b, widths
 
 
 class TestFitHighB:
@@ -238,14 +250,13 @@ class TestFitDstar:
             brute = window[np.argmin(sse(window))]
             assert dstar == pytest.approx(brute, rel=1e-4)
 
-    @pytest.mark.parametrize("grid_points", [200, 37])
-    def test_no_worse_than_any_grid_point(self, grid_points):
+    def test_no_worse_than_any_grid_point(self):
         """Refined D* fits at least as well as every shared grid point >= d.
 
         Rows that end at a search bound are exempt from the comparison:
         golden section stops inside its final bracket, within
-        refine_rel_tol of the bound, so those rows are checked to sit there."""
-        bounds = FitBounds(grid_points=grid_points)
+        REFINE_REL_TOL of the bound, so those rows are checked to sit there."""
+        bounds = DEFAULT_BOUNDS
         rng = np.random.default_rng(18)
         n = 64
         b = ADHOC.b_array
@@ -263,14 +274,14 @@ class TestFitDstar:
         def sse(row, x):
             return ((residual[row] - s0[row] * f[row] * np.exp(-b * x)) ** 2).sum()
 
-        grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), grid_points))
+        grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), GRID_POINTS))
         interior = 0
         for row in range(n):
             if f[row] <= 0.0:
                 assert dstar[row] == d[row]
             elif at_bound[row]:
                 edge = min(abs(dstar[row] - d[row]), abs(bounds.dstar_max - dstar[row]))
-                assert edge <= 10.0 * bounds.refine_rel_tol * dstar[row]
+                assert edge <= 10.0 * REFINE_REL_TOL * dstar[row]
             else:
                 interior += 1
                 best_on_grid = min(sse(row, x) for x in grid[grid >= d[row]])
@@ -307,16 +318,13 @@ class TestFitDstar:
     def test_refinement_matches_reference_loop(self, protocol, monkeypatch):
         """fit_dstar and segmented_fit_batch equal the plain loop bit for bit.
 
-        Covers SNR 5 / 25 / 600, batches of 1 to 500 rows, two grid sizes and
-        three refinement tolerances, with f <= 0 rows, all-zero rows, rows
-        whose bracket starts at d (d moved up to the true D* in a quarter of
-        the rows), a row with a NaN f, and batches in which every step tests
-        for frozen rows: at tolerance 1e-3, a row whose d sits just under
-        dstar_max starts with a bracket narrower than refine_rel_tol / G^3
-        times its upper end."""
+        Covers SNR 5 / 25 / 600 and batches of 1 to 500 rows, with f <= 0
+        rows, all-zero rows, rows whose bracket starts at d (d moved up to
+        the true D* in a quarter of the rows), a row with a NaN f, and
+        batches in which every step tests for frozen rows: a row whose d
+        sits 3e-6 of dstar_max under it starts with a bracket narrower than
+        REFINE_REL_TOL / G^3 times its upper end."""
         rng = np.random.default_rng([*PANEL, "random"].index(protocol))
-        all_bounds = [FitBounds(grid_points=g, refine_rel_tol=tol)
-                      for g in (200, 37) for tol in (1e-6, 1e-3, 1e-10)]
         golden = (np.sqrt(5.0) - 1.0) / 2.0
         # f <= 0, zero signal, bracket at d, NaN f, no step left untested
         covered = np.zeros(5, dtype=int)
@@ -338,25 +346,88 @@ class TestFitDstar:
                 f = truth[:, 1] + rng.normal(0.0, 0.1, n)
                 d = np.where(rng.random(n) < 0.25, truth[:, 3], truth[:, 2])
                 if n > 1:
-                    f[0], d[1] = np.nan, 0.998 * DEFAULT_BOUNDS.dstar_max
-                for bounds in all_bounds:
-                    expected = reference_fit_dstar(signals, b, s0, f, d, bounds)
-                    dstar, at_bound = fit_dstar(signals, b, s0, f, d, bounds)
-                    np.testing.assert_array_equal(dstar, expected[0])
-                    np.testing.assert_array_equal(at_bound, expected[1])
-                    live = ~(f <= 0.0)
-                    a0, b0 = expected[2][0][live], expected[2][1][live]
-                    ratio = (b0 - a0) / (bounds.refine_rel_tol * np.maximum(b0, bounds.d_min))
-                    covered += [np.sum(~live), np.sum(zero), np.sum(a0 == d[live]), np.sum(np.isnan(f)),
-                                live.any() and ratio.min() < golden**-3]
+                    f[0], d[1] = np.nan, (1.0 - 3e-6) * DEFAULT_BOUNDS.dstar_max
+                expected = reference_fit_dstar(signals, b, s0, f, d)
+                dstar, at_bound = fit_dstar(signals, b, s0, f, d)
+                np.testing.assert_array_equal(dstar, expected[0])
+                np.testing.assert_array_equal(at_bound, expected[1])
+                live = ~(f <= 0.0)
+                a0, b0 = expected[2][0][live], expected[2][1][live]
+                ratio = (b0 - a0) / (REFINE_REL_TOL * np.maximum(b0, DEFAULT_BOUNDS.d_min))
+                covered += [np.sum(~live), np.sum(zero), np.sum(a0 == d[live]), np.sum(np.isnan(f)),
+                            live.any() and ratio.min() < golden**-3]
 
-                    features, flags = segmented_fit_batch(signals, b, bounds)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(fitting, "fit_dstar", lambda *args: reference_fit_dstar(*args)[:2])
-                        expected_features, expected_flags = segmented_fit_batch(signals, b, bounds)
-                    np.testing.assert_array_equal(features, expected_features)
-                    np.testing.assert_array_equal(flags, expected_flags)
+                features, flags = segmented_fit_batch(signals, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(fitting, "fit_dstar", lambda *args: reference_fit_dstar(*args)[:2])
+                    expected_features, expected_flags = segmented_fit_batch(signals, b)
+                np.testing.assert_array_equal(features, expected_features)
+                np.testing.assert_array_equal(flags, expected_flags)
         assert (covered > 0).all()
+
+
+    @staticmethod
+    def assert_unchecked_steps_sound(widths, b0, live):
+        """The steps that _refine_dstar runs without any test, counted from
+        the live rows' starting widths, leave every live row wider than
+        sure = REFINE_REL_TOL * max(starting b, d_min), so no row could have
+        frozen in them; by the count's margin, each is even wider than
+        sure / G^3 less 1e-8 sure, far more than the 4 ulp of b rounding
+        may take. Four steps after them, the narrowest row is no longer
+        wider than sure: the count leaves untaken only its margin of two
+        steps, the fraction of a step it rounds down, and one step where its
+        logarithm rounds below a whole number. Returns the count."""
+        sure = REFINE_REL_TOL * np.maximum(b0[live], DEFAULT_BOUNDS.d_min)
+        margin = ((np.sqrt(5.0) - 1.0) / 2.0) ** -3 - 1e-8
+        unchecked = fitting._unchecked_steps(widths[0][live], sure)
+        assert len(widths) > unchecked  # the reference loop ran past them
+        for step in range(unchecked):
+            assert (widths[step][live] > margin * sure).all(), step
+        if live.any() and len(widths) > unchecked + 4:
+            assert (widths[unchecked + 4][live] <= sure).any()
+        return unchecked
+
+    @pytest.mark.parametrize("protocol", list(PANEL))
+    def test_unchecked_steps_on_panel_fits(self, protocol):
+        """The unchecked-step count is sound and tight on every batch of the
+        reference search over fits of a PANEL protocol, SNR 5 to 600."""
+        rng = np.random.default_rng(60 + list(PANEL).index(protocol))
+        b = np.array(PANEL[protocol], dtype=float)
+        te = AcquisitionProtocol(tuple(b)).echo_time(SCANNER)
+        counts = []
+        for snr in (5.0, 25.0, 600.0):
+            for n in (1, 7, 62, 500):
+                truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
+                                         rng.uniform(5e-3, 8e-2, n)])
+                clean = ivim_signal(truth, b, te, SCANNER.t2)
+                signals = np.abs(clean + rng.normal(0, 1 / snr, clean.shape)
+                                 + 1j * rng.normal(0, 1 / snr, clean.shape))
+                s0 = np.exp(-te / SCANNER.t2) * (1.0 + rng.normal(0.0, 0.02, n))
+                f = truth[:, 1] + rng.normal(0.0, 0.1, n)
+                d = np.where(rng.random(n) < 0.25, truth[:, 3], truth[:, 2])
+                _, _, (_, b0), widths = reference_fit_dstar(signals, b, s0, f, d)
+                counts.append(self.assert_unchecked_steps_sound(widths, b0, ~(f <= 0.0)))
+        assert max(counts) > 0
+
+    def test_unchecked_steps_on_random_brackets(self):
+        """The same on random brackets from under 1 to 10^6 sure wide, some
+        a hair wider than sure / G^k, where rounding the count matters most."""
+        rng = np.random.default_rng(70)
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        b_values = np.sort(np.append(rng.integers(0, 1001, 9), 0)).astype(float)
+        counts = set()
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            b0 = rng.uniform(2e-5, 0.5, n)
+            ratio = 10.0 ** rng.uniform(-0.5, 6.0, n)
+            edge = rng.random(n) < 0.3
+            ratio[edge] = golden ** -rng.integers(1, 29, edge.sum()) * (1.0 + 1e-12)
+            a0 = b0 - ratio * REFINE_REL_TOL * np.maximum(b0, DEFAULT_BOUNDS.d_min)
+            residual = rng.normal(0.0, 0.05, (n, len(b_values)))
+            amplitude = rng.uniform(0.01, 0.4, n)
+            *_, widths = reference_golden_section(residual, amplitude, b_values, a0, b0, DEFAULT_BOUNDS.d_min)
+            counts.add(self.assert_unchecked_steps_sound(widths, b0, np.ones(n, dtype=bool)))
+        assert len(counts) > 20
 
 
 def test_dstar_ceiling_below_d_max_refused():

@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -126,9 +128,9 @@ class TestConfig:
     def test_hash_pinned(self):
         """Frozen digests: refactoring the config layer must not move them.
         A change to the config schema moves both, and re-pins them openly."""
-        assert config_hash(ExperimentConfig()) == "5ccd31ebaa50e5a2"
+        assert config_hash(ExperimentConfig()) == "1d1c2ca633e0abbc"
         repro = Path(__file__).resolve().parents[1] / "configs" / "repro.json"
-        assert config_hash(load_experiment_config(repro)) == "5f286aac121eac37"
+        assert config_hash(load_experiment_config(repro)) == "12112200045fd726"
 
     @pytest.mark.parametrize("which", ["default", "repro", "explicit_tissue"])
     def test_dumped_config_loads_back(self, which, tmp_path):
@@ -163,23 +165,67 @@ class TestConfig:
         assert load_experiment_config(snapshot).to_dict() == config.to_dict()
 
     def test_cohort_class_smaller_than_the_folds_refused(self):
-        """Stratified CV deals each class across ``eval.n_folds`` folds, so a
+        """Stratified CV deals each class across ``N_FOLDS`` folds, so a
         class with fewer subjects than folds is refused with the config."""
-        with pytest.raises(ValueError, match=r"\{'active': 20\} have fewer subjects than eval.n_folds = 21"):
-            ExperimentConfig(eval=EvalConfig(n_folds=21))
+        with pytest.raises(ValueError, match=r"\{'active': 4\} have fewer subjects than N_FOLDS = 5"):
+            ExperimentConfig(cohort=CohortSpec({TissueClass.ACTIVE: 4, TissueClass.CHRONIC: 21}))
         with pytest.raises(ValueError, match="'healthy': 4"):
             ExperimentConfig(cohort=CohortSpec({TissueClass.ACTIVE: 5, TissueClass.HEALTHY: 4}))
-        assert ExperimentConfig(eval=EvalConfig(n_folds=20)).eval.n_folds == 20
+        cohort = CohortSpec({TissueClass.ACTIVE: 5, TissueClass.HEALTHY: 5})
+        assert ExperimentConfig(cohort=cohort).cohort == cohort
 
     def test_int_fields_read_as_whole_numbers(self, tmp_path):
         """An int field of a section is read like ``seed``: a whole float loads
         as an int, a fractional one is refused naming its section and field."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"eval": {"n_folds": 4.0}}))
-        assert type(load_experiment_config(path).eval.n_folds) is int
-        path.write_text(json.dumps({"eval": {"n_folds": 2.5}}))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: eval: n_folds: expected a whole number, got 2.5")):
+        path.write_text(json.dumps({"eval": {"n_repeats_report": 4.0}}))
+        assert type(load_experiment_config(path).eval.n_repeats_report) is int
+        path.write_text(json.dumps({"eval": {"n_repeats_report": 2.5}}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: eval: n_repeats_report: expected a whole number, got 2.5")):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"scanner": {"t2": True}}, "scanner: t2: expected a finite number, got true"),
+        ({"crlb": {"t_initial": True}}, "crlb: t_initial: expected a finite number, got true"),
+        ({"crlb": {"ridge_rel": "1e-12"}}, 'crlb: ridge_rel: expected a finite number, got "1e-12"'),
+        ({"eval": {"validation_snr": float("inf")}}, "eval: validation_snr: expected a finite number, got Infinity"),
+        ({"snr_list": [25, float("inf")]}, "snr_list: expected a finite number, got Infinity"),
+        ({"snr_list": [True]}, "snr_list: expected a finite number, got true"),
+    ], ids=["boolean-t2", "boolean-t-initial", "string-ridge-rel", "infinite-validation-snr",
+            "infinite-snr", "boolean-snr"])
+    def test_float_fields_read_as_finite_numbers(self, payload, message, tmp_path):
+        """A float setting is a finite JSON number: a boolean, a string or an
+        infinity is refused naming its field, not converted."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_experiment_config(path)
+
+    def test_float_fields_keep_their_json_values(self, tmp_path):
+        """A whole number in a float field is kept as written, so the hash of
+        a file that holds one does not move; an SNR is read as a float."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scanner": {"t2": 1}, "eval": {"validation_snr": None}, "snr_list": [5, "15"]}))
+        config = load_experiment_config(path)
+        assert (config.scanner.t2, config.eval.validation_snr, config.snr_list) == (1, None, (5.0, 15.0))
+        assert type(config.scanner.t2) is int
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["classes"]["active"].update(std_f=True), "active: std_f: expected a finite number, got true"),
+        (lambda raw: raw["classes"]["healthy"].update(mean_d=float("nan")),
+         "healthy: mean_d: expected a finite number, got NaN"),
+        (lambda raw: raw["classes"]["active"].update(mean_s0=0.5), "active: unknown keys: ['mean_s0']"),
+        (lambda raw: raw.update(notes="x", source=1), "unknown keys: ['notes', 'source']"),
+    ], ids=["boolean-std-f", "nan-mean-d", "unknown-class-key", "unknown-top-level-keys"])
+    def test_tissue_file_values_and_keys_refused(self, edit, message, tmp_path):
+        """A tissue value is a finite number and every key names a field, in a
+        class block and at the top level; the message names the file and the
+        class."""
+        path = tmp_path / "tissue.json"
+        path.write_text(_edited_tissue_file(edit))
+        with pytest.raises(ValueError, match=re.escape(f"tissue file {path}: {message}")):
+            load_tissue_distributions(path)
 
     def test_validation_env_uses_knob(self):
         config = ExperimentConfig(eval=EvalConfig(validation_snr=200.0))
@@ -359,10 +405,12 @@ _BAD_PPO_VALUES = (
     ("ent_coef", -0.01), ("max_grad_norm", -1.0),
 )
 
-#: config sections, as a file of the previous schema may hold them, that set a
+#: config sections, as a file of an earlier schema may hold them, that set a
 #: field which is now a module constant
 _REMOVED_FIELDS = ({"ppo": {"clip_range": 0.2}}, {"scanner": {"gyromagnetic_ratio": 2.675e8}},
-                   {"ppo": {"gamma": 0.9, "clip_range": 0.2}})
+                   {"ppo": {"gamma": 0.9, "clip_range": 0.2}}, {"eval": {"n_folds": 2.5}},
+                   {"crlb": {"perturb_width": -3.0}}, {"fit_bounds": {"grid_points": 0}},
+                   {"fit_bounds": {"refine_rel_tol": 0.0}})
 
 
 def _edited_tissue_file(edit) -> str:
@@ -379,6 +427,20 @@ _BAD_TISSUE_FILES = {
     "mean-f-1.5.json": _edited_tissue_file(lambda raw: raw["classes"]["active"].update(mean_f=1.5)),
     "not-json.json": "active: 0.15\n",
 }
+
+
+def _rewrite_checkpoint_meta(source, target, edit) -> None:
+    """Copy the checkpoint ``source`` to ``target`` after ``edit`` changed its parsed metadata."""
+    with zipfile.ZipFile(source) as archive, zipfile.ZipFile(target, "w") as out:
+        for name in archive.namelist():
+            data = archive.read(name)
+            if name == "meta.npy":
+                meta = json.loads(str(np.load(io.BytesIO(data))))
+                edit(meta)
+                buffer = io.BytesIO()
+                np.save(buffer, np.array(json.dumps(meta)))
+                data = buffer.getvalue()
+            out.writestr(name, data)
 
 
 class TestCli:
@@ -423,20 +485,20 @@ class TestCli:
         assert f"<!-- config_hash={row['config_hash']} seed=424242 -->" in svg
 
         # a report mixing runs names each distinct hash and seed, sorted
-        append_report_rows(report, [TestReports().row(config_hash="0000", seed=10, snr=35.0)])
+        append_report_rows(report, [TestReports().row(task=row["task"], config_hash="0000", seed=10, snr=35.0)])
         run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path,
                 check=True)
         svg = (tmp_path / "fig" / "accuracy_vs_snr.svg").read_text()
         assert f"<!-- config_hash=0000,{row['config_hash']} seed=10,424242 -->" in svg
 
     def test_plot_refuses_a_report_with_two_results_for_one_cell(self, run_cli, tiny_config, tmp_path):
-        """Two tasks evaluated with one method into one report give two
-        results per (method, snr) cell: plot exits non-zero, names the cell
-        and both values, and writes no chart. An empty report takes the same
-        path."""
-        for task in ("multiclass", "active-chronic"):
+        """One task evaluated with one method under two seeds into one report
+        gives two results per (method, snr) cell: plot exits non-zero, names
+        the cell and both values, and writes no chart. An empty report takes
+        the same path."""
+        for seed in ("424242", "7"):
             run_cli(["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc",
-                     "--task", task, "--snr", "15,25"], tmp_path, check=True)
+                     "--seed", seed, "--snr", "15,25"], tmp_path, check=True)
         report = tmp_path / "out" / "report.csv"
         first = read_report(report)[0]
         plot = run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path)
@@ -451,6 +513,20 @@ class TestCli:
         assert plot.returncode != 0
         assert "no report rows to plot" in plot.stderr
         assert not (tmp_path / "fig" / "accuracy_vs_snr.svg").exists()
+
+    def test_plot_refuses_a_report_that_mixes_tasks(self, run_cli, tiny_config, tmp_path):
+        """A chart shows one task: rows of two tasks, even at SNRs that never
+        meet, would join into one polyline per method, so plot names the
+        tasks in one line and writes no chart."""
+        for task, snrs in (("active-chronic", "5,15"), ("multiclass", "25,35")):
+            run_cli(["evaluate", "--config", str(tiny_config), "--optimizer", "adhoc",
+                     "--task", task, "--snr", snrs], tmp_path, check=True)
+        report = tmp_path / "out" / "report.csv"
+        plot = run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path)
+        assert plot.returncode != 0
+        assert plot.stderr == (f"cannot plot {report}: it mixes the tasks ['active-chronic', 'multiclass']; "
+                               "a chart shows one task\n")
+        assert not (tmp_path / "fig").exists()
 
     def test_config_snapshot_drives_a_command(self, run_cli, tiny_config, tmp_path):
         run_cli(["optimize", "--config", str(tiny_config), "--optimizer", "crlb"], tmp_path,
@@ -571,16 +647,15 @@ class TestCli:
         (["optimize", "--optimizer", "crlb", "--budget", "0"], None),
         (["evaluate"], {"eval": {"k_neighbours": 3}}),
         (["evaluate", "--snr", "0.5"], None),
-        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 30}}),
+        (["evaluate", "--snr", "25,inf"], None),
+        (["evaluate", "--optimizer", "adhoc"], {"scanner": {"t2": True}}),
+        (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 4, "chronic": 21, "healthy": 21}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"t_initial": -1.0}}),
-        (["optimize", "--optimizer", "crlb"], {"crlb": {"perturb_width": -3.0}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"ridge_rel": -1e-12}}),
-        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"grid_points": 0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.01}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-6}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-3}}),
-        (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"refine_rel_tol": 0.0}}),
         *((["optimize", "--optimizer", "rl", "--budget", "36"], {"ppo": {name: value}})
           for name, value in _BAD_PPO_VALUES),
         *((["evaluate", "--optimizer", "adhoc"], {"tissue_file": name}) for name in _BAD_TISSUE_FILES),
@@ -590,7 +665,6 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"seed": 1.5}),
         (["evaluate", "--optimizer", "adhoc"], {"seed": True}),
         (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 20.7, "chronic": 21, "healthy": 21}}),
-        (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_folds": 2.5}}),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_reward": 2.5}}),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_report": 2.5}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"iterations": 100.5}}),
@@ -601,16 +675,18 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_reward": "5"}}),
         *((["evaluate", "--optimizer", "adhoc"], config) for config in _REMOVED_FIELDS),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
-            "fewer-subjects-than-folds", "negative-t-initial", "negative-perturb-width",
-            "negative-ridge-rel", "zero-grid-points", "zero-d-min", "d-min-above-d-max",
-            "dstar-max-below-d-min", "dstar-max-below-d-max", "zero-refine-tol",
+            "snr-infinite", "boolean-t2",
+            "fewer-subjects-than-folds", "negative-t-initial",
+            "negative-ridge-rel", "zero-d-min", "d-min-above-d-max",
+            "dstar-max-below-d-min", "dstar-max-below-d-max",
             *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
             *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES),
             "config-a-list", "cohort-not-an-object", "config-not-json", "fractional-seed",
-            "boolean-seed", "fractional-cohort-count", "fractional-n-folds", "fractional-n-repeats-reward",
+            "boolean-seed", "fractional-cohort-count", "fractional-n-repeats-reward",
             "fractional-n-repeats-report", "fractional-crlb-iterations", "fractional-rollout-steps",
             "snr-list-a-string", "snr-list-a-digit-string", "string-seed", "string-n-repeats-reward",
-            "removed-ppo-clip-range", "removed-scanner-gyromagnetic-ratio", "removed-ppo-gamma-clip-range"])
+            "removed-ppo-clip-range", "removed-scanner-gyromagnetic-ratio", "removed-ppo-gamma-clip-range",
+            "fractional-n-folds", "negative-perturb-width", "zero-grid-points", "zero-refine-tol"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made. A malformed
@@ -650,6 +726,14 @@ class TestCli:
         (["evaluate", "--protocol-file", "{json_list}"], "{json_list}"),
         (["evaluate", "--protocol-file", "{scalar_b_values}"], "{scalar_b_values}"),
         (["evaluate", "--checkpoint", "{npy}"], "{npy}"),
+        (["evaluate", "--checkpoint", "{empty}"], "cannot read {empty}: {empty} is not a readable checkpoint"),
+        (["evaluate", "--checkpoint", "{truncated}"],
+         "cannot read {truncated}: {truncated} is not a readable checkpoint: File is not a zip file"),
+        (["evaluate", "--checkpoint", "{corrupt}"],
+         "cannot read {corrupt}: {corrupt} is not a readable checkpoint: an entry fails its CRC check"),
+        (["evaluate", "--checkpoint", "{old_config}"],
+         "cannot read {old_config}: {old_config} is not a readable checkpoint: "
+         "PpoConfig.__init__() got an unexpected keyword argument 'gamma'"),
         (["evaluate", "--checkpoint", "{small_agent}"],
          "cannot use {small_agent}: its agent has (observation_size, n_actions) = (3, 2), "
          "the protocol environment needs (12, 1001)"),
@@ -663,13 +747,16 @@ class TestCli:
     ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
-            "checkpoint-npy", "checkpoint-other-shape", "optimize-adhoc", "evaluate-no-protocol-source",
+            "checkpoint-npy", "checkpoint-empty", "checkpoint-truncated", "checkpoint-corrupt",
+            "checkpoint-unknown-config-key", "checkpoint-other-shape", "optimize-adhoc", "evaluate-no-protocol-source",
             "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row"])
     def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
         """A missing input file, or one of another kind (an ``auc_report.csv``,
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
-        not a list, a bare ``.npy`` array, the checkpoint of an agent shaped
-        for another environment, a report row of another schema version or
+        not a list, a bare ``.npy`` array, an empty, truncated or corrupt
+        checkpoint or one storing a config with an unknown key, the
+        checkpoint of an agent shaped for another environment, a report row
+        of another schema version or
         with more or fewer cells than the header), ends the command with one
         line naming it; like a refused command, it leaves no output
         directory."""
@@ -679,6 +766,10 @@ class TestCli:
                  "json_list": str(tmp_path / "list.json"),
                  "scalar_b_values": str(tmp_path / "scalar.json"),
                  "npy": str(tmp_path / "array.npy"),
+                 "empty": str(tmp_path / "empty.npz"),
+                 "truncated": str(tmp_path / "truncated.npz"),
+                 "corrupt": str(tmp_path / "corrupt.npz"),
+                 "old_config": str(tmp_path / "old_config.npz"),
                  "small_agent": str(tmp_path / "small.npz"),
                  "v2_report": str(tmp_path / "v2.csv"),
                  "short_row": str(tmp_path / "short.csv"),
@@ -690,6 +781,14 @@ class TestCli:
         (tmp_path / "scalar.json").write_text(json.dumps({"schema_version": 1, "b_values": 5}))
         np.save(tmp_path / "array.npy", np.zeros(3))
         save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0)
+        archive = (tmp_path / "small.npz").read_bytes()
+        (tmp_path / "empty.npz").write_bytes(b"")
+        (tmp_path / "truncated.npz").write_bytes(archive[: len(archive) // 2])
+        middle = len(archive) // 2  # a byte of an array's data: its entry's CRC no longer matches
+        (tmp_path / "corrupt.npz").write_bytes(
+            archive[:middle] + bytes([archive[middle] ^ 0xFF]) + archive[middle + 1:])
+        _rewrite_checkpoint_meta(tmp_path / "small.npz", tmp_path / "old_config.npz",
+                                 lambda meta: meta["config"].update(gamma=0.9))
         append_report_rows(tmp_path / "v2.csv", [TestReports().row()])
         (tmp_path / "v2.csv").write_text((tmp_path / "v2.csv").read_text().replace("\n1,", "\n2,"))
         (tmp_path / "short.csv").write_text(",".join(REPORT_COLUMNS) + "\n1,multiclass,adhoc\n")
