@@ -5,8 +5,8 @@ plot, report. Each takes only the flags it reads. Every command but
 report resolves one JSON config (flags override individual fields) once;
 ``main`` pairs its hash with the master seed in the run's one provenance
 stamp. A command computes its result, then one writer per format stamps
-and writes it, making the output directory. A refused command or an
-unreadable input file ends in one line and leaves no directory behind.
+and writes it, making the output directory. A refused command, an unreadable
+input or an unwritable output ends in one line before any work, writing nothing.
 Concurrent invocations must target distinct output directories.
 """
 
@@ -61,11 +61,19 @@ _FLAGS = {
     "seed": dict(type=int, help="master seed override"),
     "out": dict(dest="out_dir", type=Path, help="output directory override"),
     "task": dict(choices=[t.token for t in Task], help="task override"),
-    "snr": dict(dest="snr_list", type=lambda text: text.split(","),
+    "snr": dict(dest="snr_list", type=lambda text: [_number(value) for value in text.split(",")],
                 help="comma-separated SNR list override, e.g. 5,15,25,35"),
     "optimizer": dict(choices=OPTIMIZER_CHOICES, help="protocol source or optimizer override"),
     "report": dict(type=Path, required=True, help="input report.csv"),
 }
+
+
+def _number(text: str):
+    """``text`` as a float, or as it is if it is not one: a float config field refuses it in one line."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _budget(text: str) -> int:
@@ -211,6 +219,9 @@ def cmd_calibrate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int
 
 
 def cmd_evaluate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
+    path = out / "report.csv"
+    if path.exists():  # the rows are appended to it: one it cannot read is refused before any scoring
+        _read(read_report, path)
     base = config.sim_env()
     protocol, label = _protocol_source(args, config, base)
     rows = []
@@ -225,7 +236,6 @@ def cmd_evaluate(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
             mean_accuracy=mean, std_accuracy=std, n_repeats=config.eval.n_repeats_report,
             **stamp, wall_clock_s=elapsed,
         ))
-    path = out / "report.csv"
     append_report_rows(path, rows)
     for row in rows:
         print(f"{row.task} {row.method} snr={row.snr:g}: "
@@ -301,8 +311,12 @@ def main(argv=None) -> int:
         stamp = {"config_hash": config_hash(config), "seed": config.seed}  # reads the tissue file
     except (ValueError, TypeError, OSError) as err:
         raise SystemExit(f"invalid configuration: {err}") from err
+    out = Path(config.out_dir)
+    blocking = next(path for path in (out, *out.parents) if path.exists())
+    if not blocking.is_dir():  # no writer could make the output directory
+        raise SystemExit(f"cannot write to {out}: {blocking} is not a directory")
     try:
-        return args.run(args, config, Path(config.out_dir), stamp)
+        return args.run(args, config, out, stamp)
     except MissingDistributionError as err:  # the command samples a class the config lacks
         raise SystemExit(f"{args.command}: {err.args[0]}") from err
 

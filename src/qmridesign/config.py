@@ -132,8 +132,7 @@ class ExperimentConfig:
     crlb: CrlbConfig = _section(CrlbConfig)
     ppo: PpoConfig = _section(PpoConfig)
     optimizer: str = "adhoc"
-    snr_list: tuple = _stored(list, lambda raw: tuple(  # --snr passes strings
-        float(_real_number(float(s) if isinstance(s, str) else s)) for s in _json_list(raw)), default=())
+    snr_list: tuple = _stored(list, lambda raw: tuple(float(_real_number(s)) for s in _json_list(raw)), default=())
     out_dir: str = "runs/out"
 
     def __post_init__(self) -> None:

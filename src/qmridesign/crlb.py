@@ -66,7 +66,9 @@ SINGULAR_PENALTY = 1.0e12
 
 #: parameters whose normalized CRLB the cost sums; s0 is a nuisance
 SCORED_PARAMS = ("f", "d", "d_star")
-#: final annealing temperature as a fraction of t_initial
+#: annealing temperature at the first proposal, in units of the cost
+T_INITIAL = 1.0
+#: final annealing temperature as a fraction of T_INITIAL
 T_FINAL_FRACTION = 1.0e-3
 #: chance that an annealing proposal copies another slot's value instead of stepping
 DUPLICATE_MOVE_PROB = 0.25
@@ -82,12 +84,11 @@ _BLOCK_MEMO_BYTES = 256 * 10 * 100 * 8
 
 @dataclass(frozen=True)
 class CrlbConfig:
-    """Variance-optimizer settings; SCORED_PARAMS, T_FINAL_FRACTION, DUPLICATE_MOVE_PROB
-    and PERTURB_WIDTH are fixed."""
+    """Variance-optimizer settings; SCORED_PARAMS, T_INITIAL, T_FINAL_FRACTION, DUPLICATE_MOVE_PROB and
+    PERTURB_WIDTH are fixed. ridge_rel is a field: it is all that crlb_objective's ``config`` carries."""
 
     n_tissue_samples: int = 100
     iterations: int = 20000
-    t_initial: float = 1.0
     ridge_rel: float = 1.0e-12
 
     def __post_init__(self) -> None:
@@ -95,8 +96,6 @@ class CrlbConfig:
             raise ValueError("iterations must be >= 1")
         if self.n_tissue_samples < 1:
             raise ValueError("n_tissue_samples must be >= 1")
-        if not self.t_initial >= 0.0:
-            raise ValueError(f"t_initial must be >= 0, got {self.t_initial}")
         if not self.ridge_rel >= 0.0:
             raise ValueError(f"ridge_rel must be >= 0, got {self.ridge_rel}")
 
@@ -275,18 +274,17 @@ def crlb_objective(
     return _cost_of_fisher(fisher, samples[:, _SCORED] ** 2, config.ridge_rel)
 
 
-def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator, config: CrlbConfig):
+def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator, iterations: int):
     """Simulated annealing over integer b-value vectors, first slot pinned to b = 0.
 
     ``cost_fn`` maps a sorted float array of b-values to a scalar cost; the
     search starts from ``initial`` and keeps its slot count. Each of
-    ``config.iterations`` proposals perturbs a single free slot, either by a
+    ``iterations`` proposals perturbs a single free slot, either by a
     rounded Gaussian step of width PERTURB_WIDTH or by copying another
     slot's value (which lets acquisitions coalesce onto shared support
     points). Acceptance follows the Metropolis rule under geometric
-    cooling; ``t_initial = 0`` reduces to hill-climbing. Returns (best_b_sorted, best_cost, best_cost_trace).
+    cooling from T_INITIAL. Returns (best_b_sorted, best_cost, best_cost_trace).
     """
-    iterations, t_initial = config.iterations, config.t_initial
     state = np.asarray(initial, dtype=float).copy()
     state[0] = 0.0
     n_slots = len(state)
@@ -297,10 +295,7 @@ def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator,
     trace = np.empty(iterations)
 
     for step in range(iterations):
-        if t_initial > 0.0 and iterations > 1:
-            temperature = t_initial * T_FINAL_FRACTION ** (step / (iterations - 1))
-        else:
-            temperature = 0.0
+        temperature = T_INITIAL * T_FINAL_FRACTION ** (step / (iterations - 1)) if iterations > 1 else 0.0
         slot = int(rng.integers(1, n_slots))
         proposal = state.copy()
         if rng.random() < DUPLICATE_MOVE_PROB:
@@ -354,5 +349,5 @@ def optimize_crlb(
     if tissue_samples is None:
         tissue_samples = draw_tissue_samples(classes, distributions, config.n_tissue_samples, rng)
     cost = _sample_cost(_checked_samples(tissue_samples), scanner, config)
-    best_b, best_cost, trace = anneal_b_values(cost, ADHOC_B_VALUES, rng, config)
+    best_b, best_cost, trace = anneal_b_values(cost, ADHOC_B_VALUES, rng, config.iterations)
     return AcquisitionProtocol(tuple(best_b)), best_cost, trace

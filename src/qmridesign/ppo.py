@@ -5,8 +5,8 @@ default) trained with Adam at learning rate 1e-3. Updates follow the
 standard recipe: generalized advantage estimation (GAMMA = 0.99,
 GAE_LAMBDA = 0.95), batch-level advantage normalization, ten epochs of
 shuffled minibatches of 64, ratio clip CLIP_RANGE = 0.2, Adam's ADAM_EPS,
-value-loss weight 0.5, and entropy bonus off by default (a config knob,
-since very wide action spaces may need it); the capitalized names are
+value-loss weight VF_COEF = 0.5, global gradient-norm clip
+MAX_GRAD_NORM = 0.5 and no entropy bonus; the capitalized names are
 module constants. All gradients are computed by explicit reverse
 accumulation in nets.Mlp; the test suite checks them against central
 finite differences, which is the load-bearing numerical test here.
@@ -47,12 +47,14 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 GAMMA = 0.99
 GAE_LAMBDA = 0.95
 CLIP_RANGE = 0.2
 ADAM_EPS = 1.0e-5
+VF_COEF = 0.5
+MAX_GRAD_NORM = 0.5
 
 
 class PpoNanError(RuntimeError):
@@ -61,13 +63,12 @@ class PpoNanError(RuntimeError):
 
 @dataclass(frozen=True)
 class PpoConfig:
+    """Training settings; GAMMA, GAE_LAMBDA, CLIP_RANGE, ADAM_EPS, VF_COEF and MAX_GRAD_NORM are fixed."""
+
     total_steps: int = 100_000
     rollout_steps: int = 2048
     minibatch_size: int = 64
     n_epochs: int = 10
-    ent_coef: float = 0.0
-    vf_coef: float = 0.5
-    max_grad_norm: float = 0.5
     learning_rate: float = 1.0e-3
     hidden_size: int = 64
 
@@ -80,9 +81,6 @@ class PpoConfig:
             raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if not self.learning_rate >= 0.0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        for name in ("vf_coef", "ent_coef", "max_grad_norm"):  # max_grad_norm 0 turns clipping off
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class PpoAgent:
@@ -163,23 +161,23 @@ def gae(rewards, values, dones, last_value: float, gamma: float, gae_lambda: flo
     return advantages, returns
 
 
-def _clip_global_norm(grad: np.ndarray, n_actor_params: int, max_norm: float) -> None:
+def _clip_global_norm(grad: np.ndarray, n_actor_params: int) -> None:
     # scales in place; actor and critic sums of squares added as two floats: one sum over the
     # whole vector would group the additions differently and round differently
     actor, critic = grad[:n_actor_params], grad[n_actor_params:]
     total = np.sqrt(float((actor**2).sum()) + float((critic**2).sum()))
-    if max_norm > 0.0 and total > max_norm:
-        grad *= max_norm / total
+    if total > MAX_GRAD_NORM:
+        grad *= MAX_GRAD_NORM / total
 
 
-def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, config: PpoConfig):
+def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns):
     """Clipped-surrogate loss of one minibatch and its gradient.
 
     Returns (losses, grad): ``losses`` maps policy_loss, value_loss,
     entropy and approx_kl to floats; the total minimized is
-    policy_loss + vf_coef * value_loss - ent_coef * entropy, and ``grad``
-    is laid out like ``agent.params``. Raises PpoNanError if the total is
-    non-finite.
+    policy_loss + VF_COEF * value_loss (the entropy is reported, not
+    minimized), and ``grad`` is laid out like ``agent.params``. Raises
+    PpoNanError if the total is non-finite.
     """
     batch = len(actions)
     # log_softmax, then its exp, on two buffers: the logits become logp_all
@@ -196,29 +194,21 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns, confi
     policy_loss = -np.minimum(unclipped, clipped).mean()
 
     buffer = probs * logp_all
-    entropy_per = -buffer.sum(axis=1)
-    entropy = entropy_per.mean()
+    entropy = (-buffer.sum(axis=1)).mean()
 
     values, critic_cache = agent.critic.forward(obs)
     value_err = values[:, 0] - returns
     value_loss = float((value_err**2).mean())
 
-    total_loss = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
-    if not np.isfinite(total_loss):
-        raise PpoNanError(
-            f"non-finite loss (policy={policy_loss}, value={value_loss}, entropy={entropy})"
-        )
+    if not np.isfinite(policy_loss + VF_COEF * value_loss):
+        raise PpoNanError(f"non-finite loss (policy={policy_loss}, value={value_loss}, entropy={entropy})")
 
     # d(policy_loss)/d(logp_act): the clipped branch has zero slope
     active = unclipped <= clipped
     dlogp_act = np.where(active, ratio * advantages, 0.0) * (-1.0 / batch)
     dlogits = np.multiply(probs, (-dlogp_act)[:, None], out=buffer)  # == -probs * dlogp_act
     dlogits[rows, actions] += dlogp_act
-    if config.ent_coef != 0.0:
-        # dH/dlogits = -p * (logp + H)
-        d_entropy = -probs * (logp_all + entropy_per[:, None])
-        dlogits += (-config.ent_coef / batch) * d_entropy
-    dvalues = (2.0 * config.vf_coef / batch) * value_err[:, None]
+    dvalues = (2.0 * VF_COEF / batch) * value_err[:, None]
 
     losses = {
         "policy_loss": float(policy_loss),
@@ -252,11 +242,9 @@ def ppo_update(agent: PpoAgent, rollout: np.ndarray, last_value: float,
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             idx = order[start : start + config.minibatch_size]
-            losses, grad = ppo_loss(
-                agent, rollout["obs"][idx], rollout["action"][idx], rollout["log_prob"][idx],
-                advantages[idx], returns[idx], config,
-            )
-            _clip_global_norm(grad, agent.n_actor_params, config.max_grad_norm)
+            losses, grad = ppo_loss(agent, rollout["obs"][idx], rollout["action"][idx], rollout["log_prob"][idx],
+                                    advantages[idx], returns[idx])
+            _clip_global_norm(grad, agent.n_actor_params)
             agent.optimizer.step(grad)
             agent.check_finite()
             minibatch_losses.append(losses)

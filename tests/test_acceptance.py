@@ -40,7 +40,7 @@ from qmridesign.crlb import draw_tissue_samples, fisher_matrix, optimize_crlb, s
 from qmridesign.experiments import AUC_PARAMS, auc_matrix, evaluate_accuracy
 from qmridesign.fitting import segmented_fit_batch
 from qmridesign.nets import log_softmax
-from qmridesign.ppo import CLIP_RANGE, PpoAgent, ppo_loss
+from qmridesign.ppo import CLIP_RANGE, VF_COEF, PpoAgent, ppo_loss
 from qmridesign.protocol_env import ProtocolEnv
 from qmridesign import CrlbConfig
 
@@ -162,8 +162,7 @@ def test_c03_ppo_gradient_check():
     """Full loss on a 4-hidden-unit agent: analytic vs finite differences
     within 1e-4 relative."""
     rng = np.random.default_rng(MASTER_SEED + 2)
-    config = PpoConfig(total_steps=0, hidden_size=4, ent_coef=0.01, learning_rate=0.0)
-    agent = PpoAgent(4, 5, rng, config)
+    agent = PpoAgent(4, 5, rng, PpoConfig(total_steps=0, hidden_size=4, learning_rate=0.0))
     n = 10
     obs = rng.normal(size=(n, 4))
     actions = rng.integers(0, 5, size=n)
@@ -173,19 +172,15 @@ def test_c03_ppo_gradient_check():
     returns = rng.normal(size=n)
 
     def loss_value():
-        logits = agent.actor(obs)
-        logp_all = log_softmax(logits)
-        probs = np.exp(logp_all)
-        logp_act = logp_all[np.arange(n), actions]
+        logp_act = log_softmax(agent.actor(obs))[np.arange(n), actions]
         ratio = np.exp(logp_act - logp_old)
         clipped = np.clip(ratio, 1 - CLIP_RANGE, 1 + CLIP_RANGE)
         policy = -np.minimum(ratio * advantages, clipped * advantages).mean()
-        entropy = float((-(probs * logp_all).sum(axis=1)).mean())
         values = agent.critic(obs)[:, 0]
         value = float(((values - returns) ** 2).mean())
-        return policy + config.vf_coef * value - config.ent_coef * entropy
+        return policy + VF_COEF * value
 
-    _, analytic = ppo_loss(agent, obs, actions, logp_old, advantages, returns, config)
+    _, analytic = ppo_loss(agent, obs, actions, logp_old, advantages, returns)
 
     params = agent.params
     numeric = np.empty_like(params)

@@ -1,6 +1,8 @@
 """The alternating-pairs tool's verdict (``tools/bench_pairs.py``), on fixed numbers."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,53 @@ def test_faults_forbid_a_gain(tool):
     assert tool.verdict(PARENT, change, "higher", 0.25, sound=False)["verdict"] == "not worse"
     # a fault does not hide a loss
     assert tool.verdict(PARENT, [p * 0.7 for p in PARENT], "higher", 0.25, sound=False)["verdict"] == "worse"
+
+
+def test_both_checkouts_run_from_fresh_bytecode_caches_filled_alike(tool, tmp_path, monkeypatch):
+    """With ``subprocess.run`` stubbed: each checkout gets a new bytecode-cache
+    directory of its own, which one tiny run with bytecode writing on fills
+    before the first pair; every measured run reads that cache with writing
+    off, and a pair's two runs differ only in their checkout and cache."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((BENCH_PAIRS.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # as a checkout with a stale __pycache__ may be run
+    calls = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append({"cwd": cwd, "command": command, "env": env,
+                      "cached": sorted(p.name for p in cache.rglob("*")) if cache.exists() else None})
+        if "PYTHONDONTWRITEBYTECODE" not in env:
+            cache.mkdir(parents=True, exist_ok=True)
+            (cache / "module.pyc").write_bytes(b"")
+        result = {"correct": True, "failed": 0, "metrics": {
+            name: {"value": 1.0} for name in ("setup_s", "protocols_per_s", "peak_rss_mb")}}
+        stdout = f"first-round output digest 47e0d99a484ddb47\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.main(["--parent", str(parent), "--change", str(change), "--workload", "rl_search",
+                      "--seeds", "101-102", "--out", str(tmp_path / "pairs.json")]) == 0
+
+    warm, measured = calls[:2], calls[2:]
+    assert [call["cwd"] for call in warm] == [parent, change]
+    assert [call["cwd"] for call in measured] == [parent, change, change, parent]
+    caches = {call["cwd"]: call["env"]["PYTHONPYCACHEPREFIX"] for call in warm}
+    assert caches[parent] != caches[change]
+    for call in warm:  # a fresh cache, filled with writing on by a tiny run
+        assert call["cached"] is None
+        assert "--tiny" in call["command"] and "PYTHONDONTWRITEBYTECODE" not in call["env"]
+    for call in measured:  # the side's own filled cache, read with writing off
+        assert call["env"]["PYTHONPYCACHEPREFIX"] == caches[call["cwd"]]
+        assert call["cached"] == ["module.pyc"]
+        assert "--tiny" not in call["command"] and call["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+    def same_but_cache(a, b):
+        return a["command"] == b["command"] and (
+            {**a["env"], "PYTHONPYCACHEPREFIX": ""} == {**b["env"], "PYTHONPYCACHEPREFIX": ""})
+
+    assert same_but_cache(*warm)
+    assert same_but_cache(*measured[:2]) and same_but_cache(*measured[2:])
+    assert not any(Path(cache).exists() for cache in caches.values())  # removed when the tool ends

@@ -128,9 +128,9 @@ class TestConfig:
     def test_hash_pinned(self):
         """Frozen digests: refactoring the config layer must not move them.
         A change to the config schema moves both, and re-pins them openly."""
-        assert config_hash(ExperimentConfig()) == "1d1c2ca633e0abbc"
+        assert config_hash(ExperimentConfig()) == "37782d78332a5592"
         repro = Path(__file__).resolve().parents[1] / "configs" / "repro.json"
-        assert config_hash(load_experiment_config(repro)) == "12112200045fd726"
+        assert config_hash(load_experiment_config(repro)) == "9d16bfcbaed80baa"
 
     @pytest.mark.parametrize("which", ["default", "repro", "explicit_tissue"])
     def test_dumped_config_loads_back(self, which, tmp_path):
@@ -187,13 +187,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("payload, message", [
         ({"scanner": {"t2": True}}, "scanner: t2: expected a finite number, got true"),
-        ({"crlb": {"t_initial": True}}, "crlb: t_initial: expected a finite number, got true"),
+        ({"ppo": {"learning_rate": True}}, "ppo: learning_rate: expected a finite number, got true"),
         ({"crlb": {"ridge_rel": "1e-12"}}, 'crlb: ridge_rel: expected a finite number, got "1e-12"'),
         ({"eval": {"validation_snr": float("inf")}}, "eval: validation_snr: expected a finite number, got Infinity"),
         ({"snr_list": [25, float("inf")]}, "snr_list: expected a finite number, got Infinity"),
         ({"snr_list": [True]}, "snr_list: expected a finite number, got true"),
-    ], ids=["boolean-t2", "boolean-t-initial", "string-ridge-rel", "infinite-validation-snr",
-            "infinite-snr", "boolean-snr"])
+        ({"snr_list": [5, "15"]}, 'snr_list: expected a finite number, got "15"'),
+    ], ids=["boolean-t2", "boolean-learning-rate", "string-ridge-rel", "infinite-validation-snr",
+            "infinite-snr", "boolean-snr", "string-snr"])
     def test_float_fields_read_as_finite_numbers(self, payload, message, tmp_path):
         """A float setting is a finite JSON number: a boolean, a string or an
         infinity is refused naming its field, not converted."""
@@ -206,7 +207,7 @@ class TestConfig:
         """A whole number in a float field is kept as written, so the hash of
         a file that holds one does not move; an SNR is read as a float."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"scanner": {"t2": 1}, "eval": {"validation_snr": None}, "snr_list": [5, "15"]}))
+        path.write_text(json.dumps({"scanner": {"t2": 1}, "eval": {"validation_snr": None}, "snr_list": [5, 15.0]}))
         config = load_experiment_config(path)
         assert (config.scanner.t2, config.eval.validation_snr, config.snr_list) == (1, None, (5.0, 15.0))
         assert type(config.scanner.t2) is int
@@ -401,8 +402,8 @@ class TestPlot:
 
 #: PpoConfig fields and values it refuses
 _BAD_PPO_VALUES = (
-    ("hidden_size", 0), ("learning_rate", -0.001), ("learning_rate", float("nan")), ("vf_coef", -1.0),
-    ("ent_coef", -0.01), ("max_grad_norm", -1.0),
+    ("hidden_size", 0), ("learning_rate", -0.001), ("learning_rate", float("nan")), ("rollout_steps", 0),
+    ("minibatch_size", 0), ("n_epochs", 0),
 )
 
 #: config sections, as a file of an earlier schema may hold them, that set a
@@ -410,7 +411,8 @@ _BAD_PPO_VALUES = (
 _REMOVED_FIELDS = ({"ppo": {"clip_range": 0.2}}, {"scanner": {"gyromagnetic_ratio": 2.675e8}},
                    {"ppo": {"gamma": 0.9, "clip_range": 0.2}}, {"eval": {"n_folds": 2.5}},
                    {"crlb": {"perturb_width": -3.0}}, {"fit_bounds": {"grid_points": 0}},
-                   {"fit_bounds": {"refine_rel_tol": 0.0}})
+                   {"fit_bounds": {"refine_rel_tol": 0.0}}, {"crlb": {"t_initial": -1.0}},
+                   {"ppo": {"vf_coef": -1.0}}, {"ppo": {"ent_coef": -0.01}}, {"ppo": {"max_grad_norm": -1.0}})
 
 
 def _edited_tissue_file(edit) -> str:
@@ -650,7 +652,7 @@ class TestCli:
         (["evaluate", "--snr", "25,inf"], None),
         (["evaluate", "--optimizer", "adhoc"], {"scanner": {"t2": True}}),
         (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 4, "chronic": 21, "healthy": 21}}),
-        (["optimize", "--optimizer", "crlb"], {"crlb": {"t_initial": -1.0}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"n_tissue_samples": 0}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"ridge_rel": -1e-12}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.01}}),
@@ -676,7 +678,7 @@ class TestCli:
         *((["evaluate", "--optimizer", "adhoc"], config) for config in _REMOVED_FIELDS),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
             "snr-infinite", "boolean-t2",
-            "fewer-subjects-than-folds", "negative-t-initial",
+            "fewer-subjects-than-folds", "zero-tissue-samples",
             "negative-ridge-rel", "zero-d-min", "d-min-above-d-max",
             "dstar-max-below-d-min", "dstar-max-below-d-max",
             *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
@@ -686,7 +688,8 @@ class TestCli:
             "fractional-n-repeats-report", "fractional-crlb-iterations", "fractional-rollout-steps",
             "snr-list-a-string", "snr-list-a-digit-string", "string-seed", "string-n-repeats-reward",
             "removed-ppo-clip-range", "removed-scanner-gyromagnetic-ratio", "removed-ppo-gamma-clip-range",
-            "fractional-n-folds", "negative-perturb-width", "zero-grid-points", "zero-refine-tol"])
+            "fractional-n-folds", "negative-perturb-width", "zero-grid-points", "zero-refine-tol",
+            "negative-t-initial", "ppo-vf_coef--1.0", "ppo-ent_coef--0.01", "ppo-max_grad_norm--1.0"])
     def test_bad_config_values_exit_without_traceback(self, run_cli, argv, config, tmp_path):
         """A config value the program cannot use ends the command with a
         one-line message, before the output directory is made. A malformed
@@ -744,12 +747,21 @@ class TestCli:
         (["report", "--report", "{short_row}"], "cannot read {short_row}: line 2 has 3 cells, not the header's 13"),
         (["plot", "--report", "{short_row}"], "cannot read {short_row}: line 2 has 3 cells, not the header's 13"),
         (["report", "--report", "{long_row}"], "cannot read {long_row}: line 2 has 14 cells, not the header's 13"),
+        (["evaluate", "--optimizer", "adhoc", "--out", "{plain_file}"],
+         "cannot write to {plain_file}: {plain_file} is not a directory"),
+        (["validate", "--out", "{plain_file}"], "cannot write to {plain_file}: {plain_file} is not a directory"),
+        (["optimize", "--optimizer", "crlb", "--out", "{plain_file}/run"],
+         "cannot write to {plain_file}/run: {plain_file} is not a directory"),
+        (["evaluate", "--optimizer", "adhoc", "--out", "{old_run}"],
+         "cannot read {old_run}/report.csv: report {old_run}/report.csv has header ['a', 'b'], expected"),
     ], ids=["report-missing", "report-foreign", "plot-missing", "plot-foreign",
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
             "checkpoint-npy", "checkpoint-empty", "checkpoint-truncated", "checkpoint-corrupt",
             "checkpoint-unknown-config-key", "checkpoint-other-shape", "optimize-adhoc", "evaluate-no-protocol-source",
-            "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row"])
+            "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row",
+            "evaluate-out-a-file", "validate-out-a-file", "optimize-crlb-out-under-a-file",
+            "evaluate-report-foreign-header"])
     def test_unreadable_input_or_refused_command_exits_cleanly(self, run_cli, argv, needle, tmp_path):
         """A missing input file, or one of another kind (an ``auc_report.csv``,
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
@@ -759,7 +771,10 @@ class TestCli:
         of another schema version or
         with more or fewer cells than the header), ends the command with one
         line naming it; like a refused command, it leaves no output
-        directory."""
+        directory. So does an output the command could not write: an
+        ``--out`` that is a file or lies under one, or a report to append to
+        whose header is another schema's; these are refused before any
+        scoring. No file is written or changed."""
         names = {"missing": str(tmp_path / "missing"),
                  "foreign_csv": str(tmp_path / "auc_report.csv"),
                  "foreign_json": str(tmp_path / "config.json"),
@@ -773,7 +788,9 @@ class TestCli:
                  "small_agent": str(tmp_path / "small.npz"),
                  "v2_report": str(tmp_path / "v2.csv"),
                  "short_row": str(tmp_path / "short.csv"),
-                 "long_row": str(tmp_path / "long.csv")}
+                 "long_row": str(tmp_path / "long.csv"),
+                 "plain_file": str(tmp_path / "notes.txt"),
+                 "old_run": str(tmp_path / "old_run")}
         (tmp_path / "auc_report.csv").write_text(
             "task,param,mean_auc,std_auc,n_repeats,config_hash,seed\nactive-chronic,f,0.5,0.1,3,abc,1\n")
         (tmp_path / "config.json").write_text(json.dumps({"seed": 1}))
@@ -794,14 +811,19 @@ class TestCli:
         (tmp_path / "short.csv").write_text(",".join(REPORT_COLUMNS) + "\n1,multiclass,adhoc\n")
         append_report_rows(tmp_path / "long.csv", [TestReports().row()])
         (tmp_path / "long.csv").write_text((tmp_path / "long.csv").read_text().rstrip() + ",extra\n")
+        (tmp_path / "notes.txt").write_text("notes\n")
+        (tmp_path / "old_run").mkdir()
+        (tmp_path / "old_run" / "report.csv").write_text("a,b\n1,2\n")
+        before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
         out = tmp_path / "run"
-        outputs = [] if argv[0] == "report" else ["--out", str(out)]
+        outputs = [] if argv[0] == "report" or "--out" in argv else ["--out", str(out)]
         result = run_cli([arg.format(**names) for arg in argv] + outputs, tmp_path)
         assert result.returncode != 0
         assert "Traceback" not in result.stderr
         assert needle.format(**names) in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
+        assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
 
     def test_report_of_a_header_only_file_is_empty(self, run_cli, tmp_path):
         path = tmp_path / "report.csv"

@@ -18,6 +18,7 @@ import pytest
 from qmridesign.nets import log_softmax
 from qmridesign.ppo import (
     CLIP_RANGE,
+    VF_COEF,
     PpoAgent,
     PpoConfig,
     PpoNanError,
@@ -182,20 +183,16 @@ def fill_rollout(agent, rng, n=32, n_actions=5, obs_dim=4):
     return rollout
 
 
-def ppo_loss_value(agent, batch, config):
+def ppo_loss_value(agent, batch):
     """Forward-only recomputation of the scalar loss for finite differencing."""
     obs, actions, logp_old, advantages, returns = batch
-    logits = agent.actor(obs)
-    logp_all = log_softmax(logits)
-    probs = np.exp(logp_all)
-    logp_act = logp_all[np.arange(len(actions)), actions]
+    logp_act = log_softmax(agent.actor(obs))[np.arange(len(actions)), actions]
     ratio = np.exp(logp_act - logp_old)
     clipped = np.clip(ratio, 1 - CLIP_RANGE, 1 + CLIP_RANGE)
     policy_loss = -np.minimum(ratio * advantages, clipped * advantages).mean()
-    entropy = float((-(probs * logp_all).sum(axis=1)).mean())
     values = agent.critic(obs)[:, 0]
     value_loss = float(((values - returns) ** 2).mean())
-    return policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
+    return policy_loss + VF_COEF * value_loss
 
 
 def numeric_gradient(agent, loss, h=2e-6):
@@ -214,13 +211,11 @@ def numeric_gradient(agent, loss, h=2e-6):
 
 
 class TestGradientCheck:
-    @pytest.mark.parametrize("ent_coef", [0.0, 0.01])
-    def test_full_loss_gradients_match_finite_differences(self, ent_coef):
+    def test_full_loss_gradients_match_finite_differences(self):
         """4-hidden-unit agent, fixed batch: analytic vs central differences
         within 1e-4 relative (the acceptance-level gradient check)."""
         rng = np.random.default_rng(7)
-        config = PpoConfig(total_steps=0, hidden_size=4, ent_coef=ent_coef,
-                           max_grad_norm=0.0, learning_rate=0.0)
+        config = PpoConfig(total_steps=0, hidden_size=4, learning_rate=0.0)
         agent = PpoAgent(4, 5, rng, config)
         n = 12
         obs = rng.normal(size=(n, 4))
@@ -231,65 +226,41 @@ class TestGradientCheck:
         returns = rng.normal(size=n)
         batch = (obs, actions, logp_old, advantages, returns)
 
-        _, analytic = ppo_loss(agent, *batch, config)
-        numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch, config))
+        _, analytic = ppo_loss(agent, *batch)
+        numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch))
 
         scale = np.abs(numeric).max()
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-4 * scale)
-
-    def test_entropy_gradient_on_peaked_policy(self):
-        """Entropy term alone on a far-from-uniform policy: at the near-uniform
-        initial policy its gradient vanishes, so the full-loss check above
-        cannot see it."""
-        rng = np.random.default_rng(18)
-        config = PpoConfig(total_steps=0, hidden_size=4, ent_coef=1.0, vf_coef=0.0)
-        agent = PpoAgent(4, 5, rng, config)
-        agent.actor.weights[-1][...] *= 300.0
-        n = 12
-        obs = rng.normal(size=(n, 4))
-        actions = rng.integers(0, 5, size=n)
-        logp_old = log_softmax(agent.actor(obs))[np.arange(n), actions]
-        batch = (obs, actions, logp_old, np.zeros(n), np.zeros(n))
-
-        _, analytic = ppo_loss(agent, *batch, config)
-        numeric = numeric_gradient(agent, lambda: ppo_loss_value(agent, batch, config))
-
-        scale = np.abs(numeric).max()
-        assert scale > 1e-2
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-4 * scale)
 
 
 class TestPpoUpdate:
     def test_zero_advantage_leaves_policy_term_inactive(self):
-        """Zero advantages with the value and entropy terms off: no actor gradient."""
+        """Zero advantages: no actor gradient (the value term moves only the critic)."""
         rng = np.random.default_rng(8)
-        config = small_config(vf_coef=0.0, ent_coef=0.0)
-        agent = PpoAgent(4, 5, rng, config)
+        agent = PpoAgent(4, 5, rng, small_config())
         rollout = fill_rollout(agent, rng)
         n = len(rollout)
         batch = (rollout["obs"], rollout["action"], rollout["log_prob"])
         actor = slice(agent.n_actor_params)
-        grad = ppo_loss(agent, *batch, np.zeros(n), rollout["reward"], config)[1]
+        grad = ppo_loss(agent, *batch, np.zeros(n), rollout["reward"])[1]
         assert np.all(grad[actor] == 0.0)
-        grad = ppo_loss(agent, *batch, np.ones(n), rollout["reward"], config)[1]
+        grad = ppo_loss(agent, *batch, np.ones(n), rollout["reward"])[1]
         assert np.any(grad[actor] != 0.0)
 
     def test_clipping_definition(self):
         """A sample whose ratio exceeds 1 + clip under a positive advantage
         contributes the clipped 1.2 * advantage and no policy gradient."""
         rng = np.random.default_rng(16)
-        config = small_config(vf_coef=0.0, ent_coef=0.0)
-        agent = PpoAgent(4, 5, rng, config)
+        agent = PpoAgent(4, 5, rng, small_config())
         obs = rng.normal(size=(2, 4))
         actions = np.array([1, 3])
         logp_act = log_softmax(agent.actor(obs))[np.arange(2), actions]
         logp_old = logp_act - np.log([2.0, 1.0])  # ratios 2 and 1
         returns = np.zeros(2)
         actor = slice(agent.n_actor_params)
-        losses, grad = ppo_loss(agent, obs, actions, logp_old, np.ones(2), returns, config)
+        losses, grad = ppo_loss(agent, obs, actions, logp_old, np.ones(2), returns)
         assert losses["policy_loss"] == pytest.approx(-(1.2 + 1.0) / 2)
-        _, without_first = ppo_loss(agent, obs, actions, logp_old, np.array([0.0, 1.0]),
-                                    returns, config)
+        _, without_first = ppo_loss(agent, obs, actions, logp_old, np.array([0.0, 1.0]), returns)
         np.testing.assert_array_equal(grad[actor], without_first[actor])
 
     def test_update_returns_stats_and_keeps_simplex(self):
@@ -315,27 +286,28 @@ class TestPpoUpdate:
     def test_one_update_pinned(self):
         """One update of a tiny agent on a fixed seeded rollout: the returned
         statistics and a few weights, as the buffer-class implementation gave
-        them. Three minibatches per epoch (the last one short), entropy bonus
-        on, gradient clipping active. A change to the update's arithmetic
-        moves these, while a one-round train digest, taken before any update
-        acts, does not."""
+        them. Three minibatches per epoch (the last one short), gradient
+        clipping active. A change to the update's arithmetic moves these,
+        while a one-round train digest, taken before any update acts, does
+        not. Pinned without an entropy bonus: these are the values the
+        earlier code gave at ``ent_coef = 0``, bit for bit."""
         rng = np.random.default_rng(21)
-        config = small_config(ent_coef=0.01)
+        config = small_config()
         agent = PpoAgent(4, 5, rng, config)
         rollout = fill_rollout(agent, rng, n=40)
         stats = ppo_update(agent, rollout, last_value=0.3, rng=rng, config=config)
         assert stats == pytest.approx({
-            "policy_loss": 0.019767700343872777,
-            "value_loss": 2.991759318033052,
-            "entropy": 1.6092940213361566,
-            "approx_kl": -0.002058737241520953,
+            "policy_loss": 0.019767390355971318,
+            "value_loss": 2.991759345752752,
+            "entropy": 1.6092939994633315,
+            "approx_kl": -0.002058841945365588,
         }, rel=1e-9)
         assert agent.optimizer.t == 9
         assert agent.n_actor_params == 157 and agent.params.size == 278
-        pinned = {0: 0.18763359211480993, 7: -0.20102862137004016, 156: -0.0010736665979218171,
-                  157: -0.9640283449975452, 277: 0.020534010725630908}
+        pinned = {0: 0.1876351087123062, 7: -0.20103035996753224, 156: -0.001072025471165596,
+                  157: -0.9640283381195894, 277: 0.020533990986998422}
         assert {i: agent.params[i] for i in pinned} == pytest.approx(pinned, rel=1e-9)
-        assert agent.params.sum() == pytest.approx(-3.422101219833816, rel=1e-9)
+        assert agent.params.sum() == pytest.approx(-3.422098466259877, rel=1e-9)
 
 
 class TestTraining:
@@ -484,20 +456,25 @@ class TestGreedyAndCheckpoint:
             load_checkpoint(path)
 
     def test_version_three_checkpoint_refused(self, tmp_path):
-        """Version 3 has today's four entries, but its stored config also
-        holds gamma, gae_lambda, clip_range and adam_eps, which are now
-        constants; the file is refused by its version, not misread."""
-        path = tmp_path / "old.npz"
-        save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(17), small_config()), steps_done=0)
-        with np.load(path) as data:
-            entries = dict(data)
-        meta = json.loads(str(entries["meta"]))
-        meta["checkpoint_version"] = 3
-        meta["config"].update(gamma=0.99, gae_lambda=0.95, clip_range=0.2, adam_eps=1.0e-5)
-        entries["meta"] = np.array(json.dumps(meta, sort_keys=True))
-        np.savez(path, **entries)
-        with pytest.raises(ValueError, match="checkpoint version 3 not supported"):
-            load_checkpoint(path)
+        """Versions 3 and 4 have today's four entries, but their stored
+        configs also hold fields that are now constants: version 4 holds
+        ent_coef, vf_coef and max_grad_norm, and version 3 also gamma,
+        gae_lambda, clip_range and adam_eps. Each file is refused by its
+        version, not misread."""
+        removed = {"ent_coef": 0.0, "vf_coef": 0.5, "max_grad_norm": 0.5}
+        for version, stored in ((3, dict(removed, gamma=0.99, gae_lambda=0.95, clip_range=0.2, adam_eps=1.0e-5)),
+                                (4, removed)):
+            path = tmp_path / f"v{version}.npz"
+            save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(17), small_config()), steps_done=0)
+            with np.load(path) as data:
+                entries = dict(data)
+            meta = json.loads(str(entries["meta"]))
+            meta["checkpoint_version"] = version
+            meta["config"].update(stored)
+            entries["meta"] = np.array(json.dumps(meta, sort_keys=True))
+            np.savez(path, **entries)
+            with pytest.raises(ValueError, match=f"checkpoint version {version} not supported"):
+                load_checkpoint(path)
 
     def test_checkpoint_entries(self, tmp_path):
         path = tmp_path / "agent.npz"

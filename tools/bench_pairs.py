@@ -22,6 +22,13 @@ is "unresolved" unless every change run beats every parent run. The tool exits w
 fault. It reads ``perfbench/`` and ``BENCHMARK.json`` of the change checkout
 and edits neither; the seed range is parsed by ``perfbench/spread.py``'s
 ``seed_range``.
+
+Both checkouts start every run from the same bytecode-cache state, so a
+set-up time does not compare a warm import with a cold one. Each gets a
+fresh cache directory of its own (``PYTHONPYCACHEPREFIX``), which one tiny
+run of the workload fills before the first pair, with bytecode writing on;
+the measured runs then read it with writing off. Neither checkout's own
+``__pycache__`` directories are read.
 """
 
 from __future__ import annotations
@@ -29,10 +36,12 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DIGEST = re.compile(r"first-round output digest (\S+)")
@@ -49,15 +58,26 @@ def _spread_module():
 seed_range = _spread_module().seed_range
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds, metrics: list) -> dict:
-    """One ``run.py --trace 0`` in ``checkout``: its end-to-end metrics,
-    correct, failed, first-round digest and unscaled numbers."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds, cache: Path, *flags: str, write: bool) -> str:
+    """The standard output of one ``run.py --trace 0`` in ``checkout`` whose
+    bytecode cache is the directory ``cache``, written to if ``write``, else
+    only read; a failed run ends the tool."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    if not write:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
+               "--seconds", str(seconds), "--trace", "0", *flags]
+    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True, env=env)
     if done.returncode != 0:
         sys.exit(f"{checkout}: run.py --workload {workload} --seed {seed} exited with {done.returncode}")
-    lines = done.stdout.strip().splitlines()
+    return done.stdout
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds, metrics: list, cache: Path) -> dict:
+    """One measured run in ``checkout``, reading the bytecode cache ``cache``:
+    its end-to-end metrics, correct, failed, first-round digest and unscaled numbers."""
+    lines = run_bench(checkout, workload, seed, seconds, cache, write=False).strip().splitlines()
     result = json.loads(lines[-1])
     unscaled = next((line.split(" unscaled ", 1)[1] for line in lines if " unscaled " in line), "null")
     return {
@@ -126,14 +146,19 @@ def main(argv=None) -> int:
     metrics = [metric["name"] for metric in bench["end_to_end"]]
 
     pairs = []
-    for index, seed in enumerate(args.seeds):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, bench["run_seconds"], metrics)
-        pairs.append(pair)
-        print(f"seed {seed}: " + "  ".join(
-            f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in metrics), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as caches:
+        cache = {side: Path(caches, side) for side in ("parent", "change")}
+        for side in ("parent", "change"):  # fill each fresh cache with what a tiny run imports
+            run_bench(getattr(args, side), args.workload, args.seeds[0], 1, cache[side], "--tiny", write=True)
+        for index, seed in enumerate(args.seeds):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(getattr(args, side), args.workload, seed, bench["run_seconds"], metrics,
+                                      cache[side])
+            pairs.append(pair)
+            print(f"seed {seed}: " + "  ".join(
+                f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in metrics), flush=True)
 
     faults = pair_faults(pairs)
     summary = {
