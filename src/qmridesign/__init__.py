@@ -7,9 +7,18 @@ protocol by cross-validated KNN accuracy on the estimated parameters.
 Two optimizers search protocol space against that score: a simulated
 annealer over the estimation-variance (CRLB) objective, and a
 policy-gradient agent trained directly on the task objective.
+
+Importing the package pins the BLAS/OpenMP threads to 1 unless the caller
+set them, so a run's weights do not depend on the thread count; a numpy
+imported before the package keeps its own threads.
 """
 
-from .classify import (
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .classify import (  # numpy loads here, after the pin
     EvalConfig,
     SimulationEnv,
     Task,

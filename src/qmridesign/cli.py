@@ -166,7 +166,7 @@ def _protocol_source(args, config: ExperimentConfig, sim_env):
         protocol, payload = _read(load_protocol_artifact, args.protocol_file)
         return protocol, args.label or payload.get("method", "artifact")
     if args.checkpoint:
-        agent, _, _ = _read(load_checkpoint, args.checkpoint)
+        agent, _ = _read(load_checkpoint, args.checkpoint)
         shape = (agent.observation_size, agent.n_actions)
         expected = (ProtocolEnv.observation_size, ProtocolEnv.n_actions)
         if shape != expected:
@@ -262,7 +262,7 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
         extra = {"episodes": result.episodes, "total_steps": config.ppo.total_steps}
         summary = f"best_reward={objective:.3f} ({result.episodes} episodes)"
         write_curve(out / "curve.csv", result.curve)
-        save_checkpoint(out / "checkpoint.npz", result.agent, config.ppo.total_steps, extra=stamp)
+        save_checkpoint(out / "checkpoint.npz", result.agent, stamp)
     write_json(out / "config_snapshot.json", config.to_dict())
     artifact = out / f"protocol_{method}.json"
     save_protocol_artifact(artifact, protocol, method, config.scanner, stamp,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 GAMMA = 0.99
 GAE_LAMBDA = 0.95
@@ -319,40 +319,29 @@ def rollout_greedy(agent: PpoAgent, env):
     return _protocol_from_info(info), total
 
 
-def _checkpoint_arrays(agent: PpoAgent) -> dict:
-    """Checkpoint entry name -> the agent array it holds; save reads them, load fills them."""
-    return {"params": agent.params, "adam_m": agent.optimizer.m, "adam_v": agent.optimizer.v}
-
-
-def save_checkpoint(path, agent: PpoAgent, steps_done: int, extra: dict | None = None) -> None:
-    """Versioned dump of weights, optimizer moments and counters."""
-    arrays = _checkpoint_arrays(agent)
-    meta = {
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "observation_size": agent.observation_size,
-        "n_actions": agent.n_actions,
-        "adam_t": agent.optimizer.t,
-        "steps_done": int(steps_done),
-        "config": asdict(agent.config),
-        "extra": extra or {},
-    }
-    arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+def save_checkpoint(path, agent: PpoAgent, stamp: dict) -> None:
+    """The policy's weights (``params``) and the network's shape with the
+    run's provenance ``stamp`` (``meta``)."""
+    meta = dict(stamp, checkpoint_version=CHECKPOINT_VERSION, observation_size=agent.observation_size,
+                n_actions=agent.n_actions, hidden_size=agent.config.hidden_size)
+    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True)), "params": agent.params}
     # write the npz container by hand with pinned entry timestamps, so a
     # rerun with the same seed produces byte-identical checkpoints
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
-        for name in sorted(arrays):
+        for name, array in arrays.items():
             buffer = io.BytesIO()
-            np.save(buffer, np.asarray(arrays[name]))
+            np.save(buffer, array)
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             archive.writestr(info, buffer.getvalue())
 
 
 def load_checkpoint(path):
-    """Rebuild (agent, steps_done, meta) from a checkpoint file. One that is
-    not an intact npz archive, or stores a config with an unknown key,
-    raises ValueError naming it."""
+    """Rebuild (agent, meta) from a checkpoint file: the stored weights in a
+    network of the stored shape, under an optimizer that starts afresh. One
+    that is not an intact npz archive, or whose meta holds a field of the
+    wrong type, raises ValueError naming it."""
     try:
         with zipfile.ZipFile(path) as archive:  # a bare .npy array or a cut file is no zip archive
             if archive.testzip() is not None:  # every entry's CRC, checked before numpy parses one
@@ -362,14 +351,12 @@ def load_checkpoint(path):
             if meta["checkpoint_version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"checkpoint version {meta['checkpoint_version']} not supported "
                                  f"(expected {CHECKPOINT_VERSION})")
-            config = PpoConfig(**meta["config"])
-            agent = PpoAgent(meta["observation_size"], meta["n_actions"], np.random.default_rng(0), config)
-            for name, target in _checkpoint_arrays(agent).items():
-                source = data[name]
-                if source.shape != target.shape:
-                    raise ValueError(f"checkpoint entry {name} has shape {source.shape}, expected {target.shape}")
-                target[...] = source
-            agent.optimizer.t = meta["adam_t"]
-    except (zipfile.BadZipFile, TypeError) as err:  # TypeError: a PpoConfig key it does not know
+            agent = PpoAgent(meta["observation_size"], meta["n_actions"], np.random.default_rng(0),
+                             PpoConfig(hidden_size=meta["hidden_size"]))
+            params = data["params"]
+            if params.shape != agent.params.shape:
+                raise ValueError(f"checkpoint entry params has shape {params.shape}, expected {agent.params.shape}")
+            agent.params[...] = params
+    except (zipfile.BadZipFile, TypeError) as err:  # TypeError: a meta field of the wrong type
         raise ValueError(f"{path} is not a readable checkpoint: {err}") from err
-    return agent, meta["steps_done"], meta
+    return agent, meta

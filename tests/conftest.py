@@ -19,11 +19,12 @@ def run_cli():
     # the child's PYTHONPATH, as an absolute path: the child then runs the
     # same copy under test, installed or not. A relative entry such as
     # PYTHONPATH=src does not resolve from the child's working directory.
+    # The rest of the child's environment is this process's at the call.
     package_root = Path(qmridesign.__file__).resolve().parents[1]
-    inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package_root), *inherited]))
 
     def run(args, cwd, *, check=False):
+        inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package_root), *inherited]))
         cmd = [sys.executable, "-m", "qmridesign", *args]
         result = subprocess.run(cmd, capture_output=True, text=True, cwd=cwd, env=env)
         if check and result.returncode != 0:

@@ -74,8 +74,12 @@ def test_seed_range(tool):
     assert tool.seed_range("7") == [7]
 
 
+CHECK_FAILED = "rl_search CHECK FAILED: same-seed processes disagree on the first round's outputs"
+
+
 def run_record(correct=True, failed=0, digest="47e0d99a484ddb47"):
-    return {"protocols_per_s": 170.0, "correct": correct, "failed": failed, "digest": digest}
+    return {"protocols_per_s": 170.0, "correct": correct, "check": None if correct else CHECK_FAILED,
+            "failed": failed, "digest": digest}
 
 
 def test_faults_forbid_a_gain(tool):
@@ -88,9 +92,9 @@ def test_faults_forbid_a_gain(tool):
         {"seed": 104, "parent": run_record(), "change": run_record(digest="dcf56ec4bd317462")},
     ]
     assert tool.pair_faults(faulty) == [
-        "seed 101: change output check failed",
+        f"seed 101: change output check failed: {CHECK_FAILED}",
         "seed 101: change failed 227 operations, parent 0",
-        "seed 102: parent output check failed",
+        f"seed 102: parent output check failed: {CHECK_FAILED}",
         "seed 104: first-round digest 47e0d99a484ddb47 -> dcf56ec4bd317462",
     ]
     change = [p * 1.14 for p in PARENT]
@@ -104,7 +108,9 @@ def test_both_checkouts_run_from_fresh_bytecode_caches_filled_alike(tool, tmp_pa
     """With ``subprocess.run`` stubbed: each checkout gets a new bytecode-cache
     directory of its own, which one tiny run with bytecode writing on fills
     before the first pair; every measured run reads that cache with writing
-    off, and a pair's two runs differ only in their checkout and cache."""
+    off, and a pair's two runs differ only in their checkout and cache. A
+    run whose output check fails keeps its first ``CHECK FAILED`` line, and
+    its fault quotes it."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     parent.mkdir()
     change.mkdir()
@@ -119,14 +125,22 @@ def test_both_checkouts_run_from_fresh_bytecode_caches_filled_alike(tool, tmp_pa
         if "PYTHONDONTWRITEBYTECODE" not in env:
             cache.mkdir(parents=True, exist_ok=True)
             (cache / "module.pyc").write_bytes(b"")
-        result = {"correct": True, "failed": 0, "metrics": {
+        failing = cwd == change and command[command.index("--seed") + 1] == "102" and "--tiny" not in command
+        result = {"correct": not failing, "failed": 227 if failing else 0, "metrics": {
             name: {"value": 1.0} for name in ("setup_s", "protocols_per_s", "peak_rss_mb")}}
-        stdout = f"first-round output digest 47e0d99a484ddb47\n{json.dumps(result)}\n"
+        second = "rl_search CHECK FAILED: reward_calls: untraced 2048, traced 2047"
+        checks = f"{CHECK_FAILED}\n{second}\n" if failing else ""
+        stdout = f"first-round output digest 47e0d99a484ddb47\n{checks}{json.dumps(result)}\n"
         return subprocess.CompletedProcess(command, 0, stdout=stdout)
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
     assert tool.main(["--parent", str(parent), "--change", str(change), "--workload", "rl_search",
-                      "--seeds", "101-102", "--out", str(tmp_path / "pairs.json")]) == 0
+                      "--seeds", "101-102", "--out", str(tmp_path / "pairs.json")]) == 1
+    record = json.loads((tmp_path / "pairs.json").read_text())
+    assert [(pair["parent"]["check"], pair["change"]["check"]) for pair in record["pairs"]] == [
+        (None, None), (None, CHECK_FAILED)]
+    assert record["faults"] == [f"seed 102: change output check failed: {CHECK_FAILED}",
+                                "seed 102: change failed 227 operations, parent 0"]
 
     warm, measured = calls[:2], calls[2:]
     assert [call["cwd"] for call in warm] == [parent, change]

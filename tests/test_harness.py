@@ -313,7 +313,7 @@ class TestReports:
         lambda path: write_anneal_trace(path, np.array([2.0, 1.0])),
         lambda path: save_protocol_artifact(path, AcquisitionProtocol.adhoc(), "adhoc", ScannerConfig(), {},
                                             None, {}),
-        lambda path: save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0),
+        lambda path: save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), {}),
         lambda path: plot_accuracy_vs_snr(TestPlot().rows(), path),
     ], ids=["write_json", "save_tissue_distributions", "append_report_rows", "write_csv",
             "write_curve", "write_anneal_trace", "save_protocol_artifact", "save_checkpoint", "plot_accuracy_vs_snr"])
@@ -734,9 +734,11 @@ class TestCli:
          "cannot read {truncated}: {truncated} is not a readable checkpoint: File is not a zip file"),
         (["evaluate", "--checkpoint", "{corrupt}"],
          "cannot read {corrupt}: {corrupt} is not a readable checkpoint: an entry fails its CRC check"),
-        (["evaluate", "--checkpoint", "{old_config}"],
-         "cannot read {old_config}: {old_config} is not a readable checkpoint: "
-         "PpoConfig.__init__() got an unexpected keyword argument 'gamma'"),
+        (["evaluate", "--checkpoint", "{version_5}"],
+         "cannot read {version_5}: checkpoint version 5 not supported (expected 6)"),
+        (["evaluate", "--checkpoint", "{text_hidden_size}"],
+         "cannot read {text_hidden_size}: {text_hidden_size} is not a readable checkpoint: "
+         "'<' not supported between instances of 'str' and 'int'"),
         (["evaluate", "--checkpoint", "{small_agent}"],
          "cannot use {small_agent}: its agent has (observation_size, n_actions) = (3, 2), "
          "the protocol environment needs (12, 1001)"),
@@ -758,7 +760,8 @@ class TestCli:
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
             "checkpoint-npy", "checkpoint-empty", "checkpoint-truncated", "checkpoint-corrupt",
-            "checkpoint-unknown-config-key", "checkpoint-other-shape", "optimize-adhoc", "evaluate-no-protocol-source",
+            "checkpoint-version-5", "checkpoint-text-hidden-size", "checkpoint-other-shape", "optimize-adhoc",
+            "evaluate-no-protocol-source",
             "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row",
             "evaluate-out-a-file", "validate-out-a-file", "optimize-crlb-out-under-a-file",
             "evaluate-report-foreign-header"])
@@ -766,7 +769,8 @@ class TestCli:
         """A missing input file, or one of another kind (an ``auc_report.csv``,
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
         not a list, a bare ``.npy`` array, an empty, truncated or corrupt
-        checkpoint or one storing a config with an unknown key, the
+        checkpoint, one of an earlier format version or one whose metadata
+        holds a field of the wrong type, the
         checkpoint of an agent shaped for another environment, a report row
         of another schema version or
         with more or fewer cells than the header), ends the command with one
@@ -784,7 +788,8 @@ class TestCli:
                  "empty": str(tmp_path / "empty.npz"),
                  "truncated": str(tmp_path / "truncated.npz"),
                  "corrupt": str(tmp_path / "corrupt.npz"),
-                 "old_config": str(tmp_path / "old_config.npz"),
+                 "version_5": str(tmp_path / "version_5.npz"),
+                 "text_hidden_size": str(tmp_path / "text_hidden_size.npz"),
                  "small_agent": str(tmp_path / "small.npz"),
                  "v2_report": str(tmp_path / "v2.csv"),
                  "short_row": str(tmp_path / "short.csv"),
@@ -797,15 +802,17 @@ class TestCli:
         (tmp_path / "list.json").write_text(json.dumps([0, 10, 20]))
         (tmp_path / "scalar.json").write_text(json.dumps({"schema_version": 1, "b_values": 5}))
         np.save(tmp_path / "array.npy", np.zeros(3))
-        save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), 0)
+        save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), {})
         archive = (tmp_path / "small.npz").read_bytes()
         (tmp_path / "empty.npz").write_bytes(b"")
         (tmp_path / "truncated.npz").write_bytes(archive[: len(archive) // 2])
         middle = len(archive) // 2  # a byte of an array's data: its entry's CRC no longer matches
         (tmp_path / "corrupt.npz").write_bytes(
             archive[:middle] + bytes([archive[middle] ^ 0xFF]) + archive[middle + 1:])
-        _rewrite_checkpoint_meta(tmp_path / "small.npz", tmp_path / "old_config.npz",
-                                 lambda meta: meta["config"].update(gamma=0.9))
+        _rewrite_checkpoint_meta(tmp_path / "small.npz", tmp_path / "version_5.npz",
+                                 lambda meta: meta.update(checkpoint_version=5))
+        _rewrite_checkpoint_meta(tmp_path / "small.npz", tmp_path / "text_hidden_size.npz",
+                                 lambda meta: meta.update(hidden_size="64"))
         append_report_rows(tmp_path / "v2.csv", [TestReports().row()])
         (tmp_path / "v2.csv").write_text((tmp_path / "v2.csv").read_text().replace("\n1,", "\n2,"))
         (tmp_path / "short.csv").write_text(",".join(REPORT_COLUMNS) + "\n1,multiclass,adhoc\n")
@@ -858,7 +865,8 @@ class TestCli:
         stamp = {"config_hash": config_hash(config), "seed": 424242}
         assert {key: payload[key] for key in stamp} == stamp
         if method == "rl":
-            assert load_checkpoint(tmp_path / "out" / "checkpoint.npz")[2]["extra"] == stamp
+            _, meta = load_checkpoint(tmp_path / "out" / "checkpoint.npz")
+            assert {key: meta[key] for key in stamp} == stamp
 
     def test_optimize_crlb_and_rl_artifacts(self, run_cli, tiny_config, tmp_path):
         crlb = run_cli(
@@ -882,6 +890,26 @@ class TestCli:
         assert (tmp_path / "out" / "curve.csv").exists()
         assert (tmp_path / "out" / "checkpoint.npz").exists()
         assert (tmp_path / "out" / "config_snapshot.json").exists()
+
+    def test_rl_artifacts_do_not_depend_on_the_blas_threads(self, run_cli, monkeypatch, tmp_path):
+        """Importing the package pins the BLAS/OpenMP threads to one unless
+        the caller set them, so a run whose environment leaves them unset
+        writes the bytes of one that sets them to 1. Unpinned on a host with
+        two or more cores, the weights round differently within a round."""
+        repro = Path(__file__).resolve().parents[1] / "configs" / "repro.json"
+        digests = []
+        for threads in (None, "1"):
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                if threads is None:
+                    monkeypatch.delenv(name, raising=False)
+                else:
+                    monkeypatch.setenv(name, threads)
+            out = tmp_path / f"threads-{threads}"
+            run_cli(["optimize", "--config", str(repro), "--optimizer", "rl", "--seed", "3", "--budget", "2048",
+                     "--out", str(out)], tmp_path, check=True)
+            digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                            for name in ("checkpoint.npz", "curve.csv", "protocol_rl.json")})
+        assert digests[0] == digests[1]
 
     def test_evaluate_from_artifact_and_checkpoint(self, run_cli, tiny_config, tmp_path):
         run_cli(["optimize", "--config", str(tiny_config), "--optimizer", "crlb"], tmp_path)

@@ -427,72 +427,54 @@ class TestGreedyAndCheckpoint:
         env = TwoArmedBandit()
         result = train(env, config, rng)
         path = tmp_path / "agent.npz"
-        save_checkpoint(path, result.agent, steps_done=128, extra={"note": "test"})
-        restored, steps, meta = load_checkpoint(path)
-        assert steps == 128
-        assert meta["extra"]["note"] == "test"
+        save_checkpoint(path, result.agent, {"config_hash": "abc", "seed": 7})
+        restored, meta = load_checkpoint(path)
+        assert (meta["config_hash"], meta["seed"]) == ("abc", 7)
         obs = np.full(3, 0.2)
         np.testing.assert_array_equal(
             restored.policy_forward(obs)[0], result.agent.policy_forward(obs)[0]
         )
-        # optimizer moments restored too
-        assert restored.optimizer.t == result.agent.optimizer.t
-        np.testing.assert_array_equal(restored.optimizer.m, result.agent.optimizer.m)
-        np.testing.assert_array_equal(restored.optimizer.v, result.agent.optimizer.v)
+        np.testing.assert_array_equal(restored.params, result.agent.params)
 
-    def test_version_one_checkpoint_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_other_checkpoint_version_refused(self, tmp_path, version):
+        """Every earlier format is refused by its version, read before any
+        other field or entry, not misread: version 1 stored one entry per
+        weight matrix, version 2 a vector and two Adam moments per network,
+        and versions 3 to 5 the weights, both moments, the step counts and a
+        PpoConfig copy, whose fields changed from one version to the next."""
         path = tmp_path / "old.npz"
-        np.savez(path, meta=np.array(json.dumps({"checkpoint_version": 1})))
-        with pytest.raises(ValueError, match="checkpoint version 1 not supported"):
+        save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(17), small_config()), {})
+        with np.load(path) as data:
+            entries = dict(data)
+        meta = json.loads(str(entries["meta"]))
+        meta["checkpoint_version"] = version
+        entries["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        np.savez(path, **entries)
+        with pytest.raises(ValueError, match=f"checkpoint version {version} not supported"):
             load_checkpoint(path)
-
-    def test_version_two_checkpoint_refused(self, tmp_path):
-        """The per-network layout (actor, critic and their moments as six
-        entries) is format version 2; it is refused, not misread."""
-        path = tmp_path / "old.npz"
-        np.savez(path, meta=np.array(json.dumps({"checkpoint_version": 2})),
-                 actor=np.zeros(3), critic=np.zeros(3))
-        with pytest.raises(ValueError, match="checkpoint version 2 not supported"):
-            load_checkpoint(path)
-
-    def test_version_three_checkpoint_refused(self, tmp_path):
-        """Versions 3 and 4 have today's four entries, but their stored
-        configs also hold fields that are now constants: version 4 holds
-        ent_coef, vf_coef and max_grad_norm, and version 3 also gamma,
-        gae_lambda, clip_range and adam_eps. Each file is refused by its
-        version, not misread."""
-        removed = {"ent_coef": 0.0, "vf_coef": 0.5, "max_grad_norm": 0.5}
-        for version, stored in ((3, dict(removed, gamma=0.99, gae_lambda=0.95, clip_range=0.2, adam_eps=1.0e-5)),
-                                (4, removed)):
-            path = tmp_path / f"v{version}.npz"
-            save_checkpoint(path, PpoAgent(3, 2, np.random.default_rng(17), small_config()), steps_done=0)
-            with np.load(path) as data:
-                entries = dict(data)
-            meta = json.loads(str(entries["meta"]))
-            meta["checkpoint_version"] = version
-            meta["config"].update(stored)
-            entries["meta"] = np.array(json.dumps(meta, sort_keys=True))
-            np.savez(path, **entries)
-            with pytest.raises(ValueError, match=f"checkpoint version {version} not supported"):
-                load_checkpoint(path)
 
     def test_checkpoint_entries(self, tmp_path):
+        """The policy's weights and what rebuilds its network, with the run's stamp."""
         path = tmp_path / "agent.npz"
-        agent = PpoAgent(3, 2, np.random.default_rng(17), small_config())
-        save_checkpoint(path, agent, steps_done=0)
+        agent = PpoAgent(3, 2, np.random.default_rng(17), small_config(hidden_size=5))
+        save_checkpoint(path, agent, {"config_hash": "abc", "seed": 7})
         with np.load(path) as data:
-            assert sorted(data.files) == ["adam_m", "adam_v", "meta", "params"]
+            assert sorted(data.files) == ["meta", "params"]
             assert data["params"].shape == agent.params.shape
+            assert json.loads(str(data["meta"])) == {
+                "checkpoint_version": 6, "observation_size": 3, "n_actions": 2, "hidden_size": 5,
+                "config_hash": "abc", "seed": 7}
 
     def test_wrong_shaped_entry_rejected(self, tmp_path):
         path = tmp_path / "agent.npz"
         agent = PpoAgent(3, 2, np.random.default_rng(17), small_config())
-        save_checkpoint(path, agent, steps_done=0)
+        save_checkpoint(path, agent, {})
         with np.load(path) as data:
             entries = dict(data)
-        entries["adam_m"] = np.zeros(1)
+        entries["params"] = np.zeros(1)
         np.savez(path, **entries)
-        with pytest.raises(ValueError, match="adam_m"):
+        with pytest.raises(ValueError, match="params"):
             load_checkpoint(path)
 
 

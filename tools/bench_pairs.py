@@ -8,20 +8,21 @@ Run from anywhere, naming two checkouts:
 For each seed it runs ``perfbench/run.py --trace 0`` in both checkouts, one
 after the other, each run as long as ``BENCHMARK.json``'s ``run_seconds``:
 the parent first in the first pair, the change first in the second, and so
-on. It stores every pair's end-to-end metrics, ``correct``, ``failed`` and
-first-round output digest, the faults among them (a run whose output check
-failed, a change that failed more operations than the parent, a digest that
-moved), and for each end-to-end metric that ``BENCHMARK.json`` names a
-summary: both medians, both sides' quartiles, the parent's quartile spread,
-the change's wins and a verdict. The verdict follows the acceptance rule: a
-gain needs pairs free of faults, at least ten of them, wins in at least nine
-tenths (ties count for neither side) and a median gap larger than the
-distance between the parent's quartiles; "worse" means a median worse than
-the parent's by more than the metric's bound; a spread wider than the bound
-is "unresolved" unless every change run beats every parent run. The tool exits with 1 when a pair has a
-fault. It reads ``perfbench/`` and ``BENCHMARK.json`` of the change checkout
-and edits neither; the seed range is parsed by ``perfbench/spread.py``'s
-``seed_range``.
+on. It stores every pair's end-to-end metrics, ``correct``, first ``CHECK
+FAILED`` line, ``failed`` and first-round output digest, the faults among
+them (a run whose output check failed, quoting that line, a change that
+failed more operations than the parent, a digest that moved), and for each
+end-to-end metric that ``BENCHMARK.json`` names a summary: both medians,
+both sides' quartiles, the parent's quartile spread, the change's wins and
+a verdict. The verdict follows the acceptance rule: a gain needs pairs free
+of faults, at least ten of them, wins in at least nine tenths (ties count
+for neither side) and a median gap larger than the distance between the
+parent's quartiles; "worse" means a median worse than the parent's by more
+than the metric's bound; a spread wider than the bound is "unresolved"
+unless every change run beats every parent run. The tool exits with 1 when
+a pair has a fault. It reads ``perfbench/`` and ``BENCHMARK.json`` of the
+change checkout and edits neither; the seed range is parsed by
+``perfbench/spread.py``'s ``seed_range``.
 
 Both checkouts start every run from the same bytecode-cache state, so a
 set-up time does not compare a warm import with a cold one. Each gets a
@@ -76,13 +77,15 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds, cache: Path, *f
 
 def run_once(checkout: Path, workload: str, seed: int, seconds, metrics: list, cache: Path) -> dict:
     """One measured run in ``checkout``, reading the bytecode cache ``cache``:
-    its end-to-end metrics, correct, failed, first-round digest and unscaled numbers."""
+    its end-to-end metrics, correct, its first ``CHECK FAILED`` line (None
+    when it has none), failed, first-round digest and unscaled numbers."""
     lines = run_bench(checkout, workload, seed, seconds, cache, write=False).strip().splitlines()
     result = json.loads(lines[-1])
     unscaled = next((line.split(" unscaled ", 1)[1] for line in lines if " unscaled " in line), "null")
     return {
         **{name: result["metrics"][name]["value"] for name in metrics},
         "correct": result["correct"],
+        "check": next((line for line in lines if " CHECK FAILED: " in line), None),
         "failed": result["failed"],
         "digest": next(match[1] for match in map(DIGEST.search, lines) if match),
         "unscaled": json.loads(unscaled),
@@ -91,12 +94,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds, metrics: list, c
 
 def pair_faults(pairs: list) -> list:
     """What in the recorded pairs forbids a gain, one line per fault: a run
-    whose output check failed, a change run that failed more operations than
-    its parent run, or a first-round digest that differs between the two."""
+    whose output check failed, quoting its first ``CHECK FAILED`` line, a
+    change run that failed more operations than its parent run, or a
+    first-round digest that differs between the two."""
     faults = []
     for pair in pairs:
         parent, change, seed = pair["parent"], pair["change"], pair["seed"]
-        faults += [f"seed {seed}: {side} output check failed"
+        faults += [f"seed {seed}: {side} output check failed: {pair[side]['check']}"
                    for side in ("parent", "change") if not pair[side]["correct"]]
         if change["failed"] > parent["failed"]:
             faults.append(f"seed {seed}: change failed {change['failed']} operations, parent {parent['failed']}")
