@@ -261,7 +261,7 @@ def cmd_optimize(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
         protocol, objective = result.best_protocol, result.best_reward
         extra = {"episodes": result.episodes, "total_steps": config.ppo.total_steps}
         summary = f"best_reward={objective:.3f} ({result.episodes} episodes)"
-        write_curve(out / "curve.csv", result.curve)
+        write_curve(out / "curve.csv", result.curve, result.update_stats)
         save_checkpoint(out / "checkpoint.npz", result.agent, stamp)
     write_json(out / "config_snapshot.json", config.to_dict())
     artifact = out / f"protocol_{method}.json"

@@ -1,7 +1,7 @@
 """Sequential protocol-construction environment for the policy-gradient search.
 
 One episode builds one protocol: starting from the clinical baseline, the
-agent overwrites slots 1..9 with integer b-values (slot 0 stays pinned at
+agent writes multiples of ``B_STEP`` into slots 1..9 (slot 0 stays pinned at
 b = 0 so segmented fitting always has its anchor), one slot per step. The
 reward is sparse: zero until the last slot is written, then the
 cross-validated task accuracy of the completed, sorted protocol.
@@ -21,11 +21,12 @@ from .classify import EvalConfig, SimulationEnv, Task, task_objective
 from .ivim import ADHOC_B_VALUES, B_VALUE_MAX, PROTOCOL_LENGTH, AcquisitionProtocol
 from .seeds import derive_rng
 
-__all__ = ["ProtocolEnv", "StepAfterDoneError", "OBSERVATION_SIZE", "N_ACTIONS"]
+__all__ = ["ProtocolEnv", "StepAfterDoneError", "OBSERVATION_SIZE", "N_ACTIONS", "B_STEP"]
 
 OBSERVATION_SIZE = PROTOCOL_LENGTH + 2
-#: integer b-value grid 0..1000 at 1 s/mm^2 resolution
-N_ACTIONS = int(B_VALUE_MAX) + 1
+#: action a writes b = B_STEP * a: the grid 0, 10, ..., 1000 s/mm^2, all multiples of B_STEP
+B_STEP = 10.0
+N_ACTIONS = int(B_VALUE_MAX // B_STEP) + 1
 
 _SNR_SCALE = 50.0
 
@@ -87,7 +88,7 @@ class ProtocolEnv:
         return self._observation()
 
     def step(self, action: int):
-        """Write ``action`` (an integer b-value) into the current slot.
+        """Write the b-value ``B_STEP * action`` into the current slot.
 
         Returns (observation, reward, done, info); info carries the sorted
         b-values once the episode completes.
@@ -97,7 +98,7 @@ class ProtocolEnv:
         action = int(action)
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action must lie in [0, {N_ACTIONS - 1}], got {action}")
-        self._slots[self._cursor] = float(action)
+        self._slots[self._cursor] = B_STEP * action
         self._cursor += 1
         if self._cursor < PROTOCOL_LENGTH:
             return self._observation(), 0.0, False, {}

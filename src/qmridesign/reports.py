@@ -167,10 +167,13 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_curve(path, curve) -> None:
-    """Training curve rows (step, mean_episode_reward, best_reward) as CSV."""
-    write_csv(path, ["step", "mean_episode_reward", "best_reward"],
-              ([step, repr(float(mean_reward)), repr(float(best))] for step, mean_reward, best in curve))
+def write_curve(path, curve, update_stats) -> None:
+    """Training curve rows (step, mean_episode_reward, best_reward), each with
+    its round's update statistics (``TrainResult.update_stats``), as CSV."""
+    stats = ("policy_loss", "value_loss", "entropy", "approx_kl")
+    write_csv(path, ["step", "mean_episode_reward", "best_reward", *stats],
+              ([step, *(repr(float(v)) for v in (mean_reward, best, *(update[k] for k in stats)))]
+               for (step, mean_reward, best), update in zip(curve, update_stats, strict=True)))
 
 
 def write_anneal_trace(path, trace) -> None:

@@ -309,7 +309,8 @@ class TestReports:
         lambda path: save_tissue_distributions(path, load_tissue_distributions(default_tissue_path())),
         lambda path: append_report_rows(path, [TestReports().row()]),
         lambda path: write_csv(path, ["a"], [[1]]),
-        lambda path: write_curve(path, [(1, 0.5, 0.5)]),
+        lambda path: write_curve(path, [(1, 0.5, 0.5)],
+                                 [{"policy_loss": 0.0, "value_loss": 1.0, "entropy": 4.6, "approx_kl": 0.0}]),
         lambda path: write_anneal_trace(path, np.array([2.0, 1.0])),
         lambda path: save_protocol_artifact(path, AcquisitionProtocol.adhoc(), "adhoc", ScannerConfig(), {},
                                             None, {}),
@@ -324,11 +325,19 @@ class TestReports:
         assert len(list(directory.iterdir())) == 1
 
     def test_curve_io(self, tmp_path):
+        """Each round's row carries that round's update statistics, written by
+        ``repr`` so that they read back bit for bit."""
         path = tmp_path / "curve.csv"
-        write_curve(path, [(2048, 0.4, 0.5), (4096, 0.45, 0.52)])
+        stats = [{"policy_loss": 0.019767390355971318, "value_loss": 2.991759345752752,
+                  "entropy": 1.6092939994633315, "approx_kl": -0.002058841945365588},
+                 {"policy_loss": -0.5, "value_loss": 0.1 + 0.2, "entropy": 4.6, "approx_kl": 1e-12}]
+        write_curve(path, [(2048, 0.4, 0.5), (4096, 0.45, 0.52)], stats)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,mean_episode_reward,best_reward"
+        assert lines[0] == "step,mean_episode_reward,best_reward,policy_loss,value_loss,entropy,approx_kl"
+        assert lines[2] == "4096,0.45,0.52,-0.5,0.30000000000000004,4.6,1e-12"
         assert len(lines) == 3
+        with pytest.raises(ValueError):
+            write_curve(path, [(2048, 0.4, 0.5)], stats)
 
     def test_anneal_trace_keeps_the_first_iteration_and_each_fall(self, tmp_path):
         path = tmp_path / "anneal.csv"
@@ -741,7 +750,10 @@ class TestCli:
          "'<' not supported between instances of 'str' and 'int'"),
         (["evaluate", "--checkpoint", "{small_agent}"],
          "cannot use {small_agent}: its agent has (observation_size, n_actions) = (3, 2), "
-         "the protocol environment needs (12, 1001)"),
+         "the protocol environment needs (12, 101)"),
+        (["evaluate", "--checkpoint", "{wide_agent}"],
+         "cannot use {wide_agent}: its agent has (observation_size, n_actions) = (12, 1001), "
+         "the protocol environment needs (12, 101)"),
         (["optimize", "--optimizer", "adhoc"], "optimize requires --optimizer crlb or --optimizer rl"),
         (["evaluate", "--optimizer", "rl"],
          "no protocol source: pass --protocol, --protocol-file, --checkpoint or --optimizer adhoc"),
@@ -760,7 +772,8 @@ class TestCli:
             "protocol-file-missing", "protocol-file-foreign", "checkpoint-missing",
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
             "checkpoint-npy", "checkpoint-empty", "checkpoint-truncated", "checkpoint-corrupt",
-            "checkpoint-version-5", "checkpoint-text-hidden-size", "checkpoint-other-shape", "optimize-adhoc",
+            "checkpoint-version-5", "checkpoint-text-hidden-size", "checkpoint-other-shape",
+            "checkpoint-1001-actions", "optimize-adhoc",
             "evaluate-no-protocol-source",
             "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row",
             "evaluate-out-a-file", "validate-out-a-file", "optimize-crlb-out-under-a-file",
@@ -771,7 +784,8 @@ class TestCli:
         not a list, a bare ``.npy`` array, an empty, truncated or corrupt
         checkpoint, one of an earlier format version or one whose metadata
         holds a field of the wrong type, the
-        checkpoint of an agent shaped for another environment, a report row
+        checkpoint of an agent shaped for another environment (among them a
+        1001-action agent of the 1 s/mm^2 grid), a report row
         of another schema version or
         with more or fewer cells than the header), ends the command with one
         line naming it; like a refused command, it leaves no output
@@ -791,6 +805,7 @@ class TestCli:
                  "version_5": str(tmp_path / "version_5.npz"),
                  "text_hidden_size": str(tmp_path / "text_hidden_size.npz"),
                  "small_agent": str(tmp_path / "small.npz"),
+                 "wide_agent": str(tmp_path / "wide.npz"),
                  "v2_report": str(tmp_path / "v2.csv"),
                  "short_row": str(tmp_path / "short.csv"),
                  "long_row": str(tmp_path / "long.csv"),
@@ -803,6 +818,7 @@ class TestCli:
         (tmp_path / "scalar.json").write_text(json.dumps({"schema_version": 1, "b_values": 5}))
         np.save(tmp_path / "array.npy", np.zeros(3))
         save_checkpoint(tmp_path / "small.npz", PpoAgent(3, 2, np.random.default_rng(0), PpoConfig()), {})
+        save_checkpoint(tmp_path / "wide.npz", PpoAgent(12, 1001, np.random.default_rng(0), PpoConfig()), {})
         archive = (tmp_path / "small.npz").read_bytes()
         (tmp_path / "empty.npz").write_bytes(b"")
         (tmp_path / "truncated.npz").write_bytes(archive[: len(archive) // 2])
@@ -887,7 +903,11 @@ class TestCli:
 
         rl = run_cli(["optimize", "--config", str(tiny_config), "--optimizer", "rl"], tmp_path)
         assert rl.returncode == 0, rl.stderr
-        assert (tmp_path / "out" / "curve.csv").exists()
+        with (tmp_path / "out" / "curve.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][3:] == ["policy_loss", "value_loss", "entropy", "approx_kl"]
+        assert len(rows) > 1 and all(len(row) == 7 and np.isfinite([float(v) for v in row[3:]]).all()
+                                     for row in rows[1:])
         assert (tmp_path / "out" / "checkpoint.npz").exists()
         assert (tmp_path / "out" / "config_snapshot.json").exists()
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qmridesign.nets import log_softmax
+from qmridesign.protocol_env import ProtocolEnv
 from qmridesign.ppo import (
     CLIP_RANGE,
     VF_COEF,
@@ -82,12 +83,13 @@ class TestAgent:
         actions = [agent.act(np.zeros(3), rng)[0] for _ in range(200)]
         assert set(actions) == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("n_actions, head_scale", [(1001, 1.0), (4, 400.0)])
+    @pytest.mark.parametrize("n_actions, head_scale", [(ProtocolEnv.n_actions, 1.0), (1001, 1.0), (4, 400.0)])
     def test_act_draws_what_generator_choice_draws(self, n_actions, head_scale):
         """``act`` inverts the cumulative distribution as
         ``Generator.choice(n, p=probs)`` does: for each observation the same
-        action, and the two streams stay in step. The second case scales the
-        head so that some probabilities are near 0 and one near 1."""
+        action, and the two streams stay in step. The first case is the head
+        the protocol environment needs, the second a wider one; the last
+        scales the head so that some probabilities are near 0 and one near 1."""
         agent = PpoAgent(12, n_actions, np.random.default_rng(3), small_config(hidden_size=16))
         agent.actor.weights[-1][...] *= head_scale
         rng_act, rng_choice = np.random.default_rng(5), np.random.default_rng(5)
@@ -360,7 +362,7 @@ class TestTraining:
 
     def test_two_round_train_digest_pinned(self):
         """Two 256-step rounds at the default network sizes (12 -> 64 -> 64 ->
-        1001) on a seeded protocol environment: one sha256 over the bytes of
+        101) on a seeded protocol environment: one sha256 over the bytes of
         the parameters and both Adam moments, and the repr of the update
         statistics, the curve and the best reward. Unlike the first-round
         digests, taken before any update acts, this sees every bit of the
@@ -386,7 +388,7 @@ class TestTraining:
         done = subprocess.run([sys.executable, "-c", child, __file__], env=env, capture_output=True, text=True,
                               timeout=600)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "e5af10bb774a3676ea52060df00472431c82ed184e0ea61abd93b65fbfd7b24d", (
+        assert done.stdout.strip() == "d8b09b07d7c747a24d990b0fb5bbaa95af02945f3c9990ce7d925fbb75b21c93", (
             "train digest moved; the pin is tied to this host's BLAS, so check the parent on the same host")
 
 
@@ -394,7 +396,6 @@ def two_round_train_digest() -> str:
     """The sha256 of test_two_round_train_digest_pinned's two-round train."""
     from qmridesign import CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
     from qmridesign.config import default_tissue_path, load_tissue_distributions
-    from qmridesign.protocol_env import ProtocolEnv
 
     sim_env = SimulationEnv(
         distributions=load_tissue_distributions(default_tissue_path()),
@@ -404,7 +405,7 @@ def two_round_train_digest() -> str:
     env = ProtocolEnv(sim_env, Task.MULTICLASS, EvalConfig(), master_seed=31)
     result = train(env, PpoConfig(total_steps=512, rollout_steps=256), np.random.default_rng(32))
     agent = result.agent
-    assert agent.actor.sizes == (12, 64, 64, 1001) and len(result.update_stats) == 2
+    assert agent.actor.sizes == (12, 64, 64, 101) and len(result.update_stats) == 2
     digest = hashlib.sha256()
     for array in (agent.params, agent.optimizer.m, agent.optimizer.v):
         digest.update(array.tobytes())
@@ -481,7 +482,6 @@ class TestGreedyAndCheckpoint:
 def test_zero_budget_protocol_env_returns_baseline():
     from qmridesign import AcquisitionProtocol, CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
     from qmridesign.config import default_tissue_path, load_tissue_distributions
-    from qmridesign.protocol_env import ProtocolEnv
 
     sim_env = SimulationEnv(
         distributions=load_tissue_distributions(default_tissue_path()),

@@ -8,7 +8,7 @@ import pytest
 from qmridesign import AcquisitionProtocol, CohortSpec, EvalConfig, ScannerConfig, SimulationEnv, Task
 from qmridesign.config import default_tissue_path, load_tissue_distributions
 from qmridesign.ivim import ADHOC_B_VALUES
-from qmridesign.protocol_env import N_ACTIONS, OBSERVATION_SIZE, ProtocolEnv, StepAfterDoneError
+from qmridesign.protocol_env import B_STEP, N_ACTIONS, OBSERVATION_SIZE, ProtocolEnv, StepAfterDoneError
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def test_episode_is_nine_decisions_with_sparse_reward(env):
     env.reset()
     rewards = []
     for step in range(9):
-        obs, reward, done, info = env.step(100 + step)
+        obs, reward, done, info = env.step(10 + step)
         rewards.append(reward)
         assert done == (step == 8)
     assert rewards[:-1] == [0.0] * 8
@@ -68,8 +68,27 @@ def test_action_range_checked(env):
         env.step(-1)
 
 
+def test_action_writes_b_step_times_its_index(env):
+    """Action a writes b = B_STEP * a: the grid 0, 10, ..., 1000 s/mm^2 with
+    its 101 actions; 101 and -1 are refused."""
+    assert N_ACTIONS == 101
+    env.reset()
+    obs, _, _, _ = env.step(100)
+    assert obs[1] == 1.0  # slot 1 holds b = 1000
+    for action in (0, 37, 1, 99, 50, 100, 7):
+        env.step(action)
+    _, _, done, info = env.step(63)
+    assert done
+    assert info["b_values"] == (0.0, 0.0, 10.0, 70.0, 370.0, 500.0, 630.0, 990.0, 1000.0, 1000.0)
+    assert all(b % B_STEP == 0.0 for b in info["b_values"])
+    env.reset()
+    for refused in (101, -1):
+        with pytest.raises(ValueError):
+            env.step(refused)
+
+
 def test_replay_reproduces_reward(env):
-    actions = [901, 44, 230, 512, 700, 123, 832, 61, 385]
+    actions = [90, 4, 23, 51, 70, 12, 83, 6, 38]
     env.reset()
     for a in actions[:-1]:
         env.step(a)
@@ -88,7 +107,7 @@ def test_replay_reproduces_reward(env):
 
 
 def test_rewards_vary_across_episodes(env):
-    actions = [150, 250, 350, 450, 550, 650, 750, 850, 950]
+    actions = [15, 25, 35, 45, 55, 65, 75, 85, 95]
     env.reset()
     terminal = []
     for _ in range(3):
@@ -124,9 +143,9 @@ def test_adhoc_actions_reward_tracks_adhoc_accuracy(env):
     rewards = []
     env.reset()
     for _ in range(12):
-        for action in ADHOC_B_VALUES[1:-1]:
-            env.step(int(action))
-        _, reward, done, info = env.step(int(ADHOC_B_VALUES[-1]))
+        for b in ADHOC_B_VALUES[1:-1]:
+            env.step(int(b // B_STEP))
+        _, reward, done, info = env.step(int(ADHOC_B_VALUES[-1] // B_STEP))
         assert done
         assert info["b_values"] == ADHOC_B_VALUES
         rewards.append(reward)
