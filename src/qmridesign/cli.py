@@ -284,7 +284,7 @@ def cmd_plot(args, config: ExperimentConfig, out: Path, stamp: dict) -> int:
     )
     try:
         plot_accuracy_vs_snr(rows, path, comment=provenance)
-    except ValueError as err:  # an empty report, or two results for one cell
+    except ValueError as err:  # an empty report, two results for one cell, or "--" in the provenance
         raise SystemExit(f"cannot plot {args.report}: {err}") from err
     print(f"wrote {path}")
     return 0

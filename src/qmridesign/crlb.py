@@ -19,9 +19,11 @@ That sum is an explicit loop from zero, b by b, because that is the
 order in which einsum("mbi,mbj->mij") adds, so every bit matches it:
 numpy's own sum over the b axis adds pairwise when m = 1 and n_b >= 8,
 and a loop started from the first product would give -0.0 for an
-all-zero b-vector, where the einsum gives +0.0. Rows whose ridged inverse
-proves them regular skip the eigendecomposition that the singularity
-test needs (see _certified_regular), without changing a bit.
+all-zero b-vector, where the einsum gives +0.0. Each row's inverse is
+ridged by ridge_rel tr(F)/4, and ridge_rel is always positive (CrlbConfig
+refuses ridge_rel <= 0). Rows whose ridged inverse proves them regular
+skip the eigendecomposition that the singularity test needs (see
+_certified_regular), without changing a bit.
 
 The optimizer anneals the ten b-values over the integer grid [0, 1000]
 (first slot pinned to b = 0) against that score averaged over a fixed set
@@ -35,6 +37,7 @@ Each block is an elementwise function of b, the echo time and one sample
 row, so a block computed alone has the bits it has within a protocol, and
 _fisher_sum adds the held blocks from zero in the same sorted order:
 every cost is bit for bit fisher_matrix's. The memo ends with the anneal.
+crlb_objective is the anneal's cost applied once, to one protocol.
 The Gaussian-noise Fisher matrix is an approximation to
 the Rician simulation noise; at SNR 25 the discrepancy is negligible.
 """
@@ -96,8 +99,8 @@ class CrlbConfig:
             raise ValueError("iterations must be >= 1")
         if self.n_tissue_samples < 1:
             raise ValueError("n_tissue_samples must be >= 1")
-        if not self.ridge_rel >= 0.0:
-            raise ValueError(f"ridge_rel must be >= 0, got {self.ridge_rel}")
+        if not self.ridge_rel > 0.0:
+            raise ValueError(f"ridge_rel must be > 0, got {self.ridge_rel}")
 
 
 def _jacobian_planes(b_values: np.ndarray, te: float, t2: float, params: np.ndarray) -> np.ndarray:
@@ -172,15 +175,12 @@ def _certified_regular(fisher: np.ndarray, trace: np.ndarray, ridge: np.ndarray,
     row with 1/tr(C) - r > 2 ridge_rel tr(F) passes the eigvalsh test of
     _sample_cost; the factor 2 absorbs the rounding of C and of eigvalsh.
     Non-finite rows compare False. C is None, and no row is proved regular,
-    when ridge_rel is 0 or the batched inverse fails.
+    only when the batched inverse fails.
     """
-    regular = np.zeros(len(fisher), dtype=bool)
-    if ridge_rel <= 0.0:
-        return None, regular
     try:
         inverse = np.linalg.inv(fisher + ridge[:, None, None] * _IDENTITY)
     except np.linalg.LinAlgError:
-        return None, regular
+        return None, np.zeros(len(fisher), dtype=bool)
     lower_bound = 1.0 / np.trace(inverse, axis1=1, axis2=2) - ridge
     return inverse, lower_bound > (2.0 * ridge_rel + _ROUNDING_MARGIN) * trace
 
@@ -262,16 +262,14 @@ def crlb_objective(
     scanner: ScannerConfig,
     config: CrlbConfig = CrlbConfig(),
 ) -> float:
-    """Scalar design cost: mean over the (m, 4) sample rows of sum CRLB(theta)/theta^2.
+    """Scalar design cost: mean over the (m, 4) sample rows of sum CRLB(theta)/theta^2,
+    the anneal's cost (_sample_cost) of the protocol's b-values.
 
     Singular or indefinite information matrices contribute the large
     finite penalty instead of raising, so optimizers always receive a
     defined cost.
     """
-    samples = _checked_samples(tissue_samples)
-    b_values = protocol.b_array
-    fisher = fisher_matrix(b_values, min_te(float(b_values[-1]), scanner), scanner, samples)
-    return _cost_of_fisher(fisher, samples[:, _SCORED] ** 2, config.ridge_rel)
+    return _sample_cost(_checked_samples(tissue_samples), scanner, config)(protocol.b_array)
 
 
 def anneal_b_values(cost_fn, initial: Sequence[float], rng: np.random.Generator, iterations: int):

@@ -69,17 +69,13 @@ class Mlp:
     def forward(self, x: np.ndarray):
         """Returns (output, activations); x is a (batch, in_dim) float array.
 
-        Each layer's product takes the bias and the tanh in place, the same
-        arithmetic as ``tanh(x @ w.T + b)`` without its temporaries.
+        Each hidden layer is ``tanh(a @ w.T + b)``; the head is ``a @ w.T + b``.
         """
         activations = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w.T
-            z += b
-            if i != last:
-                np.tanh(z, out=z)
-            activations.append(z)
+            z = activations[-1] @ w.T + b
+            activations.append(z if i == last else np.tanh(z))
         return activations[-1], activations
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

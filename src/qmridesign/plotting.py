@@ -5,7 +5,9 @@ report produces byte-identical markup on every run and platform; tests
 pin the sha256 of the markup for fixed inputs. One series per method,
 error bars from the reported standard deviations, gaps where a method is
 missing an SNR that other methods cover. A report holding two different
-values for one (method, SNR) cell is refused rather than drawn.
+values for one (method, SNR) cell is refused rather than drawn. Labels are
+XML-escaped, and a comment holding "--", which no XML comment may, is
+refused, so the markup is well-formed whatever the report holds.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 __all__ = ["plot_accuracy_vs_snr"]
 
@@ -41,7 +44,7 @@ def _text(x: str, y: str, label: str, size: int = 12,
           anchor: str = ' text-anchor="middle"', extra: str = "") -> str:
     # anchor and extra are raw attribute strings, placed before and after the font attributes
     return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"'
-            f'{extra}>{label}</text>')
+            f'{extra}>{escape(label)}</text>')
 
 
 def plot_accuracy_vs_snr(rows, out_path, comment: str = "") -> None:
@@ -50,11 +53,14 @@ def plot_accuracy_vs_snr(rows, out_path, comment: str = "") -> None:
     Rows sharing a method form one series ordered by SNR. A method missing
     one of the union's SNR values is drawn with a gap there and a warning
     is logged. A row repeating a (method, snr) cell with another mean or
-    std raises ``ValueError`` before anything is written.
+    std, or a ``comment`` holding "--", raises ``ValueError`` before
+    anything is written.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("no report rows to plot")
+    if "--" in comment:
+        raise ValueError(f"an SVG comment cannot hold '--', and the provenance is {comment!r}")
 
     series: dict = {}
     for row in rows:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .ivim import AcquisitionProtocol
-from .nets import Adam, Mlp, softmax
+from .nets import Adam, Mlp, log_softmax, softmax
 
 __all__ = [
     "PpoConfig",
@@ -97,15 +97,19 @@ class PpoAgent:
         self.observation_size = observation_size
         self.n_actions = n_actions
         self.config = config
-        h = config.hidden_size
-        actor_sizes = (observation_size, h, h, n_actions)
-        critic_sizes = (observation_size, h, h, 1)
+        actor_sizes, critic_sizes = self.layer_sizes(observation_size, n_actions, config.hidden_size)
         self.n_actor_params = Mlp.n_params(actor_sizes)
         self.params = np.zeros(self.n_actor_params + Mlp.n_params(critic_sizes))
         # small-gain head keeps the initial policy near uniform
         self.actor = Mlp(actor_sizes, self.params[: self.n_actor_params], rng, out_gain=0.01)
         self.critic = Mlp(critic_sizes, self.params[self.n_actor_params :], rng, out_gain=1.0)
         self.optimizer = Adam(self.params, lr=config.learning_rate, eps=ADAM_EPS)
+
+    @staticmethod
+    def layer_sizes(observation_size: int, n_actions: int, hidden_size: int):
+        """(actor, critic) layer sizes of an agent of this shape."""
+        return ((observation_size, hidden_size, hidden_size, n_actions),
+                (observation_size, hidden_size, hidden_size, 1))
 
     def policy_forward(self, observation: np.ndarray):
         """(action probabilities, value estimate) for a single observation vector."""
@@ -180,12 +184,9 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns):
     PpoNanError if the total is non-finite.
     """
     batch = len(actions)
-    # log_softmax, then its exp, on two buffers: the logits become logp_all
-    logp_all, actor_cache = agent.actor.forward(obs)
-    logp_all -= logp_all.max(axis=1, keepdims=True)
+    logits, actor_cache = agent.actor.forward(obs)
+    logp_all = log_softmax(logits)
     probs = np.exp(logp_all)
-    logp_all -= np.log(probs.sum(axis=1, keepdims=True))
-    np.exp(logp_all, out=probs)
     rows = np.arange(batch)
     logp_act = logp_all[rows, actions]
     ratio = np.exp(logp_act - logp_old)
@@ -193,8 +194,7 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns):
     clipped = np.clip(ratio, 1.0 - CLIP_RANGE, 1.0 + CLIP_RANGE) * advantages
     policy_loss = -np.minimum(unclipped, clipped).mean()
 
-    buffer = probs * logp_all
-    entropy = (-buffer.sum(axis=1)).mean()
+    entropy = (-(probs * logp_all).sum(axis=1)).mean()
 
     values, critic_cache = agent.critic.forward(obs)
     value_err = values[:, 0] - returns
@@ -206,7 +206,8 @@ def ppo_loss(agent: PpoAgent, obs, actions, logp_old, advantages, returns):
     # d(policy_loss)/d(logp_act): the clipped branch has zero slope
     active = unclipped <= clipped
     dlogp_act = np.where(active, ratio * advantages, 0.0) * (-1.0 / batch)
-    dlogits = np.multiply(probs, (-dlogp_act)[:, None], out=buffer)  # == -probs * dlogp_act
+    # d(logp_act)/d(logits) = onehot(action) - probs
+    dlogits = -probs * dlogp_act[:, None]
     dlogits[rows, actions] += dlogp_act
     dvalues = (2.0 * VF_COEF / batch) * value_err[:, None]
 
@@ -351,11 +352,14 @@ def load_checkpoint(path):
             if meta["checkpoint_version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"checkpoint version {meta['checkpoint_version']} not supported "
                                  f"(expected {CHECKPOINT_VERSION})")
-            agent = PpoAgent(meta["observation_size"], meta["n_actions"], np.random.default_rng(0),
-                             PpoConfig(hidden_size=meta["hidden_size"]))
+            config = PpoConfig(hidden_size=meta["hidden_size"])
+            # the weights must fit the stored shape before a network of that shape is allocated
+            shape = (sum(map(Mlp.n_params, PpoAgent.layer_sizes(meta["observation_size"], meta["n_actions"],
+                                                                 config.hidden_size))),)
             params = data["params"]
-            if params.shape != agent.params.shape:
-                raise ValueError(f"checkpoint entry params has shape {params.shape}, expected {agent.params.shape}")
+            if params.shape != shape:
+                raise ValueError(f"checkpoint entry params has shape {params.shape}, expected {shape}")
+            agent = PpoAgent(meta["observation_size"], meta["n_actions"], np.random.default_rng(0), config)
             agent.params[...] = params
     except (zipfile.BadZipFile, TypeError) as err:  # TypeError: a meta field of the wrong type
         raise ValueError(f"{path} is not a readable checkpoint: {err}") from err

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import re
+import xml.dom.minidom
 import zipfile
 from pathlib import Path
 
@@ -389,6 +390,15 @@ class TestPlot:
         plot_accuracy_vs_snr(rows, path, comment=comment)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_labels_are_escaped(self, tmp_path):
+        """A method label holding XML's special characters is drawn as
+        written, in markup that parses."""
+        rows = [{**row, "method": "a<b & c"} if row["method"] == "rl" else row for row in self.rows()]
+        path = tmp_path / "escaped.svg"
+        plot_accuracy_vs_snr(rows, path)
+        labels = [node.firstChild.data for node in xml.dom.minidom.parse(str(path)).getElementsByTagName("text")]
+        assert "a<b & c" in labels
+
     def test_conflicting_cell_refused(self, tmp_path):
         rows = self.rows()
         held = (rows[1]["mean_accuracy"], rows[1]["std_accuracy"])
@@ -524,6 +534,17 @@ class TestCli:
         assert plot.returncode != 0
         assert "no report rows to plot" in plot.stderr
         assert not (tmp_path / "fig" / "accuracy_vs_snr.svg").exists()
+
+    def test_plot_refuses_a_provenance_holding_two_dashes(self, run_cli, tmp_path):
+        """The provenance comment cannot hold "--": plot names the report in
+        one line and writes no chart."""
+        report = tmp_path / "report.csv"
+        append_report_rows(report, [TestReports().row(config_hash="00--11")])
+        plot = run_cli(["plot", "--report", str(report), "--out", str(tmp_path / "fig")], tmp_path)
+        assert plot.returncode != 0
+        assert plot.stderr == (f"cannot plot {report}: an SVG comment cannot hold '--', "
+                               "and the provenance is 'config_hash=00--11 seed=1'\n")
+        assert not (tmp_path / "fig").exists()
 
     def test_plot_refuses_a_report_that_mixes_tasks(self, run_cli, tiny_config, tmp_path):
         """A chart shows one task: rows of two tasks, even at SNRs that never
@@ -663,6 +684,7 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 4, "chronic": 21, "healthy": 21}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"n_tissue_samples": 0}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"ridge_rel": -1e-12}}),
+        (["optimize", "--optimizer", "crlb"], {"crlb": {"ridge_rel": 0.0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.0}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"d_min": 0.01}}),
         (["evaluate", "--optimizer", "adhoc"], {"fit_bounds": {"dstar_max": 1.0e-6}}),
@@ -688,7 +710,7 @@ class TestCli:
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
             "snr-infinite", "boolean-t2",
             "fewer-subjects-than-folds", "zero-tissue-samples",
-            "negative-ridge-rel", "zero-d-min", "d-min-above-d-max",
+            "negative-ridge-rel", "zero-ridge-rel", "zero-d-min", "d-min-above-d-max",
             "dstar-max-below-d-min", "dstar-max-below-d-max",
             *(f"ppo-{name}-{value}" for name, value in _BAD_PPO_VALUES),
             *(f"tissue-{name.removesuffix('.json')}" for name in _BAD_TISSUE_FILES),
@@ -751,6 +773,8 @@ class TestCli:
         (["evaluate", "--checkpoint", "{small_agent}"],
          "cannot use {small_agent}: its agent has (observation_size, n_actions) = (3, 2), "
          "the protocol environment needs (12, 101)"),
+        (["evaluate", "--checkpoint", "{huge_hidden_size}"],
+         "cannot read {huge_hidden_size}: checkpoint entry params has shape (9027,), expected (200000130000003,)"),
         (["evaluate", "--checkpoint", "{wide_agent}"],
          "cannot use {wide_agent}: its agent has (observation_size, n_actions) = (12, 1001), "
          "the protocol environment needs (12, 101)"),
@@ -773,7 +797,7 @@ class TestCli:
             "checkpoint-foreign", "protocol-file-not-an-object", "protocol-file-scalar-b-values",
             "checkpoint-npy", "checkpoint-empty", "checkpoint-truncated", "checkpoint-corrupt",
             "checkpoint-version-5", "checkpoint-text-hidden-size", "checkpoint-other-shape",
-            "checkpoint-1001-actions", "optimize-adhoc",
+            "checkpoint-huge-hidden-size", "checkpoint-1001-actions", "optimize-adhoc",
             "evaluate-no-protocol-source",
             "report-row-schema-version-2", "report-short-row", "plot-short-row", "report-long-row",
             "evaluate-out-a-file", "validate-out-a-file", "optimize-crlb-out-under-a-file",
@@ -783,7 +807,7 @@ class TestCli:
         a config file, a JSON list, a protocol artifact whose ``b_values`` is
         not a list, a bare ``.npy`` array, an empty, truncated or corrupt
         checkpoint, one of an earlier format version or one whose metadata
-        holds a field of the wrong type, the
+        holds a field of the wrong type or a size its weights do not fit, the
         checkpoint of an agent shaped for another environment (among them a
         1001-action agent of the 1 s/mm^2 grid), a report row
         of another schema version or
@@ -805,6 +829,7 @@ class TestCli:
                  "version_5": str(tmp_path / "version_5.npz"),
                  "text_hidden_size": str(tmp_path / "text_hidden_size.npz"),
                  "small_agent": str(tmp_path / "small.npz"),
+                 "huge_hidden_size": str(tmp_path / "huge_hidden_size.npz"),
                  "wide_agent": str(tmp_path / "wide.npz"),
                  "v2_report": str(tmp_path / "v2.csv"),
                  "short_row": str(tmp_path / "short.csv"),
@@ -829,6 +854,8 @@ class TestCli:
                                  lambda meta: meta.update(checkpoint_version=5))
         _rewrite_checkpoint_meta(tmp_path / "small.npz", tmp_path / "text_hidden_size.npz",
                                  lambda meta: meta.update(hidden_size="64"))
+        _rewrite_checkpoint_meta(tmp_path / "small.npz", tmp_path / "huge_hidden_size.npz",
+                                 lambda meta: meta.update(hidden_size=10_000_000))
         append_report_rows(tmp_path / "v2.csv", [TestReports().row()])
         (tmp_path / "v2.csv").write_text((tmp_path / "v2.csv").read_text().replace("\n1,", "\n2,"))
         (tmp_path / "short.csv").write_text(",".join(REPORT_COLUMNS) + "\n1,multiclass,adhoc\n")
