@@ -59,11 +59,11 @@ def auc_loss(matrix: dict, targets: dict) -> float:
     return total
 
 
-def _valid_proposal(class_label, mean_f, std_f, mean_d, std_d, mean_dstar, std_dstar) -> bool:
+def _valid_proposal(mean_f, std_f, mean_d, std_d, mean_dstar, std_dstar) -> bool:
     # keep sampling well-posed: f comfortably inside (0, 1), positive
     # scales, and the perfusion compartment clearly faster than tissue.
-    # Takes TissueDistribution's fields, not an instance: its constructor
-    # raises on some of the values rejected here (mean_f >= 1).
+    # Takes a TissueDistribution's fields as keywords, not an instance: its
+    # constructor raises on some of the values rejected here (mean_f >= 1).
     if not 0.01 <= mean_f <= 0.9:
         return False
     if std_f < 1.0e-4 or std_d < 1.0e-7 or std_dstar < 1.0e-5:

@@ -290,5 +290,4 @@ def task_objective(
     every protocol receives a defined score.
     """
     dataset = simulate_fitted_dataset(protocol, task, env, rng)
-    labels = dataset.label_codes(task.classes)
-    return cross_val_accuracy(dataset.features, labels, rng, n_repeats=config.n_repeats_reward)
+    return cross_val_accuracy(dataset.features, dataset.labels, rng, n_repeats=config.n_repeats_reward)

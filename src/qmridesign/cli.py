@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibrate import DEFAULT_AUC_TARGETS, calibrate_distributions
 from .classify import Task
-from .cohort import MissingDistributionError
+from .cohort import CohortError
 from .config import (
     ExperimentConfig,
     OPTIMIZER_CHOICES,
@@ -317,8 +317,8 @@ def main(argv=None) -> int:
         raise SystemExit(f"cannot write to {out}: {blocking} is not a directory")
     try:
         return args.run(args, config, out, stamp)
-    except MissingDistributionError as err:  # the command samples a class the config lacks
-        raise SystemExit(f"{args.command}: {err.args[0]}") from err
+    except CohortError as err:  # the command samples a class the config lacks or cannot sample
+        raise SystemExit(f"{args.command}: {err}") from err
 
 
 if __name__ == "__main__":

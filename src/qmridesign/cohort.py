@@ -2,9 +2,9 @@
 
 Each tissue class carries independent Gaussian priors over (f, d, d_star),
 truncated by rejection sampling to the physically valid region. A cohort is
-an (n, 4) array of parameter rows with one label per row; a dataset adds
-the simulated signal matrix and, after fitting, the per-subject feature
-vectors.
+an (n, 4) array of parameter rows with one class code per row, its class's
+index in the cohort spec; a dataset adds the simulated signal matrix and,
+after fitting, the per-subject feature vectors.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "CohortSpec",
     "Cohort",
     "Dataset",
+    "CohortError",
     "MissingDistributionError",
     "sample_cohort",
     "simulate_dataset",
@@ -43,15 +44,18 @@ class TissueClass(str, Enum):
         return self.value
 
 
-class MissingDistributionError(KeyError):
-    """A cohort spec names a class with no configured distribution."""
+class CohortError(ValueError):
+    """A cohort cannot be drawn; the message names the class by its token."""
+
+
+class MissingDistributionError(CohortError):
+    """A cohort spec names a class with no configured distribution or subject count."""
 
 
 @dataclass(frozen=True)
 class TissueDistribution:
-    """Gaussian priors for one tissue class (means/stds per parameter)."""
+    """Gaussian priors (means/stds per parameter) for the tissue class whose key maps to it."""
 
-    class_label: TissueClass
     mean_f: float
     std_f: float
     mean_d: float
@@ -100,9 +104,9 @@ class CohortSpec:
 
 @dataclass(frozen=True)
 class Cohort:
-    """Labeled ground-truth parameter tuples, one per subject."""
+    """Ground-truth parameter rows and their class codes, one per subject."""
 
-    labels: tuple
+    labels: np.ndarray  # (n,) int class codes: indices into the spec's class order
     params: np.ndarray  # (n, 4) columns (s0, f, d, d_star)
 
     def __len__(self) -> int:
@@ -111,9 +115,9 @@ class Cohort:
 
 @dataclass
 class Dataset:
-    """Per-subject labels, signals and optional fit features."""
+    """Per-subject class codes, signals and optional fit features."""
 
-    labels: tuple
+    labels: np.ndarray        # (n,) int class codes, as the cohort's
     signals: np.ndarray       # (n, len(protocol))
     b_values: np.ndarray      # shared acquisition b-values, s/mm^2
     features: np.ndarray | None = None   # (n, 4) fitted (s0, f, d, d_star)
@@ -129,10 +133,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def label_codes(self, class_order: Sequence[TissueClass]) -> np.ndarray:
-        index = {label: i for i, label in enumerate(class_order)}
-        return np.array([index[label] for label in self.labels], dtype=int)
 
 
 def _redraw_truncated(
@@ -163,7 +163,7 @@ def sample_cohort(
     spec: CohortSpec,
     rng: np.random.Generator,
 ) -> Cohort:
-    """Draw the requested number of subjects per class.
+    """Draw the requested number of subjects per class, coded by its index in the spec.
 
     f is truncated to [F_LOW, F_HIGH]; d and d_star are redrawn until
     positive, and d_star additionally until d_star >= d so every row passes
@@ -171,17 +171,20 @@ def sample_cohort(
     s0 still varies through TE and noise).
     """
     params = np.ones((spec.total, 4))
-    labels: list[TissueClass] = []
+    start = 0
     for label, count in spec.counts.items():
         if label not in distributions:
-            raise MissingDistributionError(f"no tissue distribution configured for {label!r}")
+            raise MissingDistributionError(f"no tissue distribution configured for {label.value}")
         dist = distributions[label]
-        _, f, d, dstar = params[len(labels) : len(labels) + count].T
-        f[:] = _redraw_truncated(rng, dist.mean_f, dist.std_f, F_LOW, F_HIGH, count)
-        d[:] = _redraw_truncated(rng, dist.mean_d, dist.std_d, 0.0, np.inf, count, strict_low=True)
-        dstar[:] = _redraw_truncated(rng, dist.mean_dstar, dist.std_dstar, d, np.inf, count)
-        labels.extend([label] * count)
-    return Cohort(labels=tuple(labels), params=params)
+        _, f, d, dstar = params[start : start + count].T
+        try:
+            f[:] = _redraw_truncated(rng, dist.mean_f, dist.std_f, F_LOW, F_HIGH, count)
+            d[:] = _redraw_truncated(rng, dist.mean_d, dist.std_d, 0.0, np.inf, count, strict_low=True)
+            dstar[:] = _redraw_truncated(rng, dist.mean_dstar, dist.std_dstar, d, np.inf, count)
+        except ValueError as err:
+            raise CohortError(f"cannot sample tissue class {label.value}: {err}") from err
+        start += count
+    return Cohort(labels=np.repeat(np.arange(len(spec.counts)), list(spec.counts.values())), params=params)
 
 
 def simulate_dataset(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -89,8 +89,9 @@ def _whole_number(raw) -> int:
 
 
 def _real_number(raw):
-    """``raw`` as it is if it is a finite number; a boolean, a string, NaN or an infinity is refused."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+    """``raw`` as it is if it is a finite number a float can hold; a boolean, a
+    string, NaN, an infinity or an integer too large for a float is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not abs(raw) <= sys.float_info.max:
         raise ValueError(f"expected a finite number, got {json.dumps(raw)}")
     return raw
 
@@ -100,12 +101,11 @@ _READERS = {"int": _whole_number, "float": _real_number,
             "float | None": lambda raw: raw if raw is None else _real_number(raw)}
 
 
-def _record(cls, raw, **given):
-    """``cls`` built from the ``given`` field values and the JSON object
-    ``raw``, whose values are read by their field types' readers; keys that
-    name no other field are refused all together."""
-    readers = {f.name: _READERS[f.type] for f in fields(cls) if f.name not in given}
-    return cls(**given, **{name: _read(name, readers[name], value) for name, value in _known(raw, readers).items()})
+def _record(cls, raw):
+    """``cls`` built from the JSON object ``raw``, whose values are read by
+    their field types' readers; keys that name no field are refused all together."""
+    readers = {f.name: _READERS[f.type] for f in fields(cls)}
+    return cls(**{name: _read(name, readers[name], value) for name, value in _known(raw, readers).items()})
 
 
 def _section(cls):
@@ -224,8 +224,7 @@ def _read(name: str, load, raw):
 
 def _tissue_records(distributions: Mapping[TissueClass, TissueDistribution]) -> dict:
     """{class token: {field: value}}, the tissue file's "classes" block."""
-    return {label.value: {name: value for name, value in asdict(dist).items() if name != "class_label"}
-            for label, dist in distributions.items()}
+    return {label.value: asdict(dist) for label, dist in distributions.items()}
 
 
 def load_tissue_distributions(path) -> dict:
@@ -244,8 +243,7 @@ def load_tissue_distributions(path) -> dict:
                 f"schema version {version} not supported (expected {TISSUE_SCHEMA_VERSION})"
             )
         return {
-            TissueClass(label): _read(label, functools.partial(_record, TissueDistribution,
-                                                               class_label=TissueClass(label)), block)
+            TissueClass(label): _read(label, functools.partial(_record, TissueDistribution), block)
             for label, block in raw["classes"].items()
         }
     except KeyError as err:

@@ -46,14 +46,13 @@ def protocol_id(protocol: AcquisitionProtocol) -> str:
 
 
 def _repeats(protocol, task, env, eval_config, master_seed, n_repeats, command):
-    """Yield (rng, fitted dataset, label codes) for each independent repeat."""
+    """Yield (rng, fitted dataset) for each independent repeat; its class codes index ``task.classes``."""
     repeats = eval_config.n_repeats_report if n_repeats is None else n_repeats
     pid = protocol_id(protocol)
     snr_key = repr(float(env.scanner.snr))
     for r in range(repeats):
         rng = derive_rng(master_seed, command, task.token, pid, snr_key, r)
-        dataset = simulate_fitted_dataset(protocol, task, env, rng)
-        yield rng, dataset, dataset.label_codes(task.classes)
+        yield rng, simulate_fitted_dataset(protocol, task, env, rng)
 
 
 def evaluate_accuracy(
@@ -66,8 +65,8 @@ def evaluate_accuracy(
 ):
     """Mean and std of cross-validated accuracy over independent repeats."""
     accuracies = np.array([
-        cross_val_accuracy(dataset.features, labels, rng, n_repeats=1)
-        for rng, dataset, labels in _repeats(
+        cross_val_accuracy(dataset.features, dataset.labels, rng, n_repeats=1)
+        for rng, dataset in _repeats(
             protocol, task, env, eval_config, master_seed, n_repeats, "evaluate"
         )
     ])
@@ -89,8 +88,9 @@ def auc_matrix(
     matrix: dict = {}
     for task in BINARY_TASKS:
         aucs = np.array([
-            [parameter_auc(values[labels == 0], values[labels == 1]) for values in dataset.features[:, 1:].T]
-            for _, dataset, labels in _repeats(
+            [parameter_auc(values[dataset.labels == 0], values[dataset.labels == 1])
+             for values in dataset.features[:, 1:].T]
+            for _, dataset in _repeats(
                 protocol, task, env, eval_config, master_seed, n_repeats, "validate"
             )
         ])

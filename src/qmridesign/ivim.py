@@ -152,7 +152,7 @@ class AcquisitionProtocol:
     b_values: tuple
 
     def __post_init__(self) -> None:
-        values = tuple(sorted(float(b) for b in self.b_values))
+        values = tuple(sorted(float(b) + 0.0 for b in self.b_values))  # + 0.0 stores -0 as 0
         if len(values) != PROTOCOL_LENGTH:
             raise ValueError(
                 f"protocol must contain exactly {PROTOCOL_LENGTH} b-values, got {len(values)}"

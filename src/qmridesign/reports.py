@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .config import write_json
+from .config import _json_list, _real_number, write_json
 from .experiments import protocol_id
 from .ivim import AcquisitionProtocol, ScannerConfig
 
@@ -149,12 +149,11 @@ def load_protocol_artifact(path):
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != ARTIFACT_SCHEMA_VERSION:
         raise ValueError(f"protocol artifact schema {version} not supported")
-    b_values = payload.get("b_values")
-    if not isinstance(b_values, list) or not all(
-        isinstance(b, (int, float)) and not isinstance(b, bool) for b in b_values
-    ):
-        raise ValueError(f"protocol artifact b_values must be a list of numbers, got {b_values!r}")
-    return AcquisitionProtocol(tuple(b_values)), payload
+    try:
+        b_values = tuple(map(_real_number, _json_list(payload.get("b_values"))))
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"protocol artifact b_values must be a list of numbers: {err}") from err
+    return AcquisitionProtocol(b_values), payload
 
 
 def write_csv(path, header, rows) -> None:

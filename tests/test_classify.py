@@ -394,13 +394,6 @@ class TestTaskObjective:
     def test_identical_distributions_score_chance(self):
         dists = load_tissue_distributions(default_tissue_path())
         same = {label: dists[TissueClass.ACTIVE] for label in TissueClass}
-        same = {
-            label: type(d)(
-                class_label=label, mean_f=d.mean_f, std_f=d.std_f, mean_d=d.mean_d,
-                std_d=d.std_d, mean_dstar=d.mean_dstar, std_dstar=d.std_dstar,
-            )
-            for label, d in same.items()
-        }
         env = SimulationEnv(same, CohortSpec(), ScannerConfig())
         cfg = EvalConfig()
         values = [

@@ -53,6 +53,10 @@ from qmridesign.reports import (
 )
 
 
+#: a JSON integer too large for a float (400 digits)
+_HUGE = int("1" * 400)
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     """Config small enough for CLI round-trips in seconds."""
@@ -111,7 +115,7 @@ class TestConfig:
         dists = dict(load_tissue_distributions(default_tissue_path()))
         active = dists[TissueClass.ACTIVE]
         dists[TissueClass.ACTIVE] = type(active)(
-            class_label=TissueClass.ACTIVE, mean_f=active.mean_f + 0.01,
+            mean_f=active.mean_f + 0.01,
             std_f=active.std_f, mean_d=active.mean_d, std_d=active.std_d,
             mean_dstar=active.mean_dstar, std_dstar=active.std_dstar,
         )
@@ -194,11 +198,15 @@ class TestConfig:
         ({"snr_list": [25, float("inf")]}, "snr_list: expected a finite number, got Infinity"),
         ({"snr_list": [True]}, "snr_list: expected a finite number, got true"),
         ({"snr_list": [5, "15"]}, 'snr_list: expected a finite number, got "15"'),
+        ({"snr_list": [_HUGE]}, f"snr_list: expected a finite number, got {_HUGE}"),
+        ({"scanner": {"t2": _HUGE}}, f"scanner: t2: expected a finite number, got {_HUGE}"),
+        ({"ppo": {"learning_rate": _HUGE}}, f"ppo: learning_rate: expected a finite number, got {_HUGE}"),
     ], ids=["boolean-t2", "boolean-learning-rate", "string-ridge-rel", "infinite-validation-snr",
-            "infinite-snr", "boolean-snr", "string-snr"])
+            "infinite-snr", "boolean-snr", "string-snr", "huge-snr", "huge-t2", "huge-learning-rate"])
     def test_float_fields_read_as_finite_numbers(self, payload, message, tmp_path):
-        """A float setting is a finite JSON number: a boolean, a string or an
-        infinity is refused naming its field, not converted."""
+        """A float setting is a finite JSON number: a boolean, a string, an
+        infinity or an integer too large for a float is refused naming its
+        field, not converted."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
@@ -219,7 +227,9 @@ class TestConfig:
          "healthy: mean_d: expected a finite number, got NaN"),
         (lambda raw: raw["classes"]["active"].update(mean_s0=0.5), "active: unknown keys: ['mean_s0']"),
         (lambda raw: raw.update(notes="x", source=1), "unknown keys: ['notes', 'source']"),
-    ], ids=["boolean-std-f", "nan-mean-d", "unknown-class-key", "unknown-top-level-keys"])
+        (lambda raw: raw["classes"]["active"].update(std_f=_HUGE),
+         f"active: std_f: expected a finite number, got {_HUGE}"),
+    ], ids=["boolean-std-f", "nan-mean-d", "unknown-class-key", "unknown-top-level-keys", "huge-std-f"])
     def test_tissue_file_values_and_keys_refused(self, edit, message, tmp_path):
         """A tissue value is a finite number and every key names a field, in a
         class block and at the top level; the message names the file and the
@@ -297,7 +307,8 @@ class TestReports:
         assert payload["protocol_id"] == protocol_id(protocol)
         assert (payload["config_hash"], payload["seed"], payload["iterations"]) == ("deadbeef", 3, 9)
 
-    @pytest.mark.parametrize("b_values", [5, "0,10,20", ["0", 10], [True] * 10, {"b": 0}, None])
+    @pytest.mark.parametrize("b_values", [5, "0,10,20", ["0", 10], [True] * 10, {"b": 0}, None,
+                                          [0] * 9 + [_HUGE]])
     def test_protocol_artifact_without_a_list_of_numbers_refused(self, tmp_path, b_values):
         path = tmp_path / "protocol.json"
         payload = {"schema_version": 1} if b_values is None else {"schema_version": 1, "b_values": b_values}
@@ -624,6 +635,19 @@ class TestCli:
         assert rows[0]["method"] == "adhoc"
         assert rows[0]["n_repeats"] == 4
 
+    def test_evaluate_negative_zero_literal_scores_as_adhoc(self, run_cli, tiny_config, tmp_path):
+        """A literal b-value of -0 is adhoc's b = 0: the row has adhoc's id,
+        b-values, mean and std, and writes no -0."""
+        rows = {}
+        for name, source in (("literal", ["--protocol=-0,10,20,30,50,80,100,200,400,800"]),
+                             ("adhoc", ["--optimizer", "adhoc"])):
+            out = tmp_path / name
+            run_cli(["evaluate", "--config", str(tiny_config), *source, "--out", str(out)], tmp_path, check=True)
+            assert "-0" not in (out / "report.csv").read_text()
+            [row] = read_report(out / "report.csv")
+            rows[name] = [row[key] for key in ("protocol_id", "b_values", "mean_accuracy", "std_accuracy")]
+        assert rows["literal"] == rows["adhoc"]
+
     def test_evaluate_protocol_literal_and_malformed(self, run_cli, tiny_config, tmp_path):
         good = run_cli(
             ["evaluate", "--config", str(tiny_config),
@@ -893,6 +917,27 @@ class TestCli:
         assert result.returncode != 0
         assert "Traceback" not in result.stderr
         assert result.stderr.strip() == "validate: no subject counts for classes: ['healthy']"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["classes"].pop("chronic"), "evaluate: no tissue distribution configured for chronic"),
+        (lambda raw: raw["classes"]["active"].update(mean_dstar=0.001125, std_dstar=0.0),
+         "evaluate: cannot sample tissue class active: rejection sampling failed to satisfy ["),
+    ], ids=["missing-class", "unsampleable-class"])
+    def test_command_sampling_a_class_it_cannot_draw_exits_cleanly(self, run_cli, edit, message, tmp_path):
+        """A tissue file that loads may still not give a cohort: a class it
+        lacks, or one whose d_star prior (here half its mean d, no spread)
+        never lands above d. The command ends in one line naming the class
+        by its token, and makes no output directory."""
+        (tmp_path / "tissue.json").write_text(_edited_tissue_file(edit))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tissue_file": "tissue.json", "eval": {"n_repeats_report": 1}}))
+        out = tmp_path / "run"
+        result = run_cli(["evaluate", "--config", str(config), "--optimizer", "adhoc", "--out", str(out)], tmp_path)
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(message)
+        assert len(result.stderr.strip().splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["crlb", "rl"])

@@ -16,6 +16,7 @@ from qmridesign import (
     simulate_dataset,
 )
 from qmridesign.cohort import Cohort
+from qmridesign.experiments import protocol_id
 from qmridesign.ivim import ADHOC_B_VALUES, B_VALUE_MAX
 
 
@@ -99,6 +100,14 @@ class TestProtocol:
     def test_sorted_canonical_form(self):
         p = AcquisitionProtocol((800, 0, 400, 200, 100, 80, 50, 30, 20, 10))
         assert p.b_values == ADHOC_B_VALUES
+
+    def test_negative_zero_stored_as_zero(self):
+        """-0 equals 0, so a protocol holding it is adhoc's, stored with +0
+        and given adhoc's id, hence adhoc's repeat streams."""
+        protocol = AcquisitionProtocol((-0.0, *ADHOC_B_VALUES[1:]))
+        assert protocol.b_values == AcquisitionProtocol.adhoc().b_values
+        assert math.copysign(1.0, protocol.b_values[0]) == 1.0
+        assert protocol_id(protocol) == protocol_id(AcquisitionProtocol.adhoc())
 
     def test_requires_b0(self):
         with pytest.raises(ValueError):
