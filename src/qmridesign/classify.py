@@ -7,9 +7,19 @@ vectors (s0, f, d, d_star). Features are z-scored with statistics from the
 training folds only; raw feature scales differ by three orders of
 magnitude, which would otherwise make Euclidean distances degenerate.
 One cross-validation call scores all of its repeat x fold splits at once:
-its folds are dealt from per-class subject index lists made once per
-call, each split's statistics come from sums masked to its training rows,
-and the KNN runs on one padded (split, test, train) distance tensor.
+its folds are dealt from per-class subject index lists, each split's
+statistics come from sums masked to its training rows, and the KNN runs
+on one padded (split, test, train) distance tensor.
+
+A cohort's label vector depends only on its spec, so every repeat of a
+report cell or reward deals folds for the same one. Its fold plan, each
+class's subject indices and their round-robin fold numbers, is memoized
+for the last FOLD_PLAN_MEMO_SIZE label vectors (one per task), keyed by
+the labels' bytes, and held read-only. A plan is only reused for
+bit-identical labels and only sets which subjects the shuffles permute,
+so the folds, and every accuracy bit, are those of a plan built anew; a
+class too small for the folds is refused on every call, as no plan is
+kept for it.
 
 Tie-breaking is fully deterministic: neighbors are ordered by (distance,
 subject index), and a tied majority vote falls back to the label of the
@@ -20,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .cohort import CohortSpec, TissueClass, TissueDistribution, sample_cohort, simulate_dataset
-from .fitting import FitBounds, DEFAULT_BOUNDS, fit_dataset
+from .fitting import FitBounds, DEFAULT_BOUNDS, _frozen, fit_dataset
 from .ivim import AcquisitionProtocol, ScannerConfig
 
 __all__ = [
@@ -46,6 +57,8 @@ __all__ = [
 K_NEIGHBORS = 5
 #: stratified cross-validation folds; every class needs at least this many subjects
 N_FOLDS = 5
+#: label vectors whose fold plan is memoized (see the module docstring)
+FOLD_PLAN_MEMO_SIZE = 4
 
 
 class InsufficientSubjectsError(ValueError):
@@ -171,28 +184,31 @@ def knn_predict_batch(
 def stratified_fold_assignments(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Fold index per subject: each class's subjects are shuffled and dealt
     round-robin across N_FOLDS folds, so per-fold class counts differ by at most one."""
-    return _deal_folds(_class_members(np.asarray(labels)), rng, 1)[0]
+    return _deal_folds(np.asarray(labels, dtype=int), rng, 1)[0]
 
 
-def _class_members(labels: np.ndarray) -> list:
-    """Each class's subject indices, classes in ascending order."""
-    members = []
+@lru_cache(maxsize=FOLD_PLAN_MEMO_SIZE)
+def _fold_plan(label_bytes: bytes) -> tuple:
+    """Each class's subject indices and their round-robin fold numbers, read-only,
+    classes in ascending order."""
+    labels = np.frombuffer(label_bytes, dtype=int)
+    plan = []
     for value in np.unique(labels):
         idx = np.flatnonzero(labels == value)
         if len(idx) < N_FOLDS:
             raise InsufficientSubjectsError(
                 f"class {value.item()} has {len(idx)} subjects, fewer than {N_FOLDS} folds")
-        members.append(idx)
-    return members
+        plan.append((_frozen(idx), _frozen(np.arange(len(idx)) % N_FOLDS)))
+    return tuple(plan)
 
 
-def _deal_folds(members: list, rng: np.random.Generator, n_repeats: int) -> np.ndarray:
-    """(n_repeats, n_subjects) fold indices: in each repeat, every class's
-    subjects are shuffled, class after class, and dealt round-robin."""
-    folds = np.empty((n_repeats, sum(len(idx) for idx in members)), dtype=int)
-    deals = [np.arange(len(idx)) % N_FOLDS for idx in members]
+def _deal_folds(labels: np.ndarray, rng: np.random.Generator, n_repeats: int) -> np.ndarray:
+    """(n_repeats, n_subjects) fold indices of int labels: in each repeat,
+    every class's subjects are shuffled, class after class, and dealt round-robin."""
+    plan = _fold_plan(labels.tobytes())
+    folds = np.empty((n_repeats, len(labels)), dtype=int)
     for row in folds:
-        for idx, deal in zip(members, deals):
+        for idx, deal in plan:
             row[rng.permutation(idx)] = deal
     return folds
 
@@ -214,7 +230,7 @@ def cross_val_accuracy(
     labels = np.asarray(labels, dtype=int)
 
     # one split per (repeat, fold), repeat-major: the order of the pooled accuracies
-    folds = _deal_folds(_class_members(labels), rng, n_repeats)
+    folds = _deal_folds(labels, rng, n_repeats)
     test = (folds[:, None, :] == np.arange(N_FOLDS)[:, None]).reshape(-1, len(labels))
     train = ~test
 
@@ -222,10 +238,11 @@ def cross_val_accuracy(
     # the same rows in the same order as a sum over features[train]
     n_train = train.sum(axis=1)[:, None]
     mean = np.where(train[:, :, None], features, 0.0).sum(axis=1) / n_train
-    centered = np.where(train[:, :, None], features - mean[:, None, :], 0.0)
+    deviation = features - mean[:, None, :]
+    centered = np.where(train[:, :, None], deviation, 0.0)
     std = np.sqrt((centered * centered).sum(axis=1) / n_train)
     std = np.where(std > 0.0, std, 1.0)  # constant feature -> zero after centering
-    z = (features - mean[:, None, :]) / std[:, None, :]
+    z = deviation / std[:, None, :]
 
     # every subject is a candidate neighbor, test rows labelled as padding;
     # the queries are each split's test rows in index order, padded to the largest fold

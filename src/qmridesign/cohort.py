@@ -144,11 +144,13 @@ def _redraw_truncated(
     n: int,
     strict_low: bool = False,
 ) -> np.ndarray:
-    """Gaussian draws redrawn until inside [low, high] (low exclusive if strict)."""
+    """Gaussian draws redrawn until inside [low, high] (low exclusive if strict);
+    a high of +inf is not tested."""
     x = rng.normal(mean, std, size=n)
     for _ in range(_MAX_REDRAW_ROUNDS):
         bad = (x <= low) if strict_low else (x < low)
-        bad = bad | (x > high)
+        if high < np.inf:
+            bad |= x > high
         if not bad.any():
             return x
         x = np.where(bad, rng.normal(mean, std, size=n), x)

@@ -142,6 +142,9 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if not all(snr > 1 for snr in self.snr_list):
             raise ValueError(f"every snr_list entry must exceed 1, got {list(self.snr_list)}")
+        repeated = sorted({snr for snr in self.snr_list if self.snr_list.count(snr) > 1})
+        if repeated:
+            raise ValueError(f"snr_list repeats {repeated}: each SNR is scored once")
         short = {label.value: n for label, n in self.cohort.counts.items() if n < N_FOLDS}
         if short:
             raise ValueError(f"cohort classes {short} have fewer subjects than N_FOLDS = {N_FOLDS}")

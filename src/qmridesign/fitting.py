@@ -28,13 +28,23 @@ poor feature vectors instead of errors.
 
 Every estimator takes an (n_subjects, n_acquisitions) signal matrix and
 returns per-row arrays; a single subject is an n = 1 matrix.
+
+What a fit needs of its b-values and bounds alone is its plan, memoized
+for the last PLAN_MEMO_SIZE b-vectors: the segmentation threshold and
+deficiency flag, the high-b and b = 0 column masks, and, built on first
+use (never on the sentinel path), the D* scan basis with its squared
+column sums. The key is the b-values' bytes with (d_min, dstar_max), so a
+plan is only reused for bit-identical inputs, and its arrays are
+read-only, so the fits that share one compute from the same bits as fits
+that build their own. A report repeats each protocol fifty times, a
+search scores nearly every protocol once, hence one plan, not a pool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,6 +65,8 @@ HIGH_B_THRESHOLD = 200.0
 GRID_POINTS = 200
 #: a golden-section bracket stops once narrower than this fraction of max(midpoint, d_min)
 REFINE_REL_TOL = 1.0e-6
+#: b-vectors whose fit plan is memoized (see the module docstring)
+PLAN_MEMO_SIZE = 1
 
 
 class NoB0Error(ValueError):
@@ -136,7 +148,7 @@ def fit_dstar(
     inactive = f <= 0.0
     dstar = d.copy()
     live = ~inactive  # a row with a NaN f is not inactive: it is refined
-    dstar[live] = _refine_dstar(signals[live], b_values, s0[live], f[live], d[live], bounds)
+    dstar[live] = _refine_dstar(signals[live], _fit_plan(b_values, bounds), s0[live], f[live], d[live], bounds)
 
     edge_tol = 10.0 * REFINE_REL_TOL
     at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
@@ -145,12 +157,43 @@ def fit_dstar(
     return dstar, at_bound
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=8)
 def _log_grid(d_min: float, dstar_max: float) -> np.ndarray:
     """The D* scan grid, read-only: every fit with the same bounds shares it."""
-    grid = np.exp(np.linspace(np.log(d_min), np.log(dstar_max), GRID_POINTS))
-    grid.flags.writeable = False
-    return grid
+    return _frozen(np.exp(np.linspace(np.log(d_min), np.log(dstar_max), GRID_POINTS)))
+
+
+class _FitPlan:
+    """What a fit needs of its b-values and bounds alone, read-only."""
+
+    def __init__(self, b_values: np.ndarray, d_min: float, dstar_max: float) -> None:
+        self.b_values = b_values
+        self.grid = _log_grid(d_min, dstar_max)
+        self.b0 = _frozen(b_values == 0.0)
+        self.threshold, self.deficient = _effective_threshold(b_values)
+        self.high = None if self.threshold is None else _frozen(b_values >= self.threshold)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The D* scan basis E = exp(-b * grid), (n_b, GRID_POINTS), and its squared column sums."""
+        basis = np.exp(-self.b_values[:, None] * self.grid[None, :])
+        return _frozen(basis), _frozen((basis * basis).sum(axis=0))
+
+
+@lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _memoized_plan(b_bytes: bytes, d_min: float, dstar_max: float) -> _FitPlan:
+    return _FitPlan(np.frombuffer(b_bytes), d_min, dstar_max)
+
+
+def _fit_plan(b_values, bounds: FitBounds) -> _FitPlan:
+    """The plan of these b-values under these bounds, built once per key (see the module docstring)."""
+    return _memoized_plan(np.asarray(b_values, dtype=float).tobytes(), bounds.d_min, bounds.dstar_max)
 
 
 #: signs of the golden-section steps from a bracket's (upper, lower) ends
@@ -169,21 +212,21 @@ def _unchecked_steps(width: np.ndarray, sure: np.ndarray) -> int:
     return int(math.log(ratio) / _LOG_INV_GOLDEN) - 2 if 1.0 < ratio < np.inf else 0
 
 
-def _refine_dstar(signals, b_values, s0, f, d, bounds: FitBounds) -> np.ndarray:
+def _refine_dstar(signals, plan: _FitPlan, s0, f, d, bounds: FitBounds) -> np.ndarray:
     """fit_dstar's scan and golden-section refinement of the rows it keeps."""
+    b_values, grid = plan.b_values, plan.grid
     residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     amplitude = s0 * f
 
     # one log-spaced grid for every row, scanned through the expansion
     # SSE = |r|^2 - 2a (r . E) + a^2 |E|^2 of the basis E = exp(-b * grid)
-    grid = _log_grid(bounds.d_min, bounds.dstar_max)
-    basis = np.exp(-b_values[:, None] * grid[None, :])
+    basis, basis_sq = plan.basis
     # einsum, not BLAS: a matrix product can sum a lone row in another order,
     # and a row's fit must not depend on its batch
     scan = np.einsum("nb,bg->ng", residual, basis)
     np.multiply(2.0 * amplitude[:, None], scan, out=scan)
     np.subtract((residual * residual).sum(axis=1)[:, None], scan, out=scan)
-    scan += (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
+    scan += (amplitude**2)[:, None] * basis_sq
     np.copyto(scan, np.inf, where=grid[None, :] < d[:, None])  # the search starts at d
     best = scan.argmin(axis=1)
 
@@ -285,8 +328,8 @@ def segmented_fit_batch(
     """
     signals = np.asarray(signals, dtype=float)
     b_values = np.asarray(b_values, dtype=float)
-    b0 = b_values == 0.0
-    if not b0.any():
+    plan = _fit_plan(b_values, bounds)
+    if not plan.b0.any():
         raise NoB0Error("acquisition has no b = 0 measurement")
     n = signals.shape[0]
 
@@ -294,24 +337,22 @@ def segmented_fit_batch(
     features[:] = (0.0, 0.0, bounds.d_min, bounds.d_min)
     flags = np.zeros((n, 3), dtype=bool)
 
-    threshold, deficient = _effective_threshold(b_values)
-    if threshold is None:
+    if plan.threshold is None:
         flags[:, 0] = True
         return features, flags
 
-    mask = b_values >= threshold
-    slope, intercept, ok = _loglinear_batch(signals, b_values, mask)
+    slope, intercept, ok = _loglinear_batch(signals, b_values, plan.high)
     d_est = np.clip(-slope, bounds.d_min, bounds.d_max)
 
     # s0 from the mean of the b = 0 measurements; f = 1 - exp(intercept)/s0
-    s0_est = signals[:, b0].mean(axis=1)
+    s0_est = signals[:, plan.b0].mean(axis=1)
     f_raw = 1.0 - np.divide(np.exp(intercept), s0_est, out=np.ones(n), where=s0_est > 0.0)
     f_est = np.clip(f_raw, 0.0, 1.0)
     f_clamped = f_raw != f_est
     dstar_est, at_bound = fit_dstar(signals, b_values, s0_est, f_est, d_est, bounds)
 
     np.copyto(features, np.column_stack([s0_est, f_est, d_est, dstar_est]), where=ok[:, None])
-    flags[:, 0] = deficient | ~ok
+    flags[:, 0] = plan.deficient | ~ok
     flags[:, 1] = f_clamped & ok
     flags[:, 2] = at_bound & ok
     return features, flags

@@ -112,9 +112,9 @@ def test_both_checkouts_run_from_fresh_bytecode_caches_filled_alike(tool, tmp_pa
     run whose output check fails keeps its first ``CHECK FAILED`` line, and
     its fault quotes it."""
     parent, change = tmp_path / "parent", tmp_path / "change"
-    parent.mkdir()
-    change.mkdir()
-    (change / "BENCHMARK.json").write_text((BENCH_PAIRS.parents[1] / "BENCHMARK.json").read_text())
+    for checkout in (parent, change):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text((BENCH_PAIRS.parents[1] / "BENCHMARK.json").read_text())
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # as a checkout with a stale __pycache__ may be run
     calls = []
 
@@ -162,3 +162,45 @@ def test_both_checkouts_run_from_fresh_bytecode_caches_filled_alike(tool, tmp_pa
     assert same_but_cache(*warm)
     assert same_but_cache(*measured[:2]) and same_but_cache(*measured[2:])
     assert not any(Path(cache).exists() for cache in caches.values())  # removed when the tool ends
+
+
+def test_differing_benchmark_code_is_a_fault_that_withholds_the_gain(tool, tmp_path, monkeypatch):
+    """With ``subprocess.run`` stubbed and the change ahead in every pair: a
+    checkout whose ``perfbench/`` differs from the other's is a fault naming
+    the first differing path, the gain is withheld and the tool exits with 1;
+    ``out/`` and ``__pycache__/`` are not compared."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "perfbench" / "out").mkdir(parents=True)
+        (checkout / "perfbench" / "__pycache__").mkdir()
+        (checkout / "BENCHMARK.json").write_text((BENCH_PAIRS.parents[1] / "BENCHMARK.json").read_text())
+        for name in ("run.py", "workloads.py"):
+            (checkout / "perfbench" / name).write_text("REPEATS = 50\n")
+        (checkout / "perfbench" / "out" / "last.json").write_text(checkout.name)
+        (checkout / "perfbench" / "__pycache__" / "run.pyc").write_text(checkout.name)
+
+    def fake_run(command, cwd, env, **kwargs):
+        rate = 200.0 if cwd == change else 100.0 + int(command[command.index("--seed") + 1]) % 7
+        result = {"correct": True, "failed": 0, "metrics": {
+            "setup_s": {"value": 0.15}, "protocols_per_s": {"value": rate}, "peak_rss_mb": {"value": 40.0}}}
+        stdout = f"first-round output digest 47e0d99a484ddb47\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "report", "--seeds", "101-110",
+            "--out", str(tmp_path / "pairs.json")]
+    assert tool.main(argv) == 0
+    assert json.loads((tmp_path / "pairs.json").read_text())["summary"]["protocols_per_s"]["verdict"] == "gain"
+
+    (change / "perfbench" / "workloads.py").write_text("REPEATS = 5\n")
+    (change / "perfbench" / "spread.py").write_text("")  # on one side only
+    assert tool.main(argv) == 1
+    record = json.loads((tmp_path / "pairs.json").read_text())
+    assert record["faults"] == [
+        "benchmark code differs between the checkouts at perfbench/spread.py: no gain without the same benchmark"]
+    assert record["summary"]["protocols_per_s"]["change_wins"] == 10
+    assert record["summary"]["protocols_per_s"]["verdict"] == "not worse"
+    (change / "perfbench" / "spread.py").unlink()
+    assert tool.benchmark_difference(parent, change) == "perfbench/workloads.py"
+    (change / "BENCHMARK.json").write_text("{}")
+    assert tool.benchmark_difference(parent, change) == "BENCHMARK.json"

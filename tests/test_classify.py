@@ -15,7 +15,9 @@ from qmridesign import (
     parameter_auc,
     task_objective,
 )
+from qmridesign import classify
 from qmridesign.classify import (
+    FOLD_PLAN_MEMO_SIZE,
     K_NEIGHBORS,
     InsufficientSubjectsError,
     knn_predict_batch,
@@ -211,6 +213,60 @@ class TestStratifiedFolds:
         with pytest.raises(InsufficientSubjectsError) as err:
             stratified_fold_assignments(labels, np.random.default_rng(0))
         assert str(err.value) == "class 0 has 4 subjects, fewer than 5 folds"
+
+    def test_insufficient_subjects_refused_on_every_call(self):
+        """A refused label vector leaves no fold plan behind: every call refuses it."""
+        labels = np.array([0] * 10 + [1] * 3)
+        x = np.zeros((13, 4))
+        for _ in range(3):
+            with pytest.raises(InsufficientSubjectsError, match="class 1 has 3 subjects"):
+                stratified_fold_assignments(labels, np.random.default_rng(0))
+            with pytest.raises(InsufficientSubjectsError, match="class 1 has 3 subjects"):
+                cross_val_accuracy(x, labels, np.random.default_rng(0), n_repeats=1)
+
+
+class TestFoldPlanMemo:
+    """Each label vector's fold plan is memoized: reused only for the same
+    bytes, at most FOLD_PLAN_MEMO_SIZE held, its arrays read-only."""
+
+    def test_scores_equal_scores_right_after_cache_clear(self):
+        """Accuracies and generator states under label vectors A, B, A (one
+        binary, one three-class), each from a memo that holds its plan
+        already, equal those computed right after ``cache_clear()``."""
+        rng = np.random.default_rng(90)
+        x = rng.normal(size=(62, 4)) * np.array([1.0, 0.1, 1e-3, 1e-2])
+        a = np.repeat(np.arange(3), [20, 21, 21])
+        b = rng.permutation(np.arange(62) % 2)
+        for seed, labels in enumerate((a, b, a, a, b)):
+            stratified_fold_assignments(labels, np.random.default_rng(seed))
+            hits = classify._fold_plan.cache_info().hits
+            memo_rng = np.random.default_rng(100 + seed)
+            memoized = (cross_val_accuracy(x, labels, memo_rng, n_repeats=3),
+                        stratified_fold_assignments(labels, memo_rng).tobytes())
+            assert classify._fold_plan.cache_info().hits == hits + 2
+            classify._fold_plan.cache_clear()
+            fresh_rng = np.random.default_rng(100 + seed)
+            fresh = cross_val_accuracy(x, labels, fresh_rng, n_repeats=3)
+            classify._fold_plan.cache_clear()
+            fresh = (fresh, stratified_fold_assignments(labels, fresh_rng).tobytes())
+            assert memoized == fresh
+            assert memo_rng.bit_generator.state == fresh_rng.bit_generator.state
+
+    def test_memo_is_bounded(self):
+        rng = np.random.default_rng(91)
+        for n in range(10, 30):
+            stratified_fold_assignments(rng.permutation(np.arange(n) % 2), rng)
+        info = classify._fold_plan.cache_info()
+        assert (info.maxsize, info.currsize) == (FOLD_PLAN_MEMO_SIZE, FOLD_PLAN_MEMO_SIZE) == (4, 4)
+
+    def test_memoized_arrays_are_read_only(self):
+        labels = np.arange(20) % 2
+        plan = classify._fold_plan(labels.tobytes())
+        for idx, deal in plan:
+            for array in (idx, deal):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        assert classify._fold_plan(labels.tobytes()) is plan
 
 
 class TestCrossVal:

@@ -612,3 +612,62 @@ class TestNoiselessConsistency:
             worst["f"] = max(worst["f"], abs(f_est - f) / f)
             worst["d"] = max(worst["d"], abs(d_est - d) / d)
             worst["dstar"] = max(worst["dstar"], abs(dstar_est - dstar) / dstar)
+
+
+class TestPlanMemo:
+    """The fit plan of a b-vector and bounds is memoized: reused only for the
+    same bytes, one plan held at a time, its arrays read-only."""
+
+    @staticmethod
+    def noisy(b, n, rng):
+        te = AcquisitionProtocol(tuple(b)).echo_time(SCANNER)
+        truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
+                                 rng.uniform(5e-3, 8e-2, n)])
+        clean = ivim_signal(truth, b, te, SCANNER.t2)
+        return np.abs(clean + rng.normal(0, 0.04, clean.shape) + 1j * rng.normal(0, 0.04, clean.shape))
+
+    def test_fits_equal_fits_right_after_cache_clear(self):
+        """Fits under protocols A, B, A, under two bounds and on the sentinel
+        path, each made from a memo that holds its plan already, equal byte for
+        byte the fits made right after ``cache_clear()``; a sentinel fit builds
+        no D* basis."""
+        rng = np.random.default_rng(80)
+        tight = FitBounds(d_min=2.0e-5, dstar_max=0.3)
+        below = (0, 10, 20, 30, 50, 80, 100, 120, 150, 180)  # nothing reaches the threshold
+        steps = [("adhoc", DEFAULT_BOUNDS), ("rl_mc", DEFAULT_BOUNDS), ("adhoc", DEFAULT_BOUNDS),
+                 ("adhoc", tight), ("adhoc", DEFAULT_BOUNDS), ("clustered", tight), ("crlb_mc", DEFAULT_BOUNDS),
+                 (below, DEFAULT_BOUNDS)]
+        for name, bounds in steps:
+            b = np.array(PANEL.get(name, name), dtype=float)
+            segmented_fit_batch(self.noisy(b, 7, rng), b, bounds)
+            signals = self.noisy(b, 62, rng)
+            s0, f, d = signals[:, 0], rng.uniform(-0.1, 0.5, 62), rng.uniform(2e-4, 1.2e-3, 62)
+            hits = fitting._memoized_plan.cache_info().hits
+            memoized = [*segmented_fit_batch(signals, b, bounds), *fit_dstar(signals, b, s0, f, d, bounds)]
+            assert fitting._memoized_plan.cache_info().hits > hits
+            fitting._memoized_plan.cache_clear()
+            fresh = segmented_fit_batch(signals, b, bounds)
+            fitting._memoized_plan.cache_clear()
+            fresh = [*fresh, *fit_dstar(signals, b, s0, f, d, bounds)]
+            for got, expected in zip(memoized, fresh):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        fitting._memoized_plan.cache_clear()
+        segmented_fit_batch(self.noisy(np.array(below, dtype=float), 5, rng), below)
+        assert "basis" not in fitting._fit_plan(below, DEFAULT_BOUNDS).__dict__
+
+    def test_one_plan_held(self):
+        rng = np.random.default_rng(81)
+        misses = fitting._memoized_plan.cache_info().misses
+        for _ in range(100):
+            b = np.sort(np.append(rng.integers(1, 1001, 9), 0)).astype(float)
+            segmented_fit_batch(self.noisy(b, 3, rng), b)
+        info = fitting._memoized_plan.cache_info()
+        assert info.misses - misses >= 99
+        assert (info.maxsize, info.currsize) == (fitting.PLAN_MEMO_SIZE, 1) == (1, 1)
+
+    def test_memoized_arrays_are_read_only(self):
+        plan = fitting._fit_plan(ADHOC.b_array, DEFAULT_BOUNDS)
+        for array in (plan.b_values, plan.grid, plan.b0, plan.high, *plan.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert fitting._fit_plan(ADHOC.b_array, DEFAULT_BOUNDS) is plan

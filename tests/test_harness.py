@@ -704,6 +704,8 @@ class TestCli:
         (["evaluate"], {"eval": {"k_neighbours": 3}}),
         (["evaluate", "--snr", "0.5"], None),
         (["evaluate", "--snr", "25,inf"], None),
+        (["evaluate", "--snr", "25,25"], None),
+        (["evaluate", "--optimizer", "adhoc"], {"snr_list": [5, 15, 5.0]}),
         (["evaluate", "--optimizer", "adhoc"], {"scanner": {"t2": True}}),
         (["evaluate", "--optimizer", "adhoc"], {"cohort": {"active": 4, "chronic": 21, "healthy": 21}}),
         (["optimize", "--optimizer", "crlb"], {"crlb": {"n_tissue_samples": 0}}),
@@ -732,7 +734,7 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_reward": "5"}}),
         *((["evaluate", "--optimizer", "adhoc"], config) for config in _REMOVED_FIELDS),
     ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
-            "snr-infinite", "boolean-t2",
+            "snr-infinite", "snr-repeated", "snr-list-repeated", "boolean-t2",
             "fewer-subjects-than-folds", "zero-tissue-samples",
             "negative-ridge-rel", "zero-ridge-rel", "zero-d-min", "d-min-above-d-max",
             "dstar-max-below-d-min", "dstar-max-below-d-max",

@@ -24,6 +24,13 @@ a pair has a fault. It reads ``perfbench/`` and ``BENCHMARK.json`` of the
 change checkout and edits neither; the seed range is parsed by
 ``perfbench/spread.py``'s ``seed_range``.
 
+A claimed gain needs the same benchmark code on both sides, so before the
+first pair the tool compares the two checkouts' ``BENCHMARK.json`` and
+every file under ``perfbench/`` (but ``out/`` and ``__pycache__/``) byte
+for byte. A difference, a file missing on one side included, is a fault
+naming the first differing path: the pairs still run, but no gain is
+given and the tool exits with 1.
+
 Both checkouts start every run from the same bytecode-cache state, so a
 set-up time does not compare a warm import with a cold one. Each gets a
 fresh cache directory of its own (``PYTHONPYCACHEPREFIX``), which one tiny
@@ -92,6 +99,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds, metrics: list, c
     }
 
 
+def benchmark_files(checkout: Path) -> set:
+    """Paths, relative and in POSIX form, of ``checkout``'s benchmark code:
+    ``BENCHMARK.json`` and the files under ``perfbench/`` but ``out/`` and ``__pycache__/``."""
+    parts = [path.relative_to(checkout).parts for path in (checkout / "perfbench").rglob("*") if path.is_file()]
+    names = {"/".join(part) for part in parts if part[1] != "out" and "__pycache__" not in part}
+    return names | ({"BENCHMARK.json"} if (checkout / "BENCHMARK.json").is_file() else set())
+
+
+def benchmark_difference(parent: Path, change: Path):
+    """The first path, in sorted order, at which the two checkouts' benchmark
+    code differs (on one side only, or in its bytes); None when it is the same."""
+    for name in sorted(benchmark_files(parent) | benchmark_files(change)):
+        ours, theirs = parent / name, change / name
+        if not (ours.is_file() and theirs.is_file() and ours.read_bytes() == theirs.read_bytes()):
+            return name
+    return None
+
+
 def pair_faults(pairs: list) -> list:
     """What in the recorded pairs forbids a gain, one line per fault: a run
     whose output check failed, quoting its first ``CHECK FAILED`` line, a
@@ -148,6 +173,11 @@ def main(argv=None) -> int:
         parser.error("--seeds needs at least two seeds: the parent's quartiles take two runs")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [metric["name"] for metric in bench["end_to_end"]]
+    differing = benchmark_difference(args.parent, args.change)
+    faults = [] if differing is None else [
+        f"benchmark code differs between the checkouts at {differing}: no gain without the same benchmark"]
+    if faults:
+        print(f"fault: {faults[0]}", file=sys.stderr, flush=True)
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as caches:
@@ -164,7 +194,7 @@ def main(argv=None) -> int:
             print(f"seed {seed}: " + "  ".join(
                 f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in metrics), flush=True)
 
-    faults = pair_faults(pairs)
+    faults += pair_faults(pairs)
     summary = {
         metric["name"]: verdict([pair["parent"][metric["name"]] for pair in pairs],
                                 [pair["change"][metric["name"]] for pair in pairs],
