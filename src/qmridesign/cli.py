@@ -38,7 +38,7 @@ from .experiments import auc_matrix, evaluate_accuracy, protocol_id
 from .ivim import AcquisitionProtocol, PROTOCOL_LENGTH
 from .plotting import plot_accuracy_vs_snr
 from .ppo import load_checkpoint, rollout_greedy, save_checkpoint, train
-from .protocol_env import ProtocolEnv
+from .protocol_env import EPISODE_STEPS, ProtocolEnv
 from .reports import (
     ReportRow,
     append_report_rows,
@@ -128,13 +128,18 @@ def _resolve_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the command's override flags applied.
 
     ``optimize --budget`` overrides the chosen optimizer's budget field, so the
-    hash and the config snapshot record the budget that runs.
+    hash and the config snapshot record the budget that runs. An rl search
+    whose budget completes no episode is refused.
     """
     config = load_experiment_config(args.config) if args.config else ExperimentConfig()
     config = with_file_values(config, {name: value for name, value in vars(args).items() if value is not None})
     if args.command == "optimize" and args.budget is not None and config.optimizer in _BUDGET_FIELDS:
         section, name = _BUDGET_FIELDS[config.optimizer]
         config = replace(config, **{section: replace(getattr(config, section), **{name: args.budget})})
+    if args.command == "optimize" and config.optimizer == "rl" and config.ppo.total_steps < EPISODE_STEPS:
+        # it would write the untouched baseline as the rl protocol
+        raise ValueError(f"ppo.total_steps is {config.ppo.total_steps}, but an rl search completes "
+                         f"no episode in fewer than {EPISODE_STEPS} steps")
     return config
 
 

@@ -5,16 +5,24 @@ Stage 1 fits the tissue compartment: ordinary least squares on
 diffusivity d (negative slope) and the extrapolated log-intercept.
 Stage 2 anchors s0 on the mean of the b = 0 measurements and reads the
 perfusion fraction off the intercept: f = 1 - exp(intercept)/s0.
-Stage 3 recovers d_star from the full residual by a bounded 1-D search:
-a scan of one log-spaced grid of GRID_POINTS values over [d_min,
-dstar_max], shared by every row and computed as a single product with the
-grid's exponential basis, followed by golden-section refinement from each
-row's best point at or above its d, which is deterministic and immune to
-local minima. Only rows with f > 0 are scanned and refined; the others
-return d with the boundary flag set. A row's refinement stops once its
-bracket is narrower than REFINE_REL_TOL * max(midpoint, d_min); the steps
-that provably stop no row skip that test (see _refine_dstar), and run in
-place on preallocated buffers with the same arithmetic.
+Stage 3 recovers d_star from the full residual by a bounded 1-D search
+in u = ln(d_star): a scan of one log-spaced grid of GRID_POINTS values
+over [d_min, dstar_max], shared by every row and computed as a single
+product with the grid's exponential basis, then two steps from each row's
+best point at or above its d, each clipped to the bracket between that
+point's two neighbours (the lower one no less than d). The first is the
+vertex of the parabola through the scanned misfits at the best point and
+its neighbours, where it has one between them (successive parabolic
+interpolation; Brent 1973, Algorithms for Minimization without
+Derivatives, ch. 5). The second is one Newton step on the exact misfit,
+whose derivatives in u are closed-form because the model holds one
+exponential in d_star. Of the grid point, the parabolic point and the
+Newton point, the row keeps the one with the least exact misfit, so the
+estimate fits no worse than the scan's best point. The search is a fixed
+sequence of per-row operations, so a row's estimate does not depend on
+its batch. Only rows with f > 0 are searched; the others return d with
+the boundary flag set. A row is flagged at a bound when its estimate lies
+within EDGE_REL_TOL of d or of dstar_max.
 
 Protocols whose high-b segment is deficient (fewer than two distinct
 b-values at or above the threshold) are handled in two tiers: if at least
@@ -56,15 +64,12 @@ __all__ = [
     "fit_dataset",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_LOG_INV_GOLDEN = -math.log(_GOLDEN)
-
 #: b-value (s/mm^2) above which the perfusion compartment is treated as fully decayed
 HIGH_B_THRESHOLD = 200.0
 #: points of the log-spaced D* scan grid over [d_min, dstar_max]
 GRID_POINTS = 200
-#: a golden-section bracket stops once narrower than this fraction of max(midpoint, d_min)
-REFINE_REL_TOL = 1.0e-6
+#: D* within this fraction of d (of max(D*, d_min)) or of dstar_max is flagged at a bound
+EDGE_REL_TOL = 1.0e-5
 #: b-vectors whose fit plan is memoized (see the module docstring)
 PLAN_MEMO_SIZE = 1
 
@@ -79,8 +84,8 @@ class FitBounds:
 
     The diffusivity clamp range and the d_star search ceiling bracket all
     modeled tissue classes with wide margins. The segmentation threshold
-    (HIGH_B_THRESHOLD) and the D* search's grid size (GRID_POINTS) and
-    tolerance (REFINE_REL_TOL) are fixed.
+    (HIGH_B_THRESHOLD), the D* search's grid size (GRID_POINTS) and its
+    at-bound tolerance (EDGE_REL_TOL) are fixed.
     """
 
     d_min: float = 1.0e-5
@@ -139,20 +144,20 @@ def fit_dstar(
     dstar in [d, bounds.dstar_max] for each row of the (n, n_b) signal
     matrix, given (n,) arrays s0, f and d. The scan evaluates one grid of
     GRID_POINTS log-spaced values over [d_min, dstar_max], shared by all
-    rows, and skips each row's points below d; golden-section
-    refinement then searches [max(previous point, d), next point] around
-    the row's best point on the exact misfit. Only rows with f > 0 are
-    scanned and refined; the others return d with the boundary flag set.
+    rows, and skips each row's points below d; a parabolic step and a
+    Newton step then refine the row's best point within [max(previous
+    point, d), next point], keeping whichever of the three points fits
+    best (see the module docstring). Only rows with f > 0 are searched;
+    the others return d with the boundary flag set.
     Returns (n,) arrays (dstar_est, at_bound).
     """
     inactive = f <= 0.0
     dstar = d.copy()
-    live = ~inactive  # a row with a NaN f is not inactive: it is refined
+    live = ~inactive  # a row with a NaN f is not inactive: it is searched
     dstar[live] = _refine_dstar(signals[live], _fit_plan(b_values, bounds), s0[live], f[live], d[live], bounds)
 
-    edge_tol = 10.0 * REFINE_REL_TOL
-    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
-    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
+    at_lower = (dstar - d) <= EDGE_REL_TOL * np.maximum(dstar, bounds.d_min)
+    at_upper = (bounds.dstar_max - dstar) <= EDGE_REL_TOL * bounds.dstar_max
     at_bound = inactive | at_lower | at_upper
     return dstar, at_bound
 
@@ -196,24 +201,20 @@ def _fit_plan(b_values, bounds: FitBounds) -> _FitPlan:
     return _memoized_plan(np.asarray(b_values, dtype=float).tobytes(), bounds.d_min, bounds.dstar_max)
 
 
-#: signs of the golden-section steps from a bracket's (upper, lower) ends
-_GOLDEN_STEPS = np.array([-_GOLDEN, _GOLDEN])
-
-
-def _unchecked_steps(width: np.ndarray, sure: np.ndarray) -> int:
-    """Golden-section steps that skip even the test of width against sure,
-    counted once from the narrowest ratio width / sure. The -2 leaves each
-    width above sure / G^3 (4.2 sure) at the last of them in exact
-    arithmetic; rounding moves a step's width by under 1.5 ulp of b, and
-    those moves, each shrunk by G in every later step, sum to under 4 ulp
-    of b, which a gap of 3.2 sure (3.2e-6 b) covers. An empty batch, or a
-    ratio that is no finite number above 1, counts none."""
-    ratio = (width / sure).min() if len(width) else np.nan
-    return int(math.log(ratio) / _LOG_INV_GOLDEN) - 2 if 1.0 < ratio < np.inf else 0
+def _misfit_derivatives(residual, amplitude, b_values, x):
+    """(S_u, S_uu), each row's exact misfit S = sum_b (r - A e)^2, e = exp(-b x),
+    differentiated in u = ln x: S_u = x S_x and S_uu = x S_x + x^2 S_xx, with
+    S_x = 2A sum_b b e (r - A e) and S_xx = 2A sum_b b^2 e (2A e - r)."""
+    e = np.exp(-b_values * x[:, None])
+    fit = amplitude[:, None] * e
+    s_x = 2.0 * amplitude * (b_values * e * (residual - fit)).sum(axis=1)
+    s_xx = 2.0 * amplitude * (b_values * b_values * e * (2.0 * fit - residual)).sum(axis=1)
+    s_u = x * s_x
+    return s_u, s_u + x * x * s_xx
 
 
 def _refine_dstar(signals, plan: _FitPlan, s0, f, d, bounds: FitBounds) -> np.ndarray:
-    """fit_dstar's scan and golden-section refinement of the rows it keeps."""
+    """fit_dstar's scan, parabolic step and Newton step on the rows it keeps."""
     b_values, grid = plan.b_values, plan.grid
     residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
     amplitude = s0 * f
@@ -230,66 +231,31 @@ def _refine_dstar(signals, plan: _FitPlan, s0, f, d, bounds: FitBounds) -> np.nd
     np.copyto(scan, np.inf, where=grid[None, :] < d[:, None])  # the search starts at d
     best = scan.argmin(axis=1)
 
-    # golden-section refinement on preallocated buffers. Each row's bracket
-    # is held upper end first, (b, a), so bracket + width * (-G, +G) gives
-    # its points (x1, x2) = (b - G width, a + G width) in one add; the
-    # misfit is per element, so a frozen row keeps its bits
-    n = len(best)
-    bracket = np.empty((n, 2))
-    b, a = bracket[:, 0], bracket[:, 1]
-    b[:] = grid[np.minimum(best + 1, GRID_POINTS - 1)]
-    np.maximum(grid[np.maximum(best - 1, 0)], d, out=a)
-    neg_b = -b_values
-    width = np.empty(n)
-    points = np.empty((n, 2))
-    model = np.empty((n, 2, len(b_values)))
-    # residual and amplitude laid out like model, so each step runs contiguous loops
-    residual_by_point, amplitude_by_point = np.empty_like(model), np.empty_like(model)
-    residual_by_point[:] = residual[:, None, :]
-    amplitude_by_point[:] = amplitude[:, None, None]
-    values = np.empty((n, 2))
-    f1, f2 = values[:, 0], values[:, 1]
-    move = np.empty((n, 2), dtype=bool)  # per bracket end: take the opposite point
-    shrink_right, shrink_left = move[:, 0], move[:, 1]  # b <- x2; a <- x1 (the minimum lies in [x1, b])
-    width_col, points_col, swapped = width[:, None], points[:, :, None], points[:, ::-1]
+    rows = np.arange(len(best))
+    below, above = np.maximum(best - 1, 0), np.minimum(best + 1, GRID_POINTS - 1)
+    lower, upper = np.maximum(grid[below], d), grid[above]
+    h = math.log(bounds.dstar_max / bounds.d_min) / (GRID_POINTS - 1)  # the grid's step in u = ln D*
+    # a step may overflow before its clip, and a row whose every grid point
+    # lies below d scans only infinities; neither reaches the result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # (1) the vertex of the parabola through the best point and its two
+        # neighbours in u, where it has one between them
+        s_minus, s_best, s_plus = scan[rows, below], scan[rows, best], scan[rows, above]
+        curvature = s_minus - 2.0 * s_best + s_plus
+        inner = (best > 0) & (best < GRID_POINTS - 1) & np.isfinite(s_minus) & (curvature > 0.0)
+        step = np.where(inner, 0.5 * h * (s_minus - s_plus) / curvature, 0.0)
+        x = np.clip(grid[best] * np.exp(step), lower, upper)
 
-    def probe():
-        """Golden-section points of every bracket and their misfits."""
-        np.subtract(b, a, out=width)
-        np.multiply(width_col, _GOLDEN_STEPS, out=points)
-        np.add(bracket, points, out=points)
-        np.multiply(neg_b, points_col, out=model)
-        np.exp(model, out=model)
-        np.multiply(amplitude_by_point, model, out=model)
-        np.subtract(residual_by_point, model, out=model)
-        np.square(model, out=model)
-        model.sum(axis=2, out=values)
+        # (2) one Newton step in u on the exact misfit, where it curves upwards
+        s_u, s_uu = _misfit_derivatives(residual, amplitude, b_values, x)
+        newton = np.clip(x * np.exp(np.where(s_uu > 0.0, -s_u / s_uu, 0.0)), lower, upper)
 
-    # A row freezes once width <= REFINE_REL_TOL * max(midpoint, d_min); its
-    # midpoint never exceeds its starting b, so while every width exceeds
-    # sure = REFINE_REL_TOL * max(starting b, d_min) no row can freeze: those
-    # steps skip the freeze test, and the first `unchecked` the width test too.
-    sure = REFINE_REL_TOL * np.maximum(b, bounds.d_min)
-    provably_active = n > 0
-    probe()
-    unchecked = _unchecked_steps(width, sure)
-    for step in range(200):
-        if step >= unchecked:
-            provably_active = provably_active and (width > sure).all()
-        if provably_active:
-            np.greater(f1, f2, out=shrink_left)
-            np.logical_not(shrink_left, out=shrink_right)
-        else:
-            # freeze converged rows so results do not depend on batch company
-            active = width > REFINE_REL_TOL * np.maximum(0.5 * (a + b), bounds.d_min)
-            if not active.any():
-                break
-            np.logical_and(active, f1 > f2, out=shrink_left)
-            np.logical_and(active, ~shrink_left, out=shrink_right)
-        np.copyto(bracket, swapped, where=move)
-        probe()
-
-    return np.clip(0.5 * (a + b), d, bounds.dstar_max)
+    # (3) the best of the grid point, the parabolic point and the Newton point
+    # on the exact misfit; a tie keeps the earlier one
+    candidates = np.column_stack([grid[best], x, newton])
+    model = amplitude[:, None, None] * np.exp(-b_values * candidates[:, :, None])
+    misfit = np.square(residual[:, None, :] - model).sum(axis=2)
+    return np.clip(candidates[rows, misfit.argmin(axis=1)], d, bounds.dstar_max)
 
 
 def _effective_threshold(b_values: np.ndarray):

@@ -21,9 +21,11 @@ from .classify import EvalConfig, SimulationEnv, Task, task_objective
 from .ivim import ADHOC_B_VALUES, B_VALUE_MAX, PROTOCOL_LENGTH, AcquisitionProtocol
 from .seeds import derive_rng
 
-__all__ = ["ProtocolEnv", "StepAfterDoneError", "OBSERVATION_SIZE", "N_ACTIONS", "B_STEP"]
+__all__ = ["ProtocolEnv", "StepAfterDoneError", "OBSERVATION_SIZE", "N_ACTIONS", "B_STEP", "EPISODE_STEPS"]
 
 OBSERVATION_SIZE = PROTOCOL_LENGTH + 2
+#: steps of one episode: one per slot but slot 0, which is pinned to b = 0
+EPISODE_STEPS = PROTOCOL_LENGTH - 1
 #: action a writes b = B_STEP * a: the grid 0, 10, ..., 1000 s/mm^2, all multiples of B_STEP
 B_STEP = 10.0
 N_ACTIONS = int(B_VALUE_MAX // B_STEP) + 1

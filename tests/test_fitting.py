@@ -5,6 +5,7 @@ the perfusion and tissue compartments (d_star well above d); without it the
 two-stage method is not defined, so random draws respect that regime.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from qmridesign import AcquisitionProtocol, IvimParams, ScannerConfig, fitting, ivim_signal
 from qmridesign.fitting import (
     DEFAULT_BOUNDS,
+    EDGE_REL_TOL,
     GRID_POINTS,
     HIGH_B_THRESHOLD,
-    REFINE_REL_TOL,
     FitBounds,
     NoB0Error,
     fit_dstar,
@@ -66,70 +67,58 @@ PANEL = {
 
 
 def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
-    """The D* search as a plain loop on fresh arrays, with a freeze test every step.
+    """The D* search as a plain loop over rows: the scan, the parabolic step,
+    the Newton step and the pick of the best of the three points (see the
+    fitting module docstring).
 
-    Returns (dstar, at_bound, (a, b), widths); the third holds each row's
-    starting golden-section bracket, the last every row's bracket width
-    at each step (see reference_golden_section)."""
-    tissue = s0[:, None] * (1.0 - f)[:, None] * np.exp(-b_values[None, :] * d[:, None])
-    residual = signals - tissue
-    amplitude = s0 * f
-
+    Returns (dstar, at_bound, lower, pick): each row's estimate and flag,
+    the lower end of its bracket and the index of the point it kept (0 the
+    grid point, 1 the parabolic point, 2 the Newton point; -1 for rows
+    with f <= 0, which are not searched)."""
     grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), GRID_POINTS))
     basis = np.exp(-b_values[:, None] * grid[None, :])
-    cross = np.einsum("nb,bg->ng", residual, basis)
-    scan = (
-        (residual * residual).sum(axis=1)[:, None]
-        - 2.0 * amplitude[:, None] * cross
-        + (amplitude**2)[:, None] * (basis * basis).sum(axis=0)
-    )
-    scan[grid[None, :] < d[:, None]] = np.inf
-    best = scan.argmin(axis=1)
-    a = np.maximum(grid[np.maximum(best - 1, 0)], d)
-    b = grid[np.minimum(best + 1, GRID_POINTS - 1)]
-    start = a, b
-    a, b, widths = reference_golden_section(residual, amplitude, b_values, a, b, bounds.d_min)
+    basis_sq = (basis * basis).sum(axis=0)
+    h = math.log(bounds.dstar_max / bounds.d_min) / (GRID_POINTS - 1)
+    last = GRID_POINTS - 1
+    n = len(d)
+    dstar, lower, pick = d.copy(), np.full(n, np.nan), np.full(n, -1)
+    for i in range(n):
+        if f[i] <= 0.0:
+            continue
+        r = signals[i] - s0[i] * (1.0 - f[i]) * np.exp(-b_values * d[i])
+        a = s0[i] * f[i]
 
-    dstar = np.clip(0.5 * (a + b), d, bounds.dstar_max)
-    inactive = f <= 0.0
-    dstar = np.where(inactive, d, dstar)
-    edge_tol = 10.0 * REFINE_REL_TOL
-    at_lower = (dstar - d) <= edge_tol * np.maximum(dstar, bounds.d_min)
-    at_upper = (bounds.dstar_max - dstar) <= edge_tol * bounds.dstar_max
-    return dstar, inactive | at_lower | at_upper, start, widths
+        def misfit(x):
+            return ((r - a * np.exp(-b_values * x)) ** 2).sum()
 
+        # a * a, not a**2: a NumPy scalar's power can round unlike the array square
+        scan = (r * r).sum() - 2.0 * a * np.einsum("nb,bg->ng", r[None, :], basis)[0] + a * a * basis_sq
+        scan[grid < d[i]] = np.inf
+        best = int(np.argmin(scan))
+        lower[i], upper = max(grid[max(best - 1, 0)], d[i]), grid[min(best + 1, last)]
 
-def reference_golden_section(residual, amplitude, b_values, a, b, d_min):
-    """Golden section on the brackets [a, b] as a plain loop, with a freeze
-    test every step. Returns the final (a, b) and the list of every row's
-    width b - a at each step, the test of step s reading widths[s]."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    neg_b = -b_values
-    points = np.empty((len(a), 2))
-    widths = []
+        x = grid[best]
+        if 0 < best < last and np.isfinite(scan[best - 1]):
+            s_minus, s_best, s_plus = scan[best - 1 : best + 2]
+            curvature = s_minus - 2.0 * s_best + s_plus
+            if curvature > 0.0:
+                x = x * np.exp(0.5 * h * (s_minus - s_plus) / curvature)
+        x = min(max(x, lower[i]), upper)
 
-    def misfit():
-        model = amplitude[:, None, None] * np.exp(neg_b[None, None, :] * points[:, :, None])
-        return ((residual[:, None, :] - model) ** 2).sum(axis=2).T
+        e = np.exp(-b_values * x)
+        s_x = 2.0 * a * (b_values * e * (r - a * e)).sum()
+        s_xx = 2.0 * a * (b_values * b_values * e * (2.0 * (a * e) - r)).sum()
+        s_u = x * s_x
+        s_uu = s_u + x * x * s_xx
+        newton = min(max(x * np.exp(-s_u / s_uu), lower[i]), upper) if s_uu > 0.0 else x
 
-    width = b - a
-    points[:, 0] = b - golden * width
-    points[:, 1] = a + golden * width
-    f1, f2 = misfit()
-    for _ in range(200):
-        widths.append(width)
-        active = width > REFINE_REL_TOL * np.maximum(0.5 * (a + b), d_min)
-        if not active.any():
-            break
-        shrink_left = active & (f1 > f2)
-        shrink_right = active & ~shrink_left
-        a = np.where(shrink_left, points[:, 0], a)
-        b = np.where(shrink_right, points[:, 1], b)
-        width = b - a
-        points[:, 0] = b - golden * width
-        points[:, 1] = a + golden * width
-        f1, f2 = misfit()
-    return a, b, widths
+        candidates = (grid[best], x, newton)
+        pick[i] = int(np.argmin([misfit(c) for c in candidates]))
+        dstar[i] = min(max(candidates[pick[i]], d[i]), bounds.dstar_max)
+
+    at_lower = (dstar - d) <= EDGE_REL_TOL * np.maximum(dstar, bounds.d_min)
+    at_upper = (bounds.dstar_max - dstar) <= EDGE_REL_TOL * bounds.dstar_max
+    return dstar, (f <= 0.0) | at_lower | at_upper, lower, pick
 
 
 class TestFitHighB:
@@ -251,42 +240,93 @@ class TestFitDstar:
             assert dstar == pytest.approx(brute, rel=1e-4)
 
     def test_no_worse_than_any_grid_point(self):
-        """Refined D* fits at least as well as every shared grid point >= d.
+        """Refined D* fits at least as well as every shared grid point >= d,
+        on every PANEL protocol and one random protocol on the 10 s/mm^2
+        grid, at noise SD 0.0017, 0.04 and 0.2.
 
-        Rows that end at a search bound are exempt from the comparison:
-        golden section stops inside its final bracket, within
-        REFINE_REL_TOL of the bound, so those rows are checked to sit there."""
+        Rows that end at a search bound are exempt from the comparison: the
+        search stops at a clip to its bracket, within EDGE_REL_TOL of the
+        bound, so those rows are checked to sit there."""
         bounds = DEFAULT_BOUNDS
         rng = np.random.default_rng(18)
         n = 64
-        b = ADHOC.b_array
-        te = ADHOC.echo_time(SCANNER)
-        truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
-                                 rng.uniform(1e-2, 5e-2, n)])
-        signals = np.abs(ivim_signal(truth, b, te, SCANNER.t2) + rng.normal(0, 0.04, (n, 10)))
-        s0 = np.full(n, np.exp(-te / SCANNER.t2))
-        f = truth[:, 1] + rng.normal(0.0, 0.05, n)  # some f <= 0 rows take the inactive branch
-        d = truth[:, 2]
-        dstar, at_bound = fit_dstar(signals, b, s0, f, d, bounds)
-
-        residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b[None, :] * d[:, None])
-
-        def sse(row, x):
-            return ((residual[row] - s0[row] * f[row] * np.exp(-b * x)) ** 2).sum()
-
         grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), GRID_POINTS))
-        interior = 0
-        for row in range(n):
-            if f[row] <= 0.0:
-                assert dstar[row] == d[row]
-            elif at_bound[row]:
-                edge = min(abs(dstar[row] - d[row]), abs(bounds.dstar_max - dstar[row]))
-                assert edge <= 10.0 * REFINE_REL_TOL * dstar[row]
-            else:
-                interior += 1
-                best_on_grid = min(sse(row, x) for x in grid[grid >= d[row]])
-                assert sse(row, dstar[row]) <= best_on_grid * (1.0 + 1e-12)
-        assert interior >= n // 2
+        protocols = {**PANEL, "random": tuple(np.sort(np.append(rng.integers(0, 101, 9) * 10, 0)))}
+        for name, b_values in protocols.items():
+            b = np.array(b_values, dtype=float)
+            te = AcquisitionProtocol(b_values).echo_time(SCANNER)
+            for sd in (0.0017, 0.04, 0.2):
+                truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
+                                         rng.uniform(1e-2, 5e-2, n)])
+                signals = np.abs(ivim_signal(truth, b, te, SCANNER.t2) + rng.normal(0, sd, (n, len(b))))
+                s0 = np.full(n, np.exp(-te / SCANNER.t2))
+                f = truth[:, 1] + rng.normal(0.0, 0.05, n)  # some f <= 0 rows take the inactive branch
+                d = truth[:, 2]
+                dstar, at_bound = fit_dstar(signals, b, s0, f, d, bounds)
+
+                residual = signals - s0[:, None] * (1.0 - f)[:, None] * np.exp(-b[None, :] * d[:, None])
+
+                def sse(row, x):
+                    return ((residual[row] - s0[row] * f[row] * np.exp(-b * x)) ** 2).sum()
+
+                interior = 0
+                for row in range(n):
+                    if f[row] <= 0.0:
+                        assert dstar[row] == d[row]
+                    elif at_bound[row]:
+                        edge = min(abs(dstar[row] - d[row]), abs(bounds.dstar_max - dstar[row]))
+                        assert edge <= EDGE_REL_TOL * dstar[row]
+                    else:
+                        interior += 1
+                        best_on_grid = min(sse(row, x) for x in grid[grid >= d[row]])
+                        assert sse(row, dstar[row]) <= best_on_grid * (1.0 + 1e-12), (name, sd, row)
+                assert interior >= n // 2, (name, sd)
+
+    @pytest.mark.parametrize("protocol, low, high", [("adhoc", 1e-3, 0.1), ("crlb_mc", 1e-3, 0.1),
+                                                     ("rl_mc", 0.03, 0.5)])
+    def test_misfit_derivatives_match_central_differences(self, protocol, low, high):
+        """The Newton step's analytic S_u and S_uu equal central differences
+        of the exact misfit in u = ln D* within 1e-4 of their largest value,
+        as C03 checks the policy gradient: on protocols with b = 0 columns,
+        and on rl_mc rows from 0.03 up, where the misfit is all but flat."""
+        rng = np.random.default_rng(90)
+        n = 40
+        b = np.array(PANEL[protocol], dtype=float)
+        te = AcquisitionProtocol(tuple(b)).echo_time(SCANNER)
+        truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
+                                 rng.uniform(5e-3, 8e-2, n)])
+        signals = np.abs(ivim_signal(truth, b, te, SCANNER.t2) + rng.normal(0, 0.04, (n, len(b))))
+        s0, f, d = np.exp(-te / SCANNER.t2), truth[:, 1], truth[:, 2]
+        residual = signals - s0 * (1.0 - f)[:, None] * np.exp(-b[None, :] * d[:, None])
+        amplitude = s0 * f
+        u = rng.uniform(np.log(low), np.log(high), n)
+
+        def misfit(u):
+            return ((residual - amplitude[:, None] * np.exp(-b * np.exp(u)[:, None])) ** 2).sum(axis=1)
+
+        s_u, s_uu = fitting._misfit_derivatives(residual, amplitude, b, np.exp(u))
+        h = 1e-4
+        up, mid, down = misfit(u + h), misfit(u), misfit(u - h)
+        for analytic, numeric in ((s_u, (up - down) / (2 * h)), (s_uu, (up - 2.0 * mid + down) / h**2)):
+            scale = np.abs(numeric).max()
+            assert scale > 0.0
+            assert np.abs(analytic - numeric).max() <= 1e-4 * scale
+
+    def test_every_grid_point_below_d_returns_d_without_warnings(self):
+        """Under dstar_max = d_max = 6e-3 the grid's top point rounds below
+        6e-3, so a row whose d sits at d_max scans no point at or above d:
+        it returns d, flagged, equal to the reference loop, and the search
+        raises no RuntimeWarning."""
+        bounds = FitBounds(d_max=6e-3, dstar_max=6e-3)
+        assert fitting._log_grid(bounds.d_min, bounds.dstar_max)[-1] < bounds.dstar_max
+        signals = noisy_batch(3, 19)
+        s0, f, d = np.ones(3), np.array([0.1, 0.2, 0.3]), np.full(3, bounds.d_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dstar, at_bound = fit_dstar(signals, ADHOC.b_array, s0, f, d, bounds)
+        np.testing.assert_array_equal(dstar, d)
+        assert at_bound.all()
+        np.testing.assert_array_equal(dstar, reference_fit_dstar(signals, ADHOC.b_array, s0, f, d, bounds)[0])
 
     @pytest.mark.parametrize("batch", ["all-inactive", "empty", "one-live"])
     def test_inactive_rows_equal_reference_without_warnings(self, batch):
@@ -320,14 +360,14 @@ class TestFitDstar:
 
         Covers SNR 5 / 25 / 600 and batches of 1 to 500 rows, with f <= 0
         rows, all-zero rows, rows whose bracket starts at d (d moved up to
-        the true D* in a quarter of the rows), a row with a NaN f, and
-        batches in which every step tests for frozen rows: a row whose d
-        sits 3e-6 of dstar_max under it starts with a bracket narrower than
-        REFINE_REL_TOL / G^3 times its upper end."""
+        the true D* in a quarter of the rows), a row with a NaN f, a row
+        whose d sits 3e-6 of dstar_max under it, and rows that keep the grid
+        point, the Newton point and (but on adhoc and crlb_mc) the parabolic
+        point."""
         rng = np.random.default_rng([*PANEL, "random"].index(protocol))
-        golden = (np.sqrt(5.0) - 1.0) / 2.0
-        # f <= 0, zero signal, bracket at d, NaN f, no step left untested
-        covered = np.zeros(5, dtype=int)
+        top = (1.0 - 3e-6) * DEFAULT_BOUNDS.dstar_max
+        # f <= 0, zero signal, bracket at d, NaN f, d under dstar_max, each point kept
+        covered = np.zeros(8, dtype=int)
         for snr in (5.0, 25.0, 600.0):
             for n in (1, 7, 62, 500):
                 if protocol in PANEL:
@@ -346,16 +386,15 @@ class TestFitDstar:
                 f = truth[:, 1] + rng.normal(0.0, 0.1, n)
                 d = np.where(rng.random(n) < 0.25, truth[:, 3], truth[:, 2])
                 if n > 1:
-                    f[0], d[1] = np.nan, (1.0 - 3e-6) * DEFAULT_BOUNDS.dstar_max
+                    f[0], d[1] = np.nan, top
                 expected = reference_fit_dstar(signals, b, s0, f, d)
                 dstar, at_bound = fit_dstar(signals, b, s0, f, d)
                 np.testing.assert_array_equal(dstar, expected[0])
                 np.testing.assert_array_equal(at_bound, expected[1])
                 live = ~(f <= 0.0)
-                a0, b0 = expected[2][0][live], expected[2][1][live]
-                ratio = (b0 - a0) / (REFINE_REL_TOL * np.maximum(b0, DEFAULT_BOUNDS.d_min))
-                covered += [np.sum(~live), np.sum(zero), np.sum(a0 == d[live]), np.sum(np.isnan(f)),
-                            live.any() and ratio.min() < golden**-3]
+                lower, pick = expected[2], expected[3]
+                covered += [np.sum(~live), np.sum(zero), np.sum(lower[live] == d[live]), np.sum(np.isnan(f)),
+                            np.sum(d[live] == top), *(np.sum(pick == k) for k in range(3))]
 
                 features, flags = segmented_fit_batch(signals, b)
                 with monkeypatch.context() as patch:
@@ -363,71 +402,9 @@ class TestFitDstar:
                     expected_features, expected_flags = segmented_fit_batch(signals, b)
                 np.testing.assert_array_equal(features, expected_features)
                 np.testing.assert_array_equal(flags, expected_flags)
-        assert (covered > 0).all()
-
-
-    @staticmethod
-    def assert_unchecked_steps_sound(widths, b0, live):
-        """The steps that _refine_dstar runs without any test, counted from
-        the live rows' starting widths, leave every live row wider than
-        sure = REFINE_REL_TOL * max(starting b, d_min), so no row could have
-        frozen in them; by the count's margin, each is even wider than
-        sure / G^3 less 1e-8 sure, far more than the 4 ulp of b rounding
-        may take. Four steps after them, the narrowest row is no longer
-        wider than sure: the count leaves untaken only its margin of two
-        steps, the fraction of a step it rounds down, and one step where its
-        logarithm rounds below a whole number. Returns the count."""
-        sure = REFINE_REL_TOL * np.maximum(b0[live], DEFAULT_BOUNDS.d_min)
-        margin = ((np.sqrt(5.0) - 1.0) / 2.0) ** -3 - 1e-8
-        unchecked = fitting._unchecked_steps(widths[0][live], sure)
-        assert len(widths) > unchecked  # the reference loop ran past them
-        for step in range(unchecked):
-            assert (widths[step][live] > margin * sure).all(), step
-        if live.any() and len(widths) > unchecked + 4:
-            assert (widths[unchecked + 4][live] <= sure).any()
-        return unchecked
-
-    @pytest.mark.parametrize("protocol", list(PANEL))
-    def test_unchecked_steps_on_panel_fits(self, protocol):
-        """The unchecked-step count is sound and tight on every batch of the
-        reference search over fits of a PANEL protocol, SNR 5 to 600."""
-        rng = np.random.default_rng(60 + list(PANEL).index(protocol))
-        b = np.array(PANEL[protocol], dtype=float)
-        te = AcquisitionProtocol(tuple(b)).echo_time(SCANNER)
-        counts = []
-        for snr in (5.0, 25.0, 600.0):
-            for n in (1, 7, 62, 500):
-                truth = np.column_stack([np.ones(n), rng.uniform(0.02, 0.4, n), rng.uniform(2e-4, 1.2e-3, n),
-                                         rng.uniform(5e-3, 8e-2, n)])
-                clean = ivim_signal(truth, b, te, SCANNER.t2)
-                signals = np.abs(clean + rng.normal(0, 1 / snr, clean.shape)
-                                 + 1j * rng.normal(0, 1 / snr, clean.shape))
-                s0 = np.exp(-te / SCANNER.t2) * (1.0 + rng.normal(0.0, 0.02, n))
-                f = truth[:, 1] + rng.normal(0.0, 0.1, n)
-                d = np.where(rng.random(n) < 0.25, truth[:, 3], truth[:, 2])
-                _, _, (_, b0), widths = reference_fit_dstar(signals, b, s0, f, d)
-                counts.append(self.assert_unchecked_steps_sound(widths, b0, ~(f <= 0.0)))
-        assert max(counts) > 0
-
-    def test_unchecked_steps_on_random_brackets(self):
-        """The same on random brackets from under 1 to 10^6 sure wide, some
-        a hair wider than sure / G^k, where rounding the count matters most."""
-        rng = np.random.default_rng(70)
-        golden = (np.sqrt(5.0) - 1.0) / 2.0
-        b_values = np.sort(np.append(rng.integers(0, 1001, 9), 0)).astype(float)
-        counts = set()
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            b0 = rng.uniform(2e-5, 0.5, n)
-            ratio = 10.0 ** rng.uniform(-0.5, 6.0, n)
-            edge = rng.random(n) < 0.3
-            ratio[edge] = golden ** -rng.integers(1, 29, edge.sum()) * (1.0 + 1e-12)
-            a0 = b0 - ratio * REFINE_REL_TOL * np.maximum(b0, DEFAULT_BOUNDS.d_min)
-            residual = rng.normal(0.0, 0.05, (n, len(b_values)))
-            amplitude = rng.uniform(0.01, 0.4, n)
-            *_, widths = reference_golden_section(residual, amplitude, b_values, a0, b0, DEFAULT_BOUNDS.d_min)
-            counts.add(self.assert_unchecked_steps_sound(widths, b0, np.ones(n, dtype=bool)))
-        assert len(counts) > 20
+        assert (np.delete(covered, 6) > 0).all(), covered
+        # on these two the Newton point never fits worse than the parabolic one
+        assert covered[6] > 0 or protocol in ("adhoc", "crlb_mc"), covered
 
 
 def test_dstar_ceiling_below_d_max_refused():

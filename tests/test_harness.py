@@ -39,6 +39,7 @@ from qmridesign.config import (
 from qmridesign.experiments import protocol_id
 from qmridesign.plotting import plot_accuracy_vs_snr
 from qmridesign.ppo import load_checkpoint, save_checkpoint
+from qmridesign.protocol_env import EPISODE_STEPS
 from qmridesign.reports import (
     REPORT_COLUMNS,
     ReportRow,
@@ -603,6 +604,27 @@ class TestCli:
         artifact = (runs["budget"] / "protocol_crlb.json").read_bytes()
         assert (runs["snapshot"] / "protocol_crlb.json").read_bytes() == artifact
 
+    def test_rl_budget_below_one_episode_refused(self, tiny_config, tmp_path):
+        """An rl search whose budget, from ``--budget`` or the config file,
+        completes no episode would write the baseline as its protocol: it is
+        refused in one line and writes nothing. One episode's steps are
+        enough, and the library keeps a zero-step ``PpoConfig`` valid."""
+        payload = json.loads(tiny_config.read_text())
+        payload["ppo"]["total_steps"] = EPISODE_STEPS - 1
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        message = (f"^invalid configuration: ppo.total_steps is {EPISODE_STEPS - 1}, but an rl search "
+                   f"completes no episode in fewer than {EPISODE_STEPS} steps$")
+        for argv in (["--config", str(tiny_config), "--budget", str(EPISODE_STEPS - 1)], ["--config", str(short)]):
+            with pytest.raises(SystemExit, match=message):
+                main(["optimize", "--optimizer", "rl", *argv, "--out", str(out)])
+            assert not out.exists()
+        main(["optimize", "--optimizer", "rl", "--config", str(short), "--budget", str(EPISODE_STEPS),
+              "--out", str(out)])
+        assert load_protocol_artifact(out / "protocol_rl.json")[1]["episodes"] == 1
+        assert PpoConfig(total_steps=0).total_steps == 0
+
     def test_calibration_report_records_the_budget(self, tiny_config, tmp_path, monkeypatch):
         """``calibrate --budget`` is not a config field, so the hash and seed
         alone do not say which budget wrote the tissue file: the report does.
@@ -701,6 +723,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, config", [
         (["evaluate", "--snr", "5,abc"], None),
         (["optimize", "--optimizer", "crlb", "--budget", "0"], None),
+        (["optimize", "--optimizer", "rl", "--budget", "8"], None),
         (["evaluate"], {"eval": {"k_neighbours": 3}}),
         (["evaluate", "--snr", "0.5"], None),
         (["evaluate", "--snr", "25,inf"], None),
@@ -733,7 +756,7 @@ class TestCli:
         (["evaluate", "--optimizer", "adhoc"], {"seed": "5"}),
         (["evaluate", "--optimizer", "adhoc"], {"eval": {"n_repeats_reward": "5"}}),
         *((["evaluate", "--optimizer", "adhoc"], config) for config in _REMOVED_FIELDS),
-    ], ids=["snr-not-a-number", "zero-anneal-budget", "misspelt-section-key", "snr-below-one",
+    ], ids=["snr-not-a-number", "zero-anneal-budget", "rl-budget-below-one-episode", "misspelt-section-key", "snr-below-one",
             "snr-infinite", "snr-repeated", "snr-list-repeated", "boolean-t2",
             "fewer-subjects-than-folds", "zero-tissue-samples",
             "negative-ridge-rel", "zero-ridge-rel", "zero-d-min", "d-min-above-d-max",
