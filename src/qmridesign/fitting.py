@@ -16,9 +16,10 @@ its neighbours, where it has one between them (successive parabolic
 interpolation; Brent 1973, Algorithms for Minimization without
 Derivatives, ch. 5). The second is one Newton step on the exact misfit,
 whose derivatives in u are closed-form because the model holds one
-exponential in d_star. Of the grid point, the parabolic point and the
-Newton point, the row keeps the one with the least exact misfit, so the
-estimate fits no worse than the scan's best point. The search is a fixed
+exponential in d_star. Of the grid point, the parabolic point, the
+Newton point and the bracket's lower end, the row keeps the one with the
+least exact misfit, so the estimate fits no worse than the scan's best
+point, and a row whose misfit falls all the way to d returns d. The search is a fixed
 sequence of per-row operations, so a row's estimate does not depend on
 its batch. Only rows with f > 0 are searched; the others return d with
 the boundary flag set. A row is flagged at a bound when its estimate lies
@@ -146,8 +147,8 @@ def fit_dstar(
     GRID_POINTS log-spaced values over [d_min, dstar_max], shared by all
     rows, and skips each row's points below d; a parabolic step and a
     Newton step then refine the row's best point within [max(previous
-    point, d), next point], keeping whichever of the three points fits
-    best (see the module docstring). Only rows with f > 0 are searched;
+    point, d), next point], keeping whichever of these points and the
+    bracket's lower end fits best (see the module docstring). Only rows with f > 0 are searched;
     the others return d with the boundary flag set.
     Returns (n,) arrays (dstar_est, at_bound).
     """
@@ -250,9 +251,10 @@ def _refine_dstar(signals, plan: _FitPlan, s0, f, d, bounds: FitBounds) -> np.nd
         s_u, s_uu = _misfit_derivatives(residual, amplitude, b_values, x)
         newton = np.clip(x * np.exp(np.where(s_uu > 0.0, -s_u / s_uu, 0.0)), lower, upper)
 
-    # (3) the best of the grid point, the parabolic point and the Newton point
-    # on the exact misfit; a tie keeps the earlier one
-    candidates = np.column_stack([grid[best], x, newton])
+    # (3) the best of the grid point, the parabolic point, the Newton point and
+    # the bracket's lower end (d, where the misfit falls all the way to it) on
+    # the exact misfit; a tie keeps the earlier one
+    candidates = np.column_stack([grid[best], x, newton, lower])
     model = amplitude[:, None, None] * np.exp(-b_values * candidates[:, :, None])
     misfit = np.square(residual[:, None, :] - model).sum(axis=2)
     return np.clip(candidates[rows, misfit.argmin(axis=1)], d, bounds.dstar_max)

@@ -68,13 +68,13 @@ PANEL = {
 
 def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
     """The D* search as a plain loop over rows: the scan, the parabolic step,
-    the Newton step and the pick of the best of the three points (see the
-    fitting module docstring).
+    the Newton step and the pick of the best of those three points and the
+    bracket's lower end (see the fitting module docstring).
 
     Returns (dstar, at_bound, lower, pick): each row's estimate and flag,
     the lower end of its bracket and the index of the point it kept (0 the
-    grid point, 1 the parabolic point, 2 the Newton point; -1 for rows
-    with f <= 0, which are not searched)."""
+    grid point, 1 the parabolic point, 2 the Newton point, 3 the lower
+    end; -1 for rows with f <= 0, which are not searched)."""
     grid = np.exp(np.linspace(np.log(bounds.d_min), np.log(bounds.dstar_max), GRID_POINTS))
     basis = np.exp(-b_values[:, None] * grid[None, :])
     basis_sq = (basis * basis).sum(axis=0)
@@ -112,7 +112,7 @@ def reference_fit_dstar(signals, b_values, s0, f, d, bounds=DEFAULT_BOUNDS):
         s_uu = s_u + x * x * s_xx
         newton = min(max(x * np.exp(-s_u / s_uu), lower[i]), upper) if s_uu > 0.0 else x
 
-        candidates = (grid[best], x, newton)
+        candidates = (grid[best], x, newton, lower[i])
         pick[i] = int(np.argmin([misfit(c) for c in candidates]))
         dstar[i] = min(max(candidates[pick[i]], d[i]), bounds.dstar_max)
 
@@ -312,6 +312,23 @@ class TestFitDstar:
             assert scale > 0.0
             assert np.abs(analytic - numeric).max() <= 1e-4 * scale
 
+    def test_misfit_rising_above_d_returns_d_flagged(self):
+        """Where the residual is a perfusion term decaying a little slower
+        than d, the misfit rises monotonically in D* above d, with its
+        minimum just below d: every such row returns d within EDGE_REL_TOL,
+        flagged at its bound, equal to the reference loop. A Newton step
+        from the first grid point above d can stop short of d."""
+        rng = np.random.default_rng(23)
+        n, b = 64, ADHOC.b_array
+        s0, f = np.ones(n), rng.uniform(0.02, 0.4, n)
+        d, slower = rng.uniform(2e-4, 1.2e-3, n), rng.uniform(0.997, 1.0, n)
+        signals = s0[:, None] * ((1.0 - f)[:, None] * np.exp(-b * d[:, None])
+                                 + f[:, None] * np.exp(-b * (slower * d)[:, None]))
+        dstar, at_bound = fit_dstar(signals, b, s0, f, d)
+        assert (np.abs(dstar - d) <= EDGE_REL_TOL * d).all()
+        assert at_bound.all()
+        np.testing.assert_array_equal(dstar, reference_fit_dstar(signals, b, s0, f, d)[0])
+
     def test_every_grid_point_below_d_returns_d_without_warnings(self):
         """Under dstar_max = d_max = 6e-3 the grid's top point rounds below
         6e-3, so a row whose d sits at d_max scans no point at or above d:
@@ -362,12 +379,12 @@ class TestFitDstar:
         rows, all-zero rows, rows whose bracket starts at d (d moved up to
         the true D* in a quarter of the rows), a row with a NaN f, a row
         whose d sits 3e-6 of dstar_max under it, and rows that keep the grid
-        point, the Newton point and (but on adhoc and crlb_mc) the parabolic
-        point."""
+        point, the Newton point, the bracket's lower end and (but on adhoc
+        and crlb_mc) the parabolic point."""
         rng = np.random.default_rng([*PANEL, "random"].index(protocol))
         top = (1.0 - 3e-6) * DEFAULT_BOUNDS.dstar_max
-        # f <= 0, zero signal, bracket at d, NaN f, d under dstar_max, each point kept
-        covered = np.zeros(8, dtype=int)
+        # f <= 0, zero signal, bracket at d, NaN f, d under dstar_max, each of four points kept
+        covered = np.zeros(9, dtype=int)
         for snr in (5.0, 25.0, 600.0):
             for n in (1, 7, 62, 500):
                 if protocol in PANEL:
@@ -394,7 +411,7 @@ class TestFitDstar:
                 live = ~(f <= 0.0)
                 lower, pick = expected[2], expected[3]
                 covered += [np.sum(~live), np.sum(zero), np.sum(lower[live] == d[live]), np.sum(np.isnan(f)),
-                            np.sum(d[live] == top), *(np.sum(pick == k) for k in range(3))]
+                            np.sum(d[live] == top), *(np.sum(pick == k) for k in range(4))]
 
                 features, flags = segmented_fit_batch(signals, b)
                 with monkeypatch.context() as patch:
