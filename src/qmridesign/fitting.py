@@ -19,9 +19,9 @@ whose derivatives in u are closed-form because the model holds one
 exponential in d_star. Of the grid point, the parabolic point, the
 Newton point and the bracket's lower end, the row keeps the one with the
 least exact misfit, so the estimate fits no worse than the scan's best
-point, and a row whose misfit falls all the way to d returns d. The search is a fixed
-sequence of per-row operations, so a row's estimate does not depend on
-its batch. Only rows with f > 0 are searched; the others return d with
+point, and a row whose misfit falls all the way to d returns d. The
+search is a fixed sequence of per-row operations, so a row's estimate
+does not depend on its batch. Only rows with f > 0 are searched; the others return d with
 the boundary flag set. A row is flagged at a bound when its estimate lies
 within EDGE_REL_TOL of d or of dstar_max.
 
@@ -148,8 +148,9 @@ def fit_dstar(
     rows, and skips each row's points below d; a parabolic step and a
     Newton step then refine the row's best point within [max(previous
     point, d), next point], keeping whichever of these points and the
-    bracket's lower end fits best (see the module docstring). Only rows with f > 0 are searched;
-    the others return d with the boundary flag set.
+    bracket's lower end fits best (see the module docstring). Only rows
+    with f > 0 are searched; the others return d with the boundary flag
+    set.
     Returns (n,) arrays (dstar_est, at_bound).
     """
     inactive = f <= 0.0
